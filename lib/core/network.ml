@@ -42,11 +42,20 @@ type sched = {
   sc_best_change : int -> Prefix.t -> Bgp.Route.t option -> unit;
 }
 
+type shard_plan = {
+  shards : int;
+  shard_of : int array;
+  lookahead : Time.t;
+}
+
 type t = {
   config : Config.t;
   sim : payload Sim.t;
   mutable routers : Router.t array;
   mutable dist : int array array;
+  mutable dist_gen : int;  (* [Igp.Graph.generation] [dist] was computed at *)
+  mutable plan : (int * (shard_plan, string) result) option;
+      (* [Sharded.run]'s plan for one [jobs] value; dropped on repartition *)
   mutable hooks : (int -> Prefix.t -> Bgp.Route.t option -> unit) list;
   mutable best_changes : int;
   mutable sched : sched;
@@ -142,6 +151,8 @@ let create ?(seed = 42) config =
       sim;
       routers = [||];
       dist = Igp.Spf.all_pairs config.Config.igp;
+      dist_gen = Igp.Graph.generation config.Config.igp;
+      plan = None;
       hooks = [];
       best_changes = 0;
       sched =
@@ -227,8 +238,13 @@ let on_best_change t hook = t.hooks <- t.hooks @ [ hook ]
 let best_changes t = t.best_changes
 let igp_distance t i j = t.dist.(i).(j)
 
+let recompute_dist t =
+  let igp = t.config.Config.igp in
+  t.dist <- Igp.Spf.all_pairs igp;
+  t.dist_gen <- Igp.Graph.generation igp
+
 let refresh_igp t =
-  t.dist <- Igp.Spf.all_pairs t.config.Config.igp;
+  recompute_dist t;
   Array.iter Router.redecide_all t.routers
 
 let dual_accept t =
@@ -266,6 +282,7 @@ let repartition t ~partition ~arrs =
       arrs;
     spec.Config.partition <- partition;
     spec.Config.arrs <- arrs;
+    t.plan <- None;
     Array.iter Router.apply_repartition t.routers
   | Config.Full_mesh | Config.Tbrr _ | Config.Confed _ | Config.Rcp _
   | Config.Dual _ ->
@@ -302,10 +319,12 @@ let load t d =
     invalid_arg "Network.load: router count mismatch";
   Array.iteri (fun i st -> Router.load_state t.routers.(i) st) d.d_routers;
   t.best_changes <- d.d_best_changes;
-  (* SPF distances are recomputed from the caller-rebuilt config rather
-     than checkpointed; a run that edits the IGP graph mid-flight must
-     re-apply those edits before resuming. *)
-  t.dist <- Igp.Spf.all_pairs t.config.Config.igp;
+  (* SPF distances come from the caller-rebuilt config rather than the
+     checkpoint; a run that edits the IGP graph mid-flight must re-apply
+     those edits before resuming. [create] computed them already, so
+     they are recomputed only if the graph changed since. *)
+  if Igp.Graph.generation t.config.Config.igp <> t.dist_gen then
+    recompute_dist t;
   Sim.restore t.sim ~clock:d.d_clock ~next_seq:d.d_next_seq
     ~processed:d.d_processed ~rng_state:d.d_rng d.d_events;
   match d.d_sink with
@@ -332,7 +351,7 @@ let payload_owner = function
   | Thunk _ -> invalid_arg "Network: Thunk events cannot be sharded (use at_op)"
 
 module Sharded = struct
-  type plan = {
+  type plan = shard_plan = {
     shards : int;
     shard_of : int array;
     lookahead : Time.t;
@@ -398,12 +417,20 @@ module Sharded = struct
       if jobs = 1 then Ok { shards = 1; shard_of; lookahead = max_int }
       else Ok { shards = jobs; shard_of; lookahead = !lookahead }
 
+  let plan_of t ~jobs =
+    match t.plan with
+    | Some (j, p) when j = jobs -> p
+    | Some _ | None ->
+      let p = plan t.config ~jobs in
+      t.plan <- Some (jobs, p);
+      p
+
   let run ?until ?max_events ?on_barrier t ~jobs =
     if t.hooks <> [] then
       invalid_arg
         "Network.Sharded.run: on_best_change hooks are incompatible with \
          sharded execution";
-    match plan t.config ~jobs with
+    match plan_of t ~jobs with
     | Error msg -> invalid_arg ("Network.Sharded.run: " ^ msg)
     | Ok { shards; shard_of; lookahead } ->
       (* Loc-RIB change counts accumulate per shard (disjoint indices,

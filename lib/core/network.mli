@@ -173,7 +173,8 @@ val hold_time : Eventsim.Time.t
     per-router BGP state, the Loc-RIB change counter, and the trace-sink
     ring when one is attached. Not in here: the config (the restoring
     caller rebuilds it and the codec checks a fingerprint), SPF
-    distances (recomputed from that config on {!load}), and
+    distances (taken from that config's IGP graph: {!load} keeps the
+    ones {!create} computed unless the graph was edited since), and
     {!on_best_change} hooks (closures — re-register after restoring). *)
 type dump = {
   d_clock : Time.t;
@@ -232,6 +233,11 @@ module Sharded : sig
       window runs the whole schedule). [Error] when some cross-shard
       link delay is not positive — zero lookahead admits no
       conservative window. *)
+
+  val plan_of : t -> jobs:int -> (plan, string) result
+  (** The plan {!run} uses: {!plan} of the network's config, computed on
+      the first call for a [jobs] value and kept until the next call
+      with another [jobs] value or a {!Network.repartition}. *)
 
   val run :
     ?until:Time.t ->

@@ -42,8 +42,7 @@ type roles = {
   tbrr_multipath : bool;
   tbrr_best_external : bool;
   arr_aps : int list;
-  arr_targets : int list array;  (* reflect targets per AP index (global array) *)
-  abrr_arrs : int list array;
+  abrr_arrs : int list array;  (* the configuration's ARR table, shared *)
   partition : Partition.t option;
   abrr_loop : Config.loop_prevention;
   mesh_peers : int list;
@@ -146,7 +145,6 @@ let no_roles =
     tbrr_multipath = false;
     tbrr_best_external = false;
     arr_aps = [];
-    arr_targets = [||];
     abrr_arrs = [||];
     partition = None;
     abrr_loop = Config.Reflected_bit;
@@ -194,25 +192,48 @@ let tbrr_roles (config : Config.t) id (s : Config.tbrr_spec) roles =
     tbrr_best_external = s.best_external;
   }
 
+(* Reflect targets (§2.1). An ARR of AP [ap] reflects to every client
+   router that is not itself an ARR of [ap]; under [control_plane_rrs]
+   no ARR is a client. The answer depends only on the configuration and
+   its ARR table, so it is read off that shared table on demand: a list
+   stored per router and AP would cost O(routers² × APs). *)
+
+let rec mem_int (r : int) = function [] -> false | x :: l -> x = r || mem_int r l
+
+let rec serves_any (arrs : int list array) r i =
+  i < Array.length arrs && (mem_int r arrs.(i) || serves_any arrs r (i + 1))
+
+let is_client_router (config : Config.t) arrs r =
+  not (config.control_plane_rrs && serves_any arrs r 0)
+
+let reflects_to config arrs ~ap r =
+  (not (mem_int r arrs.(ap))) && is_client_router config arrs r
+
+let rec reflects_any config arrs aps r =
+  match aps with
+  | [] -> false
+  | ap :: aps -> reflects_to config arrs ~ap r || reflects_any config arrs aps r
+
+let iter_reflect_targets (config : Config.t) arrs ~aps f =
+  for r = 0 to config.n_routers - 1 do
+    if reflects_any config arrs aps r then f r
+  done
+
+let reflect_targets config arrs ~aps =
+  let acc = ref [] in
+  iter_reflect_targets config arrs ~aps (fun r -> acc := r :: !acc);
+  List.rev !acc
+
 let abrr_roles (config : Config.t) id (s : Config.abrr_spec) roles =
   let k = Partition.count s.partition in
   let arr_aps =
     List.filter (fun ap -> List.mem id s.arrs.(ap)) (List.init k Fun.id)
   in
-  let is_rr_router r = Array.exists (fun arrs -> List.mem r arrs) s.arrs in
-  let is_client_router r = not (config.control_plane_rrs && is_rr_router r) in
-  let arr_targets =
-    Array.init k (fun ap ->
-        List.filter
-          (fun r -> is_client_router r && not (List.mem r s.arrs.(ap)))
-          (List.init config.n_routers Fun.id))
-  in
-  let is_client = roles.is_client && is_client_router id in
+  let is_client = roles.is_client && is_client_router config s.arrs id in
   {
     roles with
     is_client;
     arr_aps;
-    arr_targets;
     abrr_arrs = s.arrs;
     partition = Some s.partition;
     abrr_loop = s.loop_prevention;
@@ -683,10 +704,7 @@ let recompute_arr t p =
       if changed then begin
         rib_set t t.out_arr p assigned;
         t.counters.updates_generated <- t.counters.updates_generated + 1;
-        let targets =
-          dedup_ints (List.concat_map (fun ap -> t.roles.arr_targets.(ap)) my_aps)
-        in
-        List.iter
+        iter_reflect_targets t.env.config t.roles.abrr_arrs ~aps:my_aps
           (fun dst ->
             let dst_loopback = Config.loopback dst in
             let routes =
@@ -699,7 +717,6 @@ let recompute_arr t p =
             in
             enqueue t dst Proto.From_arr
               { Proto.prefix = p; routes; withdrawn_ids = withdrawn })
-          targets
       end
     end
 
@@ -1699,7 +1716,7 @@ let refresh_to t ~peer =
         List.exists
           (fun ap ->
             Partition.prefix_in_ap partition ap p
-            && List.mem peer t.roles.arr_targets.(ap))
+            && reflects_to t.env.config t.roles.abrr_arrs ~ap peer)
           t.roles.arr_aps
       in
       replay t.out_arr Proto.From_arr target_of
@@ -1753,15 +1770,10 @@ let apply_repartition t =
                 old_roles.arr_aps
             | None -> []
           in
-          let targets =
-            dedup_ints
-              (List.concat_map (fun ap -> old_roles.arr_targets.(ap)) old_aps)
-          in
-          List.iter
+          iter_reflect_targets t.env.config old_roles.abrr_arrs ~aps:old_aps
             (fun dst ->
               enqueue t dst Proto.From_arr
                 { Proto.prefix = p; routes = []; withdrawn_ids = withdrawn })
-            targets
         end;
         if Rib.get t.out_arr p <> [] then rib_set t t.out_arr p [];
         srctbl_iter

@@ -59,8 +59,8 @@ type roles = {
   tbrr_multipath : bool;
   tbrr_best_external : bool;
   arr_aps : int list;  (** APs this router serves as an ARR *)
-  arr_targets : int list array;  (** reflect targets per AP (global) *)
-  abrr_arrs : int list array;  (** ARRs per AP (global) *)
+  abrr_arrs : int list array;
+      (** ARRs per AP: the configuration's table, shared by all routers *)
   partition : Partition.t option;
   abrr_loop : Config.loop_prevention;
   mesh_peers : int list;  (** full-mesh / confed sub-AS iBGP peers *)
@@ -74,6 +74,18 @@ type roles = {
 val derive_roles : Config.t -> int -> roles
 (** The roles of router [i] under a configuration — the same derivation
     {!create} performs internally. *)
+
+val iter_reflect_targets :
+  Config.t -> int list array -> aps:int list -> (int -> unit) -> unit
+(** [iter_reflect_targets config arrs ~aps f] calls [f] on every router
+    an ARR serving the APs [aps] reflects to, once each, in ascending
+    id order: the client routers that are not ARRs of at least one AP
+    in [aps] under the ARR table [arrs]. Under
+    [config.control_plane_rrs] no router in [arrs] is a client. Scans
+    the router ids and allocates nothing; no target list is stored. *)
+
+val reflect_targets : Config.t -> int list array -> aps:int list -> int list
+(** {!iter_reflect_targets} as an ascending list. *)
 
 val process_now : t -> unit
 (** Run the processing batch the [schedule_process] timer armed: drain

@@ -17,7 +17,11 @@ val add_arc : t -> int -> int -> int -> unit
 (** Directed variant. *)
 
 val neighbors : t -> int -> (int * int) list
-(** [(neighbor, metric)] pairs. *)
+(** [(neighbor, metric)] pairs, in the reverse of {!iter_neighbors}
+    order. *)
+
+val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
+(** [iter_neighbors g u f] calls [f v metric] on every arc [u -> v]. *)
 
 val metric : t -> int -> int -> int option
 (** Metric of the arc [u -> v] if present. *)
@@ -26,3 +30,8 @@ val remove_edge : t -> int -> int -> unit
 (** Remove the undirected link (both arcs). *)
 
 val degree : t -> int -> int
+
+val generation : t -> int
+(** Counts the edits that changed the graph: every arc added, removed
+    or lowered bumps it. Equal generations mean equal graphs, so a
+    caller can tell whether distances it computed earlier are stale. *)

@@ -1,5 +1,11 @@
 (** Shortest-path-first (Dijkstra) computation over an IGP graph, used for
-    decision step 6 (lowest IGP metric to the BGP next hop). *)
+    decision step 6 (lowest IGP metric to the BGP next hop).
+
+    Every function raises [Invalid_argument] when the node count times
+    the largest metric, shifted left by the bit width of the arc count,
+    does not fit an OCaml int (about 2{^62}). With 24-bit metrics (the
+    IS-IS wide-metric range) that admits graphs of over 100 000 nodes
+    with a few arcs each. *)
 
 val unreachable : int
 (** Distance value for unreachable nodes ([max_int]). *)
@@ -15,7 +21,9 @@ val path : Graph.t -> src:int -> dst:int -> int list option
 (** Node sequence from [src] to [dst] inclusive, or [None]. *)
 
 val all_pairs : Graph.t -> int array array
-(** Distance matrix: [m.(u).(v)] = metric of shortest path u→v. *)
+(** Distance matrix: [m.(u).(v)] = metric of shortest path u→v. Builds
+    the flattened adjacency and the heap once and reuses them for every
+    source; allocates nothing beyond the matrix. *)
 
 val reachable_from : Graph.t -> src:int -> bool array
 val connected : Graph.t -> bool

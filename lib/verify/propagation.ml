@@ -142,14 +142,8 @@ let make_pctx ctx prefix =
       let arr_targets_of =
         List.map
           (fun a ->
-            ( a,
-              dedup_ints
-                (List.concat_map
-                   (fun ap ->
-                     if List.mem a s.Config.arrs.(ap) then
-                       ctx.roles.(a).Router.arr_targets.(ap)
-                     else [])
-                   covering) ))
+            let aps = List.filter (fun ap -> List.mem a s.Config.arrs.(ap)) covering in
+            (a, Router.reflect_targets ctx.cfg s.Config.arrs ~aps))
           cover_arrs
       in
       (cover_arrs, arr_targets_of)

@@ -84,6 +84,111 @@ let prop_triangle_inequality =
       done;
       !ok)
 
+(* Random graphs for the SPF oracles: directed arcs and undirected
+   edges, zero metrics, repeated arcs (the graph keeps the smallest
+   metric) and isolated nodes that stay unreachable. *)
+let random_graph =
+  let open QCheck in
+  let arc n = Gen.(quad (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 6) bool) in
+  let gen =
+    Gen.(int_range 1 14 >>= fun n -> map (fun arcs -> (n, arcs)) (list_size (int_bound 40) (arc n)))
+  in
+  make
+    ~print:(fun (n, arcs) ->
+      Printf.sprintf "n=%d %s" n
+        (String.concat " "
+           (List.map (fun (u, v, m, e) -> Printf.sprintf "%d%s%d:%d" u (if e then "-" else ">") v m) arcs)))
+    gen
+
+let build (n, arcs) =
+  let g = Igp.Graph.create ~n in
+  List.iter
+    (fun (u, v, m, undirected) ->
+      if undirected then Igp.Graph.add_edge g u v m else Igp.Graph.add_arc g u v m)
+    arcs;
+  g
+
+(* Bellman-Ford over [Graph.neighbors]: shares no code with Spf. *)
+let reference_distances g ~src =
+  let n = Igp.Graph.node_count g in
+  let dist = Array.make n Igp.Spf.unreachable in
+  dist.(src) <- 0;
+  for _ = 1 to n do
+    for u = 0 to n - 1 do
+      if dist.(u) <> Igp.Spf.unreachable then
+        List.iter
+          (fun (v, m) -> if dist.(u) + m < dist.(v) then dist.(v) <- dist.(u) + m)
+          (Igp.Graph.neighbors g u)
+    done
+  done;
+  dist
+
+(* The heap-of-tuples Dijkstra Spf used to run: relax [Graph.neighbors]
+   in list order, pop equal distances FIFO (Pqueue.Heap is stable). Its
+   parents are the tie-breaking [Spf.path] must keep. *)
+let reference_run g ~src =
+  let n = Igp.Graph.node_count g in
+  let dist = Array.make n Igp.Spf.unreachable in
+  let parent = Array.make n (-1) in
+  let heap = Pqueue.Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) () in
+  dist.(src) <- 0;
+  Pqueue.Heap.push heap (0, src);
+  let rec loop () =
+    match Pqueue.Heap.pop heap with
+    | None -> ()
+    | Some (d, u) ->
+      if d = dist.(u) then
+        List.iter
+          (fun (v, m) ->
+            if d + m < dist.(v) then begin
+              dist.(v) <- d + m;
+              parent.(v) <- u;
+              Pqueue.Heap.push heap (d + m, v)
+            end)
+          (Igp.Graph.neighbors g u);
+      loop ()
+  in
+  loop ();
+  (dist, parent)
+
+let prop_all_pairs_reference =
+  QCheck.Test.make ~name:"all_pairs = per-source reference distances" ~count:300
+    random_graph (fun spec ->
+      let g = build spec in
+      let m = Igp.Spf.all_pairs g in
+      Array.length m = fst spec
+      && Array.for_all Fun.id
+           (Array.mapi (fun src row -> row = reference_distances g ~src) m))
+
+let prop_run_parents =
+  QCheck.Test.make ~name:"run keeps the FIFO parent tie-breaking" ~count:300
+    random_graph (fun spec ->
+      let g = build spec in
+      List.for_all
+        (fun src -> Igp.Spf.run g ~src = reference_run g ~src)
+        (List.init (fst spec) Fun.id))
+
+let test_generation () =
+  let g = Igp.Graph.create ~n:3 in
+  let gen0 = Igp.Graph.generation g in
+  Igp.Graph.add_edge g 0 1 5;
+  check_int "two arcs added" (gen0 + 2) (Igp.Graph.generation g);
+  Igp.Graph.add_edge g 0 1 7;
+  check_int "higher metric: no change" (gen0 + 2) (Igp.Graph.generation g);
+  Igp.Graph.add_arc g 0 1 3;
+  check_int "lowered metric" (gen0 + 3) (Igp.Graph.generation g);
+  Igp.Graph.remove_edge g 1 2;
+  check_int "absent edge: no change" (gen0 + 3) (Igp.Graph.generation g);
+  Igp.Graph.remove_edge g 0 1;
+  check_int "two arcs removed" (gen0 + 5) (Igp.Graph.generation g)
+
+let test_oversized_metrics_rejected () =
+  let g = Igp.Graph.create ~n:3 in
+  Igp.Graph.add_edge g 0 1 (max_int / 4);
+  match Igp.Spf.all_pairs g with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "distances that cannot be ranked were accepted"
+
 let suite =
   ( "igp",
     [
@@ -94,4 +199,9 @@ let suite =
       Alcotest.test_case "all pairs symmetric" `Quick test_all_pairs_symmetric;
       Alcotest.test_case "remove edge reroutes" `Quick test_remove_edge;
       QCheck_alcotest.to_alcotest prop_triangle_inequality;
+      QCheck_alcotest.to_alcotest prop_all_pairs_reference;
+      QCheck_alcotest.to_alcotest prop_run_parents;
+      Alcotest.test_case "generation counts edits" `Quick test_generation;
+      Alcotest.test_case "oversized metrics rejected" `Quick
+        test_oversized_metrics_rejected;
     ] )

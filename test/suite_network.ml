@@ -160,6 +160,138 @@ let test_lpm_lookup () =
   quiesce net;
   check_bool "fallback to coarse" true (exit_of "20.5.9.9" = Some 1)
 
+(* Reflect targets: the shared query against the per-router definition
+   it replaced, [arr_targets.(ap)] = every client router outside
+   [arrs.(ap)], unioned over the APs a reflect covers. *)
+let old_targets (cfg : C.t) (arrs : int list array) aps =
+  let is_rr r = Array.exists (List.mem r) arrs in
+  let of_ap ap =
+    List.filter
+      (fun r -> (not (cfg.C.control_plane_rrs && is_rr r)) && not (List.mem r arrs.(ap)))
+      (List.init cfg.C.n_routers Fun.id)
+  in
+  List.sort_uniq Int.compare (List.concat_map of_ap aps)
+
+let targets_match cfg =
+  let arrs =
+    match cfg.C.scheme with
+    | C.Abrr s | C.Dual { abrr = s; _ } -> s.C.arrs
+    | C.Full_mesh | C.Tbrr _ | C.Confed _ | C.Rcp _ -> [||]
+  in
+  let per_ap =
+    List.for_all
+      (fun ap -> R.reflect_targets cfg arrs ~aps:[ ap ] = old_targets cfg arrs [ ap ])
+      (List.init (Array.length arrs) Fun.id)
+  in
+  let per_router =
+    List.for_all
+      (fun i ->
+        let roles = R.derive_roles cfg i in
+        roles.R.abrr_arrs == arrs
+        && R.reflect_targets cfg roles.R.abrr_arrs ~aps:roles.R.arr_aps
+           = old_targets cfg arrs roles.R.arr_aps)
+      (List.init cfg.C.n_routers Fun.id)
+  in
+  per_ap && per_router
+
+let arr_table n k =
+  QCheck.Gen.(array_repeat k (list_size (int_range 1 3) (int_bound (n - 1))))
+
+let random_abrr =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 2 14 >>= fun n ->
+      int_range 1 4 >>= fun k ->
+      int_range 1 4 >>= fun k' ->
+      map
+        (fun (((arrs, arrs'), cprr), dual) -> (n, arrs, arrs', cprr, dual))
+        (pair (pair (pair (arr_table n k) (arr_table n k')) bool) bool))
+  in
+  let show a =
+    String.concat "|"
+      (Array.to_list
+         (Array.map (fun l -> String.concat "," (List.map string_of_int l)) a))
+  in
+  make
+    ~print:(fun (n, arrs, arrs', cprr, dual) ->
+      Printf.sprintf "n=%d arrs=%s then %s cp_rrs=%b dual=%b" n (show arrs)
+        (show arrs') cprr dual)
+    gen
+
+let prop_reflect_targets =
+  QCheck.Test.make ~name:"reflect targets = per-router definition" ~count:200
+    random_abrr (fun (n, arrs, arrs', control_plane_rrs, dual) ->
+      let k = Array.length arrs in
+      let spec =
+        { C.partition = Part.uniform k; arrs; loop_prevention = C.Reflected_bit }
+      in
+      let scheme =
+        if dual then
+          C.Dual
+            {
+              tbrr =
+                {
+                  C.clusters = [ { C.trrs = [ 0 ]; clients = List.init (n - 1) succ } ];
+                  multipath = false;
+                  best_external = false;
+                };
+              abrr = spec;
+              accept = Array.make k C.Accept_abrr;
+            }
+        else C.Abrr spec
+      in
+      let cfg = C.make ~control_plane_rrs ~n_routers:n ~igp:(flat_igp n) ~scheme () in
+      targets_match cfg
+      && (dual
+         ||
+         let net = N.create cfg in
+         N.repartition net ~partition:(Part.uniform (Array.length arrs')) ~arrs:arrs';
+         targets_match (N.config net)))
+
+(* Network.create on the 42 x 24-router paper topology under ABRR with
+   8 APs x 2 ARRs. Role state must not grow with routers² (a reflect
+   target list per router and AP is ~200 MB here); what remains is the
+   1008² IGP distance matrix (8 MB) and per-router tables. *)
+let test_create_live_memory () =
+  let module T = Topo.Isp_topo in
+  let topo =
+    T.generate
+      (T.spec ~pops:42 ~routers_per_pop:24 ~peer_ases:15 ~peering_points_per_as:6
+         ~seed:7 ())
+  in
+  let cfg = T.config ~scheme:(T.abrr_scheme ~aps:8 ~arrs_per_ap:2 topo) topo in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let net = N.create cfg in
+  let mb = float_of_int ((live () - before) * (Sys.word_size / 8)) /. 1048576. in
+  check_int "routers" 1008 (N.router_count (Sys.opaque_identity net));
+  if mb >= 32. then Alcotest.failf "Network.create left %.1f MB live (bound 32 MB)" mb
+
+(* [load] keeps the distances [create] computed, unless the IGP graph was
+   edited in between. *)
+let test_load_recomputes_edited_igp () =
+  let g = Igp.Graph.create ~n:3 in
+  Igp.Graph.add_edge g 0 1 10;
+  Igp.Graph.add_edge g 1 2 10;
+  Igp.Graph.add_edge g 0 2 50;
+  let cfg = C.make ~n_routers:3 ~igp:g ~scheme:C.Full_mesh () in
+  let net = N.create cfg in
+  inject net ~router:0 (route ~prefix 0);
+  quiesce net;
+  let dump = N.dump net in
+  let same = N.create cfg in
+  N.load same dump;
+  check_int "unedited: create's distances" 20 (N.igp_distance same 0 2);
+  let edited = N.create cfg in
+  Igp.Graph.remove_edge g 1 2;
+  N.load edited dump;
+  check_int "edited after create: recomputed" 50 (N.igp_distance edited 0 2);
+  check_int "rerouted around the cut link" 60 (N.igp_distance edited 1 2)
+
 let suite =
   ( "network",
     [
@@ -177,4 +309,9 @@ let suite =
       Alcotest.test_case "two eBGP routes one router" `Quick
         test_two_ebgp_routes_same_router;
       Alcotest.test_case "LPM forwarding lookup" `Quick test_lpm_lookup;
+      QCheck_alcotest.to_alcotest prop_reflect_targets;
+      Alcotest.test_case "create: paper-scale live memory" `Quick
+        test_create_live_memory;
+      Alcotest.test_case "load recomputes an edited IGP" `Quick
+        test_load_recomputes_edited_igp;
     ] )

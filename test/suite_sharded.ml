@@ -557,6 +557,26 @@ let test_plan_zero_delay_rejected () =
   | Ok p -> check_int "one shard fine" 1 p.N.Sharded.shards
   | Error e -> Alcotest.fail e
 
+let test_plan_cached_until_repartition () =
+  let cfg =
+    C.make ~n_routers:8 ~igp:(Helpers.flat_igp 8)
+      ~scheme:(C.abrr ~partition:(Abrr_core.Partition.uniform 2) [| [ 0 ]; [ 3 ] |])
+      ()
+  in
+  let net = N.create cfg in
+  let shard_of p =
+    match p with Ok p -> p.N.Sharded.shard_of | Error e -> Alcotest.fail e
+  in
+  let first = N.Sharded.plan_of net ~jobs:2 in
+  check_bool "same jobs: cached plan" true (N.Sharded.plan_of net ~jobs:2 == first);
+  check_int "AP 1's ARR moved to shard 1" 1 (shard_of first).(3);
+  N.repartition net ~partition:(Abrr_core.Partition.uniform 2) ~arrs:[| [ 0 ]; [ 7 ] |];
+  let after = N.Sharded.plan_of net ~jobs:2 in
+  check_bool "repartition drops the cached plan" true (after != first);
+  check_bool "recomputed from the new ARR table" true
+    (shard_of after = shard_of (N.Sharded.plan cfg ~jobs:2));
+  check_int "router 3 back on its range shard" 0 (shard_of after).(3)
+
 let test_sharded_run_guards () =
   (* hooks are closures run from worker domains: rejected *)
   let net = prepare (multi_ap_abrr 8) (mk_ops ~n:8 ~seed:3 ~count:8) in
@@ -625,6 +645,8 @@ let suite =
       Alcotest.test_case "plan: first AP wins" `Quick test_plan_first_ap_wins;
       Alcotest.test_case "plan: zero delay rejected" `Quick
         test_plan_zero_delay_rejected;
+      Alcotest.test_case "plan: cached until repartition" `Quick
+        test_plan_cached_until_repartition;
       Alcotest.test_case "run guards: hooks + thunks" `Quick
         test_sharded_run_guards;
       QCheck_alcotest.to_alcotest prop_sharded;
