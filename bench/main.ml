@@ -43,8 +43,6 @@ let experiments =
     ("micro", "Bechamel micro-benchmarks", Micro.run);
     ("scale", "Memory-compact RIB at scale: RSS, throughput, latency",
      Exp_scale.run);
-    ("scenario", "Adversarial & operational scenario catalog, paper scale",
-     Exp_scenario.run);
     ("shard", "Sharded simulation core: digest-proven determinism and scaling",
      Exp_shard.run);
   ]

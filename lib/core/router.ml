@@ -61,6 +61,7 @@ type src_tag =
   | S_confed
   | S_from_rcp
   | S_managed_trr
+  | S_managed_rcp
   | S_from_trr
   | S_from_arr
   | S_own_arr
@@ -107,15 +108,12 @@ type t = {
   loc_rib : Rib.t;
   adv_mesh : Rib.t;
   adv_confed : Rib.t;
-  adv_confed_src : (int, int) Hashtbl.t;
   adv_rcp : Rib.t;
   adv_trr : Rib.t;
   adv_arr : Rib.t;
   out_mesh : Rib.t;
   out_clients : Rib.t;
   out_arr : Rib.t;
-  out_clients_src : (int, int) Hashtbl.t;
-  out_mesh_src : (int, int) Hashtbl.t;
   ids_mesh : Path_id.t;
   ids_clients : Path_id.t;
   ids_arr : Path_id.t;
@@ -160,8 +158,7 @@ let dedup_ints l = List.sort_uniq Int.compare l
 
 let tbrr_roles (config : Config.t) id (s : Config.tbrr_spec) roles =
   let my_clusters =
-    List.filteri (fun _ _ -> true) s.clusters
-    |> List.mapi (fun i c -> (i, c))
+    List.mapi (fun i c -> (i, c)) s.clusters
     |> List.filter (fun (_, (c : Config.cluster)) -> List.mem id c.trrs)
   in
   let is_trr = my_clusters <> [] in
@@ -300,15 +297,12 @@ let create env =
     loc_rib = Rib.create ();
     adv_mesh = Rib.create ();
     adv_confed = Rib.create ();
-    adv_confed_src = Hashtbl.create 64;
     adv_rcp = Rib.create ();
     adv_trr = Rib.create ();
     adv_arr = Rib.create ();
     out_mesh = Rib.create ();
     out_clients = Rib.create ();
     out_arr = Rib.create ();
-    out_clients_src = Hashtbl.create 64;
-    out_mesh_src = Hashtbl.create 64;
     ids_mesh = Path_id.create ();
     ids_clients = Path_id.create ();
     ids_arr = Path_id.create ();
@@ -365,11 +359,11 @@ let srctbl_reset st =
 (* ------------------------------------------------------------------ *)
 (* Candidate construction                                              *)
 
-let ibgp_candidate t src (route : R.t) =
+let ibgp_candidate ?(learned = D.Ibgp) t src (route : R.t) =
   let peer = Config.loopback src in
   {
     D.route;
-    learned = D.Ibgp;
+    learned;
     peer_id = peer;
     peer_addr = peer;
     igp_cost = t.env.igp_cost (R.next_hop route);
@@ -383,24 +377,23 @@ let eligible (c : D.candidate) = c.igp_cost <> Igp.Spf.unreachable
    original, and decision tie-breaks would otherwise diverge. The sorted
    view is memoized on the table (invalidated whenever the source set
    changes) — this sits on the per-decision hot path. *)
-let sorted_hashtbl tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 let sorted_tbl st =
   match st.view with
   | Some v -> v
   | None ->
-    let v = sorted_hashtbl st.ribs in
+    let v =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.ribs []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    in
     st.view <- Some v;
     v
 
-let table_candidates t tbl tag p acc =
+let table_candidates ?learned t tbl tag p acc =
   List.fold_left
     (fun acc (src, rib) ->
       List.fold_left
         (fun acc route ->
-          let c = ibgp_candidate t src route in
+          let c = ibgp_candidate ?learned t src route in
           if eligible c then (c, src, tag) :: acc else acc)
         acc (Rib.get rib p))
     acc (sorted_tbl tbl)
@@ -472,22 +465,13 @@ let tbrr_candidates t p acc =
   if t.roles.my_trrs <> [] then table_candidates t t.from_trr S_from_trr p acc
   else acc
 
-let confed_candidates t p acc =
-  List.fold_left
-    (fun acc (src, rib) ->
-      List.fold_left
-        (fun acc route ->
-          let c = { (ibgp_candidate t src route) with D.learned = D.Confed_ebgp } in
-          if eligible c then (c, src, S_confed) :: acc else acc)
-        acc (Rib.get rib p))
-    acc (sorted_tbl t.confed_in)
-
 let collect_candidates t p =
   let acc = local_candidates t p (ebgp_candidates t p []) in
   match t.env.config.scheme with
   | Config.Full_mesh -> table_candidates t t.mesh_in S_mesh p acc
   | Config.Confed _ ->
-    confed_candidates t p (table_candidates t t.mesh_in S_mesh p acc)
+    table_candidates ~learned:D.Confed_ebgp t t.confed_in S_confed p
+      (table_candidates t t.mesh_in S_mesh p acc)
   | Config.Rcp _ -> table_candidates t t.from_rcp S_from_rcp p acc
   | Config.Tbrr _ -> tbrr_candidates t p acc
   | Config.Abrr _ -> abrr_candidates t p acc
@@ -519,15 +503,16 @@ let session t dst =
     Hashtbl.add t.sessions dst s;
     s
 
+let sort_items items =
+  List.sort
+    (fun ((c1, d1) : Proto.item) (c2, d2) ->
+      match Int.compare (Proto.channel_tag c1) (Proto.channel_tag c2) with
+      | 0 -> Prefix.compare d1.Proto.prefix d2.Proto.prefix
+      | c -> c)
+    items
+
 let transmit_now t dst (s : session) items =
-  let items =
-    List.sort
-      (fun ((c1, d1) : Proto.item) (c2, d2) ->
-        match Int.compare (Proto.channel_tag c1) (Proto.channel_tag c2) with
-        | 0 -> Prefix.compare d1.Proto.prefix d2.Proto.prefix
-        | c -> c)
-      items
-  in
+  let items = sort_items items in
   let n_withdraw =
     List.length (List.filter (fun ((_, d) : Proto.item) -> Proto.is_withdraw d) items)
   in
@@ -643,6 +628,13 @@ let derive_arr_reflect t src (r : R.t) =
   | Config.Reflected_bit -> R.mark_reflected r
   | Config.Cluster_list -> R.add_cluster t.self r
 
+(* A TRR's advertisement of a decision entry: iBGP-learned routes are
+   reflected, other-learned ones advertised as its own. *)
+let derive_reflected t ((c : D.candidate), src, _) =
+  match c.D.learned with
+  | D.Ibgp -> derive_trr_reflect t src c.D.route
+  | D.Ebgp | D.Local | D.Confed_ebgp -> derive_own t c.D.route
+
 (* Assign stable ids to a derived set and report whether it changed. *)
 let assign_set ids p derived =
   let previous = Path_id.current ids p in
@@ -661,6 +653,80 @@ let same_single old_routes desired =
   | [], None -> true
   | [ (old : R.t) ], Some (r : R.t) -> R.same_path old r
   | _, _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Decision-kernel picks                                               *)
+
+let cands_of tagged = List.map (fun (c, _, _) -> c) tagged
+
+(* The tagged entry a kernel pick came from. [D.best] and
+   [D.steps_1_to_4] return elements of their input, so the physical
+   lookup always succeeds. *)
+let entry_of tagged (c : D.candidate) =
+  List.find (fun (c', _, _) -> c' == c) tagged
+
+let best_entry t tagged =
+  Option.map (entry_of tagged)
+    (D.best ~med_mode:t.env.config.med_mode (cands_of tagged))
+
+let survivor_entries t tagged =
+  List.map (entry_of tagged)
+    (D.steps_1_to_4 ~med_mode:t.env.config.med_mode (cands_of tagged))
+
+(* ------------------------------------------------------------------ *)
+(* Adj-RIB-Out writer                                                  *)
+
+(* Every per-plane Adj-RIB-Out change goes through here (DESIGN.md,
+   "Implementation decisions" 5): store the new route set, count one
+   generated update and enqueue the change toward each target, in the
+   order [targets] iterates them. The delta is built once and shared
+   (deltas are immutable); [per_target] substitutes a copy only for a
+   target that must see something else. *)
+let write_out t ~rib ~channel ~targets ~per_target p routes withdrawn_ids =
+  rib_set t rib p routes;
+  t.counters.updates_generated <- t.counters.updates_generated + 1;
+  let delta = { Proto.prefix = p; routes; withdrawn_ids } in
+  targets (fun dst -> enqueue t dst channel (per_target dst delta))
+
+let to_each dsts f = List.iter f dsts
+
+(* Single-path planes: one route under path id 0, replaced in place.
+   Split horizon by withdrawal: the [sender] of the advertised route
+   gets a withdrawal of whatever it was sent before, never its own route
+   back. *)
+let export_single ?(sender = -1) t ~rib ~channel ~targets p desired =
+  if not (same_single (Rib.get rib p) desired) then
+    match desired with
+    | None ->
+      write_out t ~rib ~channel ~targets ~per_target:(fun _ d -> d) p [] [ 0 ]
+    | Some r ->
+      write_out t ~rib ~channel ~targets p [ r ] []
+        ~per_target:(fun dst d ->
+          if dst = sender then
+            { Proto.prefix = p; routes = []; withdrawn_ids = [ 0 ] }
+          else d)
+
+let originated_by addr (r : R.t) =
+  match R.originator_id r with Some o -> Ipv4.equal o addr | None -> false
+
+(* [List.exists (originated_by addr)] without a closure per target. *)
+let rec any_originated_by addr = function
+  | [] -> false
+  | r :: rs -> originated_by addr r || any_originated_by addr rs
+
+(* Add-paths planes: stable path ids from [ids], and a target never
+   receives a route it originated. *)
+let export_set t ~rib ~ids ~channel ~targets p derived =
+  let assigned, withdrawn, changed = assign_set ids p derived in
+  if changed then
+    write_out t ~rib ~channel ~targets p assigned withdrawn
+      ~per_target:(fun dst (d : Proto.delta) ->
+        let addr = Config.loopback dst in
+        if any_originated_by addr assigned then
+          { d with
+            Proto.routes =
+              List.filter (fun r -> not (originated_by addr r)) assigned }
+        else d)
 
 (* ------------------------------------------------------------------ *)
 (* ARR reflection (§2.1): best AS-level routes over the managed RIB.    *)
@@ -687,37 +753,14 @@ let recompute_arr t p =
               acc (Rib.get rib p))
           tagged (sorted_tbl t.managed_arr)
       in
-      let cands = List.map (fun (c, _, _) -> c) tagged in
-      let survivors = D.steps_1_to_4 ~med_mode:t.env.config.med_mode cands in
       let derived =
         List.map
-          (fun (c : D.candidate) ->
-            let src =
-              List.find_map
-                (fun (c', src, _) -> if c' == c then Some src else None)
-                tagged
-            in
-            derive_arr_reflect t (Option.value ~default:t.env.id src) c.D.route)
-          survivors
+          (fun ((c : D.candidate), src, _) -> derive_arr_reflect t src c.D.route)
+          (survivor_entries t tagged)
       in
-      let assigned, withdrawn, changed = assign_set t.ids_arr p derived in
-      if changed then begin
-        rib_set t t.out_arr p assigned;
-        t.counters.updates_generated <- t.counters.updates_generated + 1;
-        iter_reflect_targets t.env.config t.roles.abrr_arrs ~aps:my_aps
-          (fun dst ->
-            let dst_loopback = Config.loopback dst in
-            let routes =
-              List.filter
-                (fun (r : R.t) ->
-                  match (R.originator_id r) with
-                  | Some o -> not (Ipv4.equal o dst_loopback)
-                  | None -> true)
-                assigned
-            in
-            enqueue t dst Proto.From_arr
-              { Proto.prefix = p; routes; withdrawn_ids = withdrawn })
-      end
+      export_set t ~rib:t.out_arr ~ids:t.ids_arr ~channel:Proto.From_arr
+        ~targets:(iter_reflect_targets t.env.config t.roles.abrr_arrs ~aps:my_aps)
+        p derived
     end
 
 (* ------------------------------------------------------------------ *)
@@ -726,163 +769,54 @@ let recompute_arr t p =
 let source_is_clientside tag =
   match tag with
   | S_managed_trr | S_ebgp | S_local -> true
-  | S_mesh | S_confed | S_from_rcp | S_from_trr | S_from_arr | S_own_arr -> false
+  | S_mesh | S_confed | S_managed_rcp | S_from_rcp | S_from_trr | S_from_arr
+  | S_own_arr ->
+    false
 
-let set_single_out t ~rib ~src_tbl ~channel ~targets p desired src =
-  let old = Rib.get rib p in
-  if not (same_single old desired) then begin
-    let key = Prefix.to_key p in
-    (match desired with
-    | Some r ->
-      rib_set t rib p [ r ];
-      Hashtbl.replace src_tbl key src
-    | None ->
-      rib_set t rib p [];
-      Hashtbl.remove src_tbl key);
-    t.counters.updates_generated <- t.counters.updates_generated + 1;
-    let announce =
-      match desired with
-      | None -> { Proto.prefix = p; routes = []; withdrawn_ids = [ 0 ] }
-      | Some r -> { Proto.prefix = p; routes = [ r ]; withdrawn_ids = [] }
-    in
-    (* Split horizon: the peer the best route came from gets a withdrawal
-       of whatever was previously advertised, never its own route back. *)
-    let back_to_sender = { Proto.prefix = p; routes = []; withdrawn_ids = [ 0 ] } in
-    List.iter
-      (fun dst ->
-        let delta =
-          if desired <> None && dst = src then back_to_sender else announce
-        in
-        enqueue t dst channel delta)
-      targets
-  end
+let trr_tagged t p =
+  local_candidates t p (ebgp_candidates t p [])
+  |> table_candidates t t.managed_trr S_managed_trr p
+  |> table_candidates t t.mesh_in S_mesh p
+
+let clientside tagged =
+  List.filter (fun (_, _, tag) -> source_is_clientside tag) tagged
+
+(* The derived route of a best entry and the peer it came from. *)
+let reflect_best t = function
+  | None -> (None, -1)
+  | Some ((_, src, _) as entry) -> (Some (derive_reflected t entry), src)
 
 let recompute_trr_single t p =
-  let tagged =
-    local_candidates t p (ebgp_candidates t p [])
-    |> table_candidates t t.managed_trr S_managed_trr p
-    |> table_candidates t t.mesh_in S_mesh p
-  in
-  let cands = List.map (fun (c, _, _) -> c) tagged in
-  let best = D.best ~med_mode:t.env.config.med_mode cands in
-  let info =
-    Option.map
-      (fun (c : D.candidate) ->
-        let src, tag =
-          match
-            List.find_map
-              (fun (c', src, tag) -> if c' == c then Some (src, tag) else None)
-              tagged
-          with
-          | Some x -> x
-          | None -> (-1, S_local)
-        in
-        (c, src, tag))
-      best
-  in
-  let derived =
-    Option.map
-      (fun ((c : D.candidate), src, _) ->
-        match c.D.learned with
-        | D.Ibgp -> derive_trr_reflect t src c.D.route
-        | D.Ebgp | D.Local | D.Confed_ebgp -> derive_own t c.D.route)
-      info
-  in
-  let src = match info with Some (_, s, _) -> s | None -> -1 in
-  let clientside =
-    match info with Some (_, _, tag) -> source_is_clientside tag | None -> false
-  in
+  let tagged = trr_tagged t p in
+  let best = best_entry t tagged in
+  let derived, sender = reflect_best t best in
   (* To clients: the best route, never back to the client it came from. *)
-  set_single_out t ~rib:t.out_clients ~src_tbl:t.out_clients_src
-    ~channel:Proto.From_trr ~targets:t.roles.my_trr_clients p derived src;
+  export_single t ~rib:t.out_clients ~channel:Proto.From_trr
+    ~targets:(to_each t.roles.my_trr_clients) ~sender p derived;
   (* To the TRR mesh: only routes from clients / eBGP / local (Table 1).
      With best-external, the best client-side route is advertised even
      when the overall best was learned from the mesh. *)
-  let mesh_desired, mesh_src =
-    if clientside then (derived, src)
-    else if not t.roles.tbrr_best_external then (None, src)
-    else begin
-      let clientside_tagged =
-        List.filter (fun (_, _, tag) -> source_is_clientside tag) tagged
-      in
-      let cands = List.map (fun (c, _, _) -> c) clientside_tagged in
-      match D.best ~med_mode:t.env.config.med_mode cands with
-      | None -> (None, -1)
-      | Some c ->
-        let src', tag' =
-          match
-            List.find_map
-              (fun (c', s', tag') -> if c' == c then Some (s', tag') else None)
-              clientside_tagged
-          with
-          | Some x -> x
-          | None -> (-1, S_local)
-        in
-        let r =
-          match c.D.learned with
-          | D.Ibgp -> derive_trr_reflect t src' c.D.route
-          | D.Ebgp | D.Local | D.Confed_ebgp ->
-            ignore tag';
-            derive_own t c.D.route
-        in
-        (Some r, src')
-    end
+  let mesh_desired, mesh_sender =
+    match best with
+    | Some (_, _, tag) when source_is_clientside tag -> (derived, sender)
+    | Some _ | None ->
+      if t.roles.tbrr_best_external then
+        reflect_best t (best_entry t (clientside tagged))
+      else (None, -1)
   in
-  set_single_out t ~rib:t.out_mesh ~src_tbl:t.out_mesh_src ~channel:Proto.Mesh
-    ~targets:t.roles.trr_mesh p mesh_desired mesh_src
-
-let set_multi_out t ~rib ~ids ~channel ~targets p tagged_survivors =
-  let derived =
-    List.map
-      (fun ((c : D.candidate), src, _tag) ->
-        match c.D.learned with
-        | D.Ibgp -> derive_trr_reflect t src c.D.route
-        | D.Ebgp | D.Local | D.Confed_ebgp -> derive_own t c.D.route)
-      tagged_survivors
-  in
-  let assigned, withdrawn, changed = assign_set ids p derived in
-  if changed then begin
-    rib_set t rib p assigned;
-    t.counters.updates_generated <- t.counters.updates_generated + 1;
-    List.iter
-      (fun dst ->
-        let dst_loopback = Config.loopback dst in
-        let routes =
-          List.filter
-            (fun (r : R.t) ->
-              match (R.originator_id r) with
-              | Some o -> not (Ipv4.equal o dst_loopback)
-              | None -> true)
-            assigned
-        in
-        enqueue t dst channel { Proto.prefix = p; routes; withdrawn_ids = withdrawn })
-      targets
-  end
+  export_single t ~rib:t.out_mesh ~channel:Proto.Mesh
+    ~targets:(to_each t.roles.trr_mesh) ~sender:mesh_sender p mesh_desired
 
 let recompute_trr_multi t p =
-  let med_mode = t.env.config.med_mode in
-  let all_tagged =
-    local_candidates t p (ebgp_candidates t p [])
-    |> table_candidates t t.managed_trr S_managed_trr p
-    |> table_candidates t t.mesh_in S_mesh p
+  let tagged = trr_tagged t p in
+  let export ~rib ~ids ~channel ~targets entries =
+    export_set t ~rib ~ids ~channel ~targets:(to_each targets) p
+      (List.map (derive_reflected t) (survivor_entries t entries))
   in
-  let pick tagged =
-    let cands = List.map (fun (c, _, _) -> c) tagged in
-    let survivors = D.steps_1_to_4 ~med_mode cands in
-    List.filter_map
-      (fun (s : D.candidate) ->
-        List.find_map
-          (fun ((c, _, _) as entry) -> if c == s then Some entry else None)
-          tagged)
-      survivors
-  in
-  set_multi_out t ~rib:t.out_clients ~ids:t.ids_clients ~channel:Proto.From_trr
-    ~targets:t.roles.my_trr_clients p (pick all_tagged);
-  let clientside_tagged =
-    List.filter (fun (_, _, tag) -> source_is_clientside tag) all_tagged
-  in
-  set_multi_out t ~rib:t.out_mesh ~ids:t.ids_mesh ~channel:Proto.Mesh
-    ~targets:t.roles.trr_mesh p (pick clientside_tagged)
+  export ~rib:t.out_clients ~ids:t.ids_clients ~channel:Proto.From_trr
+    ~targets:t.roles.my_trr_clients tagged;
+  export ~rib:t.out_mesh ~ids:t.ids_mesh ~channel:Proto.Mesh
+    ~targets:t.roles.trr_mesh (clientside tagged)
 
 (* ------------------------------------------------------------------ *)
 (* Client function: decision + export                                  *)
@@ -897,46 +831,20 @@ let abrr_active t =
   | Config.Abrr _ | Config.Dual _ -> true
   | Config.Full_mesh | Config.Tbrr _ | Config.Confed _ | Config.Rcp _ -> false
 
-let export_plane t ~adv ~channel ~targets p desired =
-  let old = Rib.get adv p in
-  if not (same_single old desired) then begin
-    (match desired with
-    | Some r -> rib_set t adv p [ r ]
-    | None -> rib_set t adv p []);
-    t.counters.updates_generated <- t.counters.updates_generated + 1;
-    let withdrawn_ids = match desired with None -> [ 0 ] | Some _ -> [] in
-    let routes = match desired with None -> [] | Some r -> [ r ] in
-    List.iter
-      (fun dst ->
-        enqueue t dst channel { Proto.prefix = p; routes; withdrawn_ids })
-      targets
-  end
-
 (* Table 1 reads "best routes" (plural): on add-paths planes the client
    advertises every other-learned route that ties at AS level — exactly
    what makes the ARR's managed RIB equal #BAL x #Prefixes / #APs in
    Appendix A.1. *)
 let own_as_level_survivors t tagged =
-  let all = List.map (fun (c, _, _) -> c) tagged in
-  let survivors = D.steps_1_to_4 ~med_mode:t.env.config.med_mode all in
+  let survivors =
+    D.steps_1_to_4 ~med_mode:t.env.config.med_mode (cands_of tagged)
+  in
   List.filter_map
     (fun (c : D.candidate) ->
       match c.D.learned with
       | D.Ebgp | D.Local -> Some (derive_own t c.D.route)
       | D.Ibgp | D.Confed_ebgp -> None)
     survivors
-
-let export_plane_set t ~adv ~ids ~channel ~targets p derived =
-  let assigned, withdrawn, changed = assign_set ids p derived in
-  if changed then begin
-    rib_set t adv p assigned;
-    t.counters.updates_generated <- t.counters.updates_generated + 1;
-    List.iter
-      (fun dst ->
-        enqueue t dst channel
-          { Proto.prefix = p; routes = assigned; withdrawn_ids = withdrawn })
-      targets
-  end
 
 let client_export t p tagged (winner : (D.candidate * int * src_tag) option) =
   if t.roles.is_client then begin
@@ -949,17 +857,16 @@ let client_export t p tagged (winner : (D.candidate * int * src_tag) option) =
     let own_survivors () = own_as_level_survivors t tagged in
     (match t.env.config.scheme with
     | Config.Full_mesh ->
-      export_plane t ~adv:t.adv_mesh ~channel:Proto.Mesh
-        ~targets:t.roles.mesh_peers p desired
+      export_single t ~rib:t.adv_mesh ~channel:Proto.Mesh
+        ~targets:(to_each t.roles.mesh_peers) p desired
     | Config.Tbrr _ | Config.Abrr _ | Config.Confed _ | Config.Rcp _
     | Config.Dual _ -> ());
     if tbrr_active t && t.roles.my_trrs <> [] then begin
+      let targets = to_each t.roles.my_trrs in
       if t.roles.tbrr_multipath then
-        export_plane_set t ~adv:t.adv_trr ~ids:t.ids_adv_trr
-          ~channel:Proto.To_trr ~targets:t.roles.my_trrs p (own_survivors ())
-      else
-        export_plane t ~adv:t.adv_trr ~channel:Proto.To_trr
-          ~targets:t.roles.my_trrs p desired
+        export_set t ~rib:t.adv_trr ~ids:t.ids_adv_trr ~channel:Proto.To_trr
+          ~targets p (own_survivors ())
+      else export_single t ~rib:t.adv_trr ~channel:Proto.To_trr ~targets p desired
     end;
     if abrr_active t then begin
       match t.roles.partition with
@@ -969,27 +876,14 @@ let client_export t p tagged (winner : (D.candidate * int * src_tag) option) =
         let targets =
           dedup_ints (List.concat_map (fun ap -> t.roles.abrr_arrs.(ap)) aps)
         in
-        export_plane_set t ~adv:t.adv_arr ~ids:t.ids_adv_arr
-          ~channel:Proto.To_arr ~targets p (own_survivors ())
+        export_set t ~rib:t.adv_arr ~ids:t.ids_adv_arr ~channel:Proto.To_arr
+          ~targets:(to_each targets) p (own_survivors ())
     end
   end
 
 let run_decision t p =
   let tagged = collect_candidates t p in
-  let cands = List.map (fun (c, _, _) -> c) tagged in
-  let best = D.best ~med_mode:t.env.config.med_mode cands in
-  let winner =
-    Option.map
-      (fun (c : D.candidate) ->
-        match
-          List.find_map
-            (fun (c', src, tag) -> if c' == c then Some (src, tag) else None)
-            tagged
-        with
-        | Some (src, tag) -> (c, src, tag)
-        | None -> (c, -1, S_local))
-      best
-  in
+  let winner = best_entry t tagged in
   let old = Rib.get t.loc_rib p in
   let new_route = Option.map (fun (c, _, _) -> (c : D.candidate).D.route) winner in
   let changed = not (same_single old new_route) in
@@ -1022,8 +916,8 @@ let confed_export t p (winner : (D.candidate * int * src_tag) option) =
     | Some (c, _, _) when c.D.learned <> D.Ibgp -> Some (derive_base c)
     | Some _ | None -> None
   in
-  export_plane t ~adv:t.adv_mesh ~channel:Proto.Mesh ~targets:t.roles.mesh_peers
-    p mesh_desired;
+  export_single t ~rib:t.adv_mesh ~channel:Proto.Mesh
+    ~targets:(to_each t.roles.mesh_peers) p mesh_desired;
   let confed_desired =
     Option.map
       (fun ((c : D.candidate), _, _) ->
@@ -1031,9 +925,9 @@ let confed_export t p (winner : (D.candidate * int * src_tag) option) =
         R.update ~as_path:(As_path.prepend_confed my_asn (R.as_path r)) r)
       winner
   in
-  let src = match winner with Some (_, s, _) -> s | None -> -1 in
-  set_single_out t ~rib:t.adv_confed ~src_tbl:t.adv_confed_src
-    ~channel:Proto.Confed ~targets:t.roles.confed_links p confed_desired src
+  let sender = match winner with Some (_, s, _) -> s | None -> -1 in
+  export_single t ~rib:t.adv_confed ~channel:Proto.Confed
+    ~targets:(to_each t.roles.confed_links) ~sender p confed_desired
 
 let confed_active t =
   match t.env.config.scheme with
@@ -1061,8 +955,7 @@ let recompute_rcp t p =
   in
   List.iter
     (fun client ->
-      let client_loopback = Config.loopback client in
-      let cands =
+      let tagged =
         List.filter_map
           (fun (src, (route : R.t)) ->
             let cost = t.env.igp_cost_from ~src:client (R.next_hop route) in
@@ -1076,43 +969,26 @@ let recompute_rcp t p =
                     peer_addr = Config.loopback src;
                     igp_cost = cost;
                   },
-                  src ))
+                  src,
+                  S_managed_rcp ))
           all
       in
-      let best = D.best ~med_mode:t.env.config.med_mode (List.map fst cands) in
       let desired =
-        match best with
-        | Some c -> (
-          match List.find_map (fun (c', src) -> if c' == c then Some src else None) cands with
-          | Some src when src <> client ->
-            Some
-              (R.update ~path_id:0
-                 ~originator_id:(Some (Config.loopback src))
-                 c.D.route)
-          | Some _ | None -> None (* the client's own route: nothing to teach *))
-        | None -> None
+        match best_entry t tagged with
+        | Some (c, src, _) when src <> client ->
+          Some
+            (R.update ~path_id:0 ~originator_id:(Some (Config.loopback src))
+               c.D.route)
+        | Some _ | None -> None (* the client's own route: nothing to teach *)
       in
-      ignore client_loopback;
-      let rib = table_rib t.rcp_out client in
-      let old = Rib.get rib p in
-      if not (same_single old desired) then begin
-        (match desired with
-        | Some r -> rib_set t rib p [ r ]
-        | None -> rib_set t rib p []);
-        t.counters.updates_generated <- t.counters.updates_generated + 1;
-        let delta =
-          match desired with
-          | Some r -> { Proto.prefix = p; routes = [ r ]; withdrawn_ids = [] }
-          | None -> { Proto.prefix = p; routes = []; withdrawn_ids = [ 0 ] }
-        in
-        enqueue t client Proto.From_rcp delta
-      end)
+      export_single t ~rib:(table_rib t.rcp_out client) ~channel:Proto.From_rcp
+        ~targets:(fun f -> f client) p desired)
     t.roles.rcp_clients
 
 let rcp_client_export t p tagged =
   if t.roles.is_client then
-    export_plane_set t ~adv:t.adv_rcp ~ids:t.ids_adv_arr ~channel:Proto.To_rcp
-      ~targets:t.roles.rcps p (own_as_level_survivors t tagged)
+    export_set t ~rib:t.adv_rcp ~ids:t.ids_adv_arr ~channel:Proto.To_rcp
+      ~targets:(to_each t.roles.rcps) p (own_as_level_survivors t tagged)
 
 let recompute t p =
   if abrr_active t then recompute_arr t p;
@@ -1136,11 +1012,7 @@ let has_my_cluster_id t (r : R.t) =
 let filter_incoming t channel (r : R.t) =
   (* Returns [None] to discard the route (loop prevention). *)
   match channel with
-  | Proto.Mesh ->
-    if has_my_cluster_id t r then None
-    else if R.originator_id r = Some t.self then None
-    else Some r
-  | Proto.To_trr ->
+  | Proto.Mesh | Proto.To_trr ->
     if has_my_cluster_id t r then None
     else if R.originator_id r = Some t.self then None
     else Some r
@@ -1830,9 +1702,6 @@ let set_up_cold t =
   List.iter Rib.clear
     [ t.loc_rib; t.adv_mesh; t.adv_confed; t.adv_trr; t.adv_arr; t.adv_rcp;
       t.out_mesh; t.out_clients; t.out_arr ];
-  Hashtbl.reset t.adv_confed_src;
-  Hashtbl.reset t.out_clients_src;
-  Hashtbl.reset t.out_mesh_src;
   List.iter Path_id.clear
     [ t.ids_mesh; t.ids_clients; t.ids_arr; t.ids_adv_trr; t.ids_adv_arr ];
   Hashtbl.reset t.sessions;
@@ -1853,9 +1722,8 @@ let lookup t addr =
 let idle t = Queue.is_empty t.inbox && not t.process_scheduled
 
 let recomputed_best t p =
-  let cands = List.map (fun (c, _, _) -> c) (collect_candidates t p) in
   Option.map (fun (c : D.candidate) -> c.D.route)
-    (D.best ~med_mode:t.env.config.med_mode cands)
+    (D.best ~med_mode:t.env.config.med_mode (cands_of (collect_candidates t p)))
 
 let best_exit t p =
   match best t p with
@@ -1925,7 +1793,6 @@ type damp_state = {
 type state = {
   st_ribs : rib_dump array;
   st_peer_tables : (int * rib_dump) list array;
-  st_src_tbls : (int * int) list array;
   st_path_ids : Path_id.dump array;
   st_ebgp_neighbors : ((int * int) * Ipv4.t) list;
   st_inbox : input list;
@@ -1949,9 +1816,6 @@ let peer_table_slots t =
   [| t.managed_trr; t.managed_arr; t.mesh_in; t.confed_in; t.managed_rcp;
      t.from_rcp; t.rcp_out; t.from_trr; t.from_arr |]
 
-let src_tbl_slots t =
-  [| t.adv_confed_src; t.out_clients_src; t.out_mesh_src |]
-
 let path_id_slots t =
   [| t.ids_mesh; t.ids_clients; t.ids_arr; t.ids_adv_trr; t.ids_adv_arr |]
 
@@ -1959,14 +1823,6 @@ let dump_rib rib =
   Rib.prefixes rib
   |> List.sort Prefix.compare
   |> List.map (fun p -> (p, Rib.get rib p))
-
-let sort_items items =
-  List.sort
-    (fun ((c1, d1) : Proto.item) (c2, d2) ->
-      match Int.compare (Proto.channel_tag c1) (Proto.channel_tag c2) with
-      | 0 -> Prefix.compare d1.Proto.prefix d2.Proto.prefix
-      | c -> c)
-    items
 
 let dump_state t =
   {
@@ -1976,7 +1832,6 @@ let dump_state t =
         (fun tbl ->
           List.map (fun (src, rib) -> (src, dump_rib rib)) (sorted_tbl tbl))
         (peer_table_slots t);
-    st_src_tbls = Array.map sorted_hashtbl (src_tbl_slots t);
     st_path_ids = Array.map Path_id.dump (path_id_slots t);
     st_ebgp_neighbors =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ebgp_neighbors []
@@ -2021,18 +1876,15 @@ let dump_state t =
 let load_state t st =
   let ribs = rib_slots t in
   let tables = peer_table_slots t in
-  let srcs = src_tbl_slots t in
   let ids = path_id_slots t in
   if
     Array.length st.st_ribs <> Array.length ribs
     || Array.length st.st_peer_tables <> Array.length tables
-    || Array.length st.st_src_tbls <> Array.length srcs
     || Array.length st.st_path_ids <> Array.length ids
   then invalid_arg "Router.load_state: slot count mismatch";
   (* Wipe everything, as a cold start would, then refill from the dump. *)
   Array.iter Rib.clear ribs;
   Array.iter srctbl_reset tables;
-  Array.iter Hashtbl.reset srcs;
   Array.iter Path_id.clear ids;
   Hashtbl.reset t.ebgp_neighbors;
   Queue.clear t.inbox;
@@ -2050,9 +1902,6 @@ let load_state t st =
           List.iter (fun (p, rs) -> Rib.set rib p rs) rd)
         d)
     st.st_peer_tables;
-  Array.iteri
-    (fun i d -> List.iter (fun (k, v) -> Hashtbl.replace srcs.(i) k v) d)
-    st.st_src_tbls;
   Array.iteri (fun i d -> Path_id.load ids.(i) d) st.st_path_ids;
   List.iter
     (fun (k, v) -> Hashtbl.replace t.ebgp_neighbors k v)

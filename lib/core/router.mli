@@ -256,7 +256,6 @@ type damp_state = {
 type state = {
   st_ribs : rib_dump array;  (** fixed slot order — see router.ml *)
   st_peer_tables : (int * rib_dump) list array;  (** per-source Adj-RIB-Ins *)
-  st_src_tbls : (int * int) list array;  (** best-route sender maps *)
   st_path_ids : Path_id.dump array;  (** add-paths id allocators *)
   st_ebgp_neighbors : ((int * int) * Netaddr.Ipv4.t) list;
   st_inbox : input list;  (** FIFO order *)

@@ -121,12 +121,6 @@ let norm_router mrai_off (st : Router.state) =
   {
     st with
     Router.st_peer_tables = peer_tables;
-    (* Best-route sender attribution ([best_src] and friends) is
-       write-only bookkeeping — no decision ever reads it back — and
-       with redundant ARRs delivering equal routes the recorded sender
-       is pure arrival order. Behaviorally dead, so it must not split
-       (or diverge) digests. *)
-    st_src_tbls = Array.map (fun _ -> []) st.Router.st_src_tbls;
     st_inbox = inbox;
     st_sessions = sessions;
     st_counters = Abrr_core.Counters.create ();

@@ -33,8 +33,6 @@
     canonically, zeroes measurement counters and the unused RNG word,
     drops per-source Adj-RIB-In entries emptied by implicit withdraws
     (every reader treats an empty entry exactly like an absent one),
-    erases best-route sender attribution (write-only bookkeeping that
-    records arrival order when redundant reflectors send equal routes),
     canonicalizes inbox order across sources (a processing batch drains
     the whole inbox into disjoint per-source tables before any decision
     runs, so only same-source relative order is observable),

@@ -20,8 +20,10 @@ let magic = "ABRRSNAP"
    (routes_damped/hijacks_injected/takeovers/prefixes_moved_on_repartition);
    the fingerprint gains a damping on/off marker, since restoring
    damping state into a network that keeps none (or vice versa) would
-   silently change behaviour. *)
-let format_version = 4
+   silently change behaviour.
+   v5: the three write-only best-sender tables are gone (no decision
+   ever read them; split horizon uses the sender at write time). *)
+let format_version = 5
 
 (* ------------------------------------------------------------------ *)
 (* Config fingerprint                                                  *)
@@ -419,14 +421,6 @@ let wstate e b (st : Router.state) =
         tbl)
     st.Router.st_peer_tables;
   C.warray b
-    (fun b tbl ->
-      C.wlist b
-        (fun b (k, v) ->
-          C.wint b k;
-          C.wint b v)
-        tbl)
-    st.Router.st_src_tbls;
-  C.warray b
     (fun b pid ->
       C.wlist b
         (fun b (key, routes, next) ->
@@ -479,13 +473,6 @@ let rstate d : Router.state =
             let rd' = rrib_dump d in
             (src, rd')))
   in
-  let st_src_tbls =
-    C.rarray d.rd (fun _ ->
-        C.rlist d.rd (fun _ ->
-            let k = C.rint d.rd in
-            let v = C.rint d.rd in
-            (k, v)))
-  in
   let st_path_ids =
     C.rarray d.rd (fun _ ->
         C.rlist d.rd (fun _ ->
@@ -535,7 +522,6 @@ let rstate d : Router.state =
   {
     Router.st_ribs;
     st_peer_tables;
-    st_src_tbls;
     st_path_ids;
     st_ebgp_neighbors;
     st_inbox;

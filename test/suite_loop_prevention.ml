@@ -128,6 +128,58 @@ let test_update_size_reflected_bit_smaller () =
   let rb = size C.Reflected_bit and cl = size C.Cluster_list in
   check_bool "both nonzero" true (rb > 0 && cl > 0)
 
+(* Sender-side split horizon (DESIGN.md, Implementation decision 5): no
+   Adj-RIB-Out writer offers a peer its own route back, so a converged,
+   well-configured network rejects nothing on any scheme. TBRR runs one
+   TRR per cluster: sibling TRRs share a cluster id and legitimately
+   reject each other's reflections. Routers batch as in the Tier-1
+   experiments (decision 6); in 1 ms lockstep the confederation chain
+   never quiesces. *)
+let test_writers_never_return_own_route () =
+  let module T = Topo.Isp_topo in
+  let module RG = Topo.Route_gen in
+  List.iter
+    (fun seed ->
+      let topo = T.generate (T.spec ~pops:4 ~routers_per_pop:5 ~seed ()) in
+      let table = RG.generate topo (RG.spec ~n_prefixes:40 ~seed ()) in
+      let one_trr_clusters =
+        List.map
+          (fun (c : C.cluster) ->
+            match c.C.trrs with
+            | trr :: others -> { C.trrs = [ trr ]; clients = others @ c.C.clients }
+            | [] -> c)
+          topo.T.clusters
+      in
+      let abrr loop_prevention =
+        T.abrr_scheme ~loop_prevention ~aps:2 ~arrs_per_ap:2 topo
+      in
+      List.iter
+        (fun (name, scheme) ->
+          let cfg =
+            T.config ~med_mode:Bgp.Decision.Always_compare
+              ~proc_delay:(Eventsim.Time.ms 150) ~proc_jitter:(Eventsim.Time.ms 400)
+              ~scheme topo
+          in
+          let net = N.create cfg in
+          RG.inject_all table net;
+          (match N.run ~max_events:1_000_000 net with
+          | Eventsim.Sim.Quiescent -> ()
+          | o ->
+            Alcotest.failf "%s, seed %d: %a" name seed Eventsim.Sim.pp_outcome o);
+          check_int
+            (Printf.sprintf "%s, seed %d: no route rejected" name seed)
+            0 (total_rejected net))
+        [
+          ("abrr reflected-bit", abrr C.Reflected_bit);
+          ("abrr cluster-list", abrr C.Cluster_list);
+          ("tbrr single-path", C.tbrr one_trr_clusters);
+          ("tbrr multipath", C.tbrr ~multipath:true one_trr_clusters);
+          ("confed", T.confed_scheme topo);
+          ("rcp", T.rcp_scheme topo);
+          ("full mesh", C.Full_mesh);
+        ])
+    [ 7; 8; 9 ]
+
 let suite =
   ( "loop-prevention",
     [
@@ -140,4 +192,6 @@ let suite =
       Alcotest.test_case "cluster-list mode" `Quick
         test_cluster_list_mode_breaks_loops_too;
       Alcotest.test_case "marker wire cost" `Quick test_update_size_reflected_bit_smaller;
+      Alcotest.test_case "writers never return a peer's own route" `Quick
+        test_writers_never_return_own_route;
     ] )
