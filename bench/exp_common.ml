@@ -67,21 +67,6 @@ let echo_json = ref false
 let jobs = ref 1
 let map_points f points = Parallel.Pool.map ~jobs:!jobs f points
 
-(* {2 Segmented checkpoint/restore ([--checkpoint-every N])}
-
-   With [checkpoint_every] > 0, every [run_scheme] trace phase pauses at
-   that event granularity and writes a numbered segment snapshot
-   (lib/snapshot) named after the run label into [checkpoint_dir]. With
-   [resume_dir] set, a run whose label has a segment there restores it
-   and skips the feed phase entirely — counters, clock, random stream,
-   pending events and the trace-sink ring all come out of the file, so
-   the finished run's gated record fields are identical to an
-   uninterrupted run's (see DESIGN.md, "Checkpoint/restore"). *)
-
-let checkpoint_every = ref 0 (* events; 0 = off *)
-let checkpoint_dir = ref "."
-let resume_dir : string option ref = ref None
-
 let emit record =
   let path = Filename.concat !out_dir (E.filename record.E.experiment) in
   E.write_file path record;
@@ -120,78 +105,33 @@ let run_scheme ~label ~topo ~table ~trace scheme =
   let wall0 = Unix.gettimeofday () in
   let net = N.create cfg in
   let sim = N.sim net in
-  let resumed =
-    match !resume_dir with
-    | None -> false
-    | Some dir -> (
-      match Snapshot.latest_segment ~dir ~label with
-      | None -> false (* nothing checkpointed under this label: run fresh *)
-      | Some (_, path) -> (
-        match Snapshot.load net ~path with
-        | Ok () -> true
-        | Error e -> failwith (Printf.sprintf "%s: %s" path e)))
-  in
   (* Sampled structured trace + phase timers; both end up in the JSON
-     record (queue-depth summary, per-phase CPU seconds). A resumed run
-     keeps the sink ring it had at the pause — it travels inside the
-     snapshot. *)
-  if not resumed then begin
-    let sink = Sim.Trace.make ~capacity:4096 ~sample_every:64 () in
-    Sim.set_sink sim sink
-  end;
+     record (queue-depth summary, per-phase CPU seconds). *)
+  let sink = Sim.Trace.make ~capacity:4096 ~sample_every:64 () in
+  Sim.set_sink sim sink;
   Verify.Invariant.install net;
-  if not resumed then begin
-    Sim.phase sim "snapshot" (fun () ->
-        RG.inject_all table net;
-        match N.run ~max_events:100_000_000 net with
-        | Sim.Quiescent -> ()
-        | o ->
-          Printf.eprintf "warning: %s snapshot ended with %s\n" label
-            (Format.asprintf "%a" Sim.pp_outcome o));
-    for i = 0 to N.router_count net - 1 do
-      Abrr_core.Counters.reset (N.counters net i)
-    done
-  end;
+  Sim.phase sim "snapshot" (fun () ->
+      RG.inject_all table net;
+      match N.run ~max_events:100_000_000 net with
+      | Sim.Quiescent -> ()
+      | o ->
+        Printf.eprintf "warning: %s snapshot ended with %s\n" label
+          (Format.asprintf "%a" Sim.pp_outcome o));
+  for i = 0 to N.router_count net - 1 do
+    Abrr_core.Counters.reset (N.counters net i)
+  done;
   Sim.phase sim "trace" (fun () ->
-      if not resumed then TG.schedule net trace;
-      let finish = function
-        | Sim.Quiescent -> ()
-        | o ->
-          Printf.eprintf "warning: %s trace ended with %s\n" label
-            (Format.asprintf "%a" Sim.pp_outcome o)
-      in
-      if !checkpoint_every <= 0 then finish (N.run ~max_events:200_000_000 net)
-      else begin
-        let dir = !checkpoint_dir in
-        let seg0 =
-          match Snapshot.latest_segment ~dir ~label with
-          | Some (k, _) -> k + 1
-          | None -> 0
-        in
-        let rec loop remaining seg =
-          if remaining <= 0 then finish Sim.Event_limit
-          else
-            match N.run ~max_events:(min !checkpoint_every remaining) net with
-            | Sim.Event_limit ->
-              let path = Snapshot.segment_path ~dir ~label seg in
-              (match Snapshot.save net ~path with
-              | Ok () -> ()
-              | Error e -> failwith (Printf.sprintf "%s: %s" path e));
-              loop (remaining - !checkpoint_every) (seg + 1)
-            | o -> finish o
-        in
-        loop 200_000_000 seg0
-      end);
+      TG.schedule net trace;
+      match N.run ~max_events:200_000_000 net with
+      | Sim.Quiescent -> ()
+      | o ->
+        Printf.eprintf "warning: %s trace ended with %s\n" label
+          (Format.asprintf "%a" Sim.pp_outcome o));
   Verify.Invariant.check_now net;
   Verify.Invariant.uninstall net;
   let rr_ids = reflectors net topo.T.n_routers in
   let client_ids =
     List.filter (fun i -> not (List.mem i rr_ids)) (List.init topo.T.n_routers Fun.id)
-  in
-  let sink =
-    match Sim.sink sim with
-    | Some s -> s
-    | None -> Sim.Trace.make () (* unreachable: set above or restored *)
   in
   { label; net; rr_ids; client_ids; sink; wall_s = Unix.gettimeofday () -. wall0 }
 

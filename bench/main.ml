@@ -12,14 +12,7 @@
    `--decision naive` disables the incremental decision engine in every
    experiment (full recomputation per dirty prefix — the differential
    oracle); gated record contents are byte-identical to the default
-   incremental engine, which CI proves on the deterministic profile.
-
-   Long runs can be segmented (see DESIGN.md, "Checkpoint/restore"):
-   `--checkpoint-every N` pauses every simulation-backed run each N
-   trace events and writes a per-label segment snapshot into
-   `--checkpoint-dir DIR`; `--resume-dir DIR` restores each run from
-   its latest segment there and finishes it, with gated record fields
-   identical to an uninterrupted run's. *)
+   incremental engine, which CI proves on the deterministic profile. *)
 
 let experiments =
   [
@@ -83,36 +76,6 @@ let rec parse_flags = function
   | [ "--jobs" ] ->
     prerr_endline "--jobs requires a count argument";
     exit 1
-  | "--checkpoint-every" :: n :: rest ->
-    (match int_of_string_opt n with
-    | Some e when e >= 1 -> Exp_common.checkpoint_every := e
-    | Some _ | None ->
-      Printf.eprintf "--checkpoint-every %s: expected a positive integer\n" n;
-      exit 1);
-    parse_flags rest
-  | [ "--checkpoint-every" ] ->
-    prerr_endline "--checkpoint-every requires an event count";
-    exit 1
-  | "--checkpoint-dir" :: dir :: rest ->
-    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-      Printf.eprintf "--checkpoint-dir %s: not a directory\n" dir;
-      exit 1
-    end;
-    Exp_common.checkpoint_dir := dir;
-    parse_flags rest
-  | [ "--checkpoint-dir" ] ->
-    prerr_endline "--checkpoint-dir requires a directory argument";
-    exit 1
-  | "--resume-dir" :: dir :: rest ->
-    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-      Printf.eprintf "--resume-dir %s: not a directory\n" dir;
-      exit 1
-    end;
-    Exp_common.resume_dir := Some dir;
-    parse_flags rest
-  | [ "--resume-dir" ] ->
-    prerr_endline "--resume-dir requires a directory argument";
-    exit 1
   | "--out" :: dir :: rest ->
     if not (Sys.file_exists dir && Sys.is_directory dir) then begin
       Printf.eprintf "--out %s: not a directory\n" dir;
@@ -149,6 +112,9 @@ let rec parse_flags = function
     parse_flags rest
   | [ flag ] when List.mem_assoc flag scale_knob_specs ->
     Printf.eprintf "%s requires an integer argument\n" flag;
+    exit 1
+  | flag :: _ when String.starts_with ~prefix:"--" flag ->
+    Printf.eprintf "unknown flag %s\n" flag;
     exit 1
   | args -> args
 

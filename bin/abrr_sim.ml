@@ -199,6 +199,9 @@ let bench schemes med pops rpp pas points prefixes aps arrs events seed mrai
     in
     let cfg scheme = { (cfg scheme) with Abrr_core.Config.decision } in
     let fi = float_of_int in
+    (* An unreadable --resume-dir segment or a failed segment write ends
+       the command with a usage-style error, like [resume]. *)
+    let exception Segment_error of string in
     (* One run step, serial or sharded per --jobs. Sharded max_events
        has barrier granularity (may overshoot by part of a window) —
        harmless here: every call either runs to quiescence or feeds the
@@ -229,7 +232,7 @@ let bench schemes med pops rpp pas points prefixes aps arrs events seed mrai
           | Some path -> (
             match Snapshot.load net ~path with
             | Ok () -> true
-            | Error e -> failwith (Printf.sprintf "%s: %s" path e)))
+            | Error e -> raise (Segment_error (path ^ ": " ^ e))))
       in
       if not resumed then begin
         (* The sink travels inside the snapshots, so a resumed run keeps
@@ -260,7 +263,7 @@ let bench schemes med pops rpp pas points prefixes aps arrs events seed mrai
                   let path = Snapshot.segment_path ~dir:ckpt_dir ~label:name seg in
                   (match Snapshot.save net ~path with
                   | Ok () -> ()
-                  | Error e -> failwith (Printf.sprintf "%s: %s" path e));
+                  | Error e -> raise (Segment_error (path ^ ": " ^ e)));
                   loop (remaining - every) (seg + 1)
                 | Sim.Quiescent | Sim.Deadline -> ()
             in
@@ -295,13 +298,15 @@ let bench schemes med pops rpp pas points prefixes aps arrs events seed mrai
              List.map (fun (n, st) -> (n, st.Sim.cpu_s)) (Sim.phase_stats sim))
         []
     in
-    let runs = List.map point schemes in
-    let record = { E.experiment = "sim"; runs } in
-    let path = Filename.concat out_dir (E.filename "sim") in
-    E.write_file path record;
-    if json then print_string (E.to_string (E.record_to_json record))
-    else Printf.printf "wrote %s\n" path;
-    `Ok ()
+    match List.map point schemes with
+    | exception Segment_error msg -> `Error (false, msg)
+    | runs ->
+      let record = { E.experiment = "sim"; runs } in
+      let path = Filename.concat out_dir (E.filename "sim") in
+      E.write_file path record;
+      if json then print_string (E.to_string (E.record_to_json record))
+      else Printf.printf "wrote %s\n" path;
+      `Ok ()
   end
 
 let bench_cmd =

@@ -196,11 +196,6 @@ val load : t -> dump -> unit
 
 (** {1 Sharded execution (lib/eventsim {!Eventsim.Sharded})} *)
 
-val payload_owner : payload -> int
-(** The router whose state the event mutates — the sharding key (and the
-    per-router partitioning key for multi-part snapshots).
-    @raise Invalid_argument on a [Thunk] (no identifiable owner). *)
-
 module Sharded : sig
   (** Run one simulation across OCaml 5 domains, deterministically.
 

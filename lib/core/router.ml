@@ -1939,26 +1939,7 @@ let load_state t st =
           dp_wake = ds.ds_wake;
         })
     st.st_damping;
-  (let c = t.counters and s = st.st_counters in
-   c.Counters.updates_received <- s.Counters.updates_received;
-   c.Counters.updates_generated <- s.Counters.updates_generated;
-   c.Counters.updates_transmitted <- s.Counters.updates_transmitted;
-   c.Counters.updates_suppressed <- s.Counters.updates_suppressed;
-   c.Counters.messages_transmitted <- s.Counters.messages_transmitted;
-   c.Counters.bytes_transmitted <- s.Counters.bytes_transmitted;
-   c.Counters.bytes_received <- s.Counters.bytes_received;
-   c.Counters.withdrawals_received <- s.Counters.withdrawals_received;
-   c.Counters.withdrawals_transmitted <- s.Counters.withdrawals_transmitted;
-   c.Counters.decisions_run <- s.Counters.decisions_run;
-   c.Counters.decisions_full <- s.Counters.decisions_full;
-   c.Counters.decisions_delta <- s.Counters.decisions_delta;
-   c.Counters.decisions_skipped <- s.Counters.decisions_skipped;
-   c.Counters.rib_touches <- s.Counters.rib_touches;
-   c.Counters.routes_damped <- s.Counters.routes_damped;
-   c.Counters.hijacks_injected <- s.Counters.hijacks_injected;
-   c.Counters.takeovers <- s.Counters.takeovers;
-   c.Counters.prefixes_moved_on_repartition <-
-     s.Counters.prefixes_moved_on_repartition;
-   c.Counters.last_change <- s.Counters.last_change);
+  Counters.reset t.counters;
+  Counters.add t.counters st.st_counters;
   t.rejected_loops <- st.st_rejected_loops;
   t.up <- st.st_up

@@ -789,275 +789,6 @@ let latest_segment ~dir ~label =
         else acc)
       None files
 
-(* ------------------------------------------------------------------ *)
-(* Multi-part (sharded) snapshots                                      *)
-
-module Shards = struct
-  let part_magic = "ABRRSHRD"
-
-  let part_path ~dir ~label k =
-    Filename.concat dir (Printf.sprintf "%s.part%d.shard" (sanitize label) k)
-
-  (* Contiguous router ranges, mirroring Network.Sharded's default: a
-     part's writer only walks its own routers and events, so per-shard
-     capture parallelizes trivially. Events follow their owning router
-     (Network.payload_owner). *)
-  let part_of ~n ~parts i = i * parts / n
-
-  let encode_part net d ~parts k =
-    let cfg = Network.config net in
-    let n = cfg.Config.n_routers in
-    let e =
-      {
-        buf = Buffer.create 65536;
-        route_ids = Hashtbl.create 1024;
-        routes_rev = [];
-        n_routes = 0;
-        attr_ids = Hashtbl.create 1024;
-        attrs_rev = [];
-        n_attrs = 0;
-      }
-    in
-    let b = e.buf in
-    if k = 0 then begin
-      C.wint b d.Network.d_clock;
-      C.wint b d.Network.d_next_seq;
-      C.wint b d.Network.d_processed;
-      C.w64 b d.Network.d_rng;
-      C.wint b d.Network.d_best_changes;
-      C.wopt b wsink d.Network.d_sink;
-      C.wlist b C.w8 (acceptance_values net)
-    end;
-    let owned_events =
-      List.filter
-        (fun (ev : Network.payload Sim.event) ->
-          let owner =
-            try Network.payload_owner ev.Sim.payload
-            with Invalid_argument msg -> C.bad "%s" msg
-          in
-          part_of ~n ~parts owner = k)
-        d.Network.d_events
-    in
-    C.wlist b (wevent e) owned_events;
-    let owned_routers =
-      List.filter
-        (fun i -> part_of ~n ~parts i = k)
-        (List.init n Fun.id)
-    in
-    C.wlist b
-      (fun b i ->
-        C.wint b i;
-        wstate e b d.Network.d_routers.(i))
-      owned_routers;
-    let body = Buffer.contents b in
-    let out = Buffer.create (String.length body + 4096) in
-    Buffer.add_string out part_magic;
-    C.w16 out format_version;
-    C.wstr out (fingerprint cfg);
-    C.w16 out k;
-    C.w16 out parts;
-    let routes = List.rev e.routes_rev in
-    List.iter (fun r -> ignore (attr_id e (R.attrs r))) routes;
-    C.w32 out e.n_attrs;
-    List.iter (fun a -> C.wstr out (attrs_bytes a)) (List.rev e.attrs_rev);
-    C.w32 out e.n_routes;
-    List.iter
-      (fun r ->
-        C.w32 out (attr_id e (R.attrs r));
-        C.wint out (Netaddr.Prefix.to_key r.R.prefix);
-        C.wint out r.R.path_id)
-      routes;
-    Buffer.add_string out body;
-    let prefix = Buffer.contents out in
-    let crc = Buffer.create 4 in
-    C.w32 crc (C.crc32 prefix);
-    prefix ^ Buffer.contents crc
-
-  let save net ~dir ~label ~parts =
-    try
-      if parts < 1 then C.bad "Shards.save: parts must be >= 1";
-      if parts > 0xFFFF then C.bad "Shards.save: parts %d out of range" parts;
-      let d = Network.dump net in
-      for k = 0 to parts - 1 do
-        let data = encode_part net d ~parts k in
-        let path = part_path ~dir ~label k in
-        let tmp = path ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        output_string oc data;
-        close_out oc;
-        Sys.rename tmp path
-      done;
-      Ok ()
-    with
-    | C.Bad msg -> Error msg
-    | Sys_error msg -> Error msg
-
-  (* One parsed part. Scalars ride only in part 0. *)
-  type part = {
-    p_count : int;
-    p_scalars :
-      (Eventsim.Time.t * int * int * int64 * int * Sim.Trace.dump option
-      * int list)
-      option;
-    p_events : Network.payload Sim.event list;
-    p_routers : (int * Router.state) list;
-  }
-
-  let decode_part net ~expect_idx s =
-    let n = String.length s in
-    if n < String.length part_magic + 2 + 4 + 2 + 2 + 4 + 4 + 4 then
-      C.bad "part too short (%d bytes)" n;
-    let stored = C.r32 (C.reader ~pos:(n - 4) s) in
-    let actual = C.crc32 ~len:(n - 4) s in
-    if stored <> actual then
-      C.bad "part %d: CRC mismatch (stored %08x, computed %08x)" expect_idx
-        stored actual;
-    if String.sub s 0 (String.length part_magic) <> part_magic then
-      C.bad "part %d: bad magic %S" expect_idx
-        (String.sub s 0 (String.length part_magic));
-    let rd = C.reader ~pos:(String.length part_magic) s in
-    let version = C.r16 rd in
-    if version <> format_version then
-      C.bad "part %d: unsupported version %d (this build reads %d)" expect_idx
-        version format_version;
-    let fp = C.rstr rd in
-    let expected = fingerprint (Network.config net) in
-    if fp <> expected then
-      C.bad "part %d: config fingerprint mismatch: part %S, network %S"
-        expect_idx fp expected;
-    let idx = C.r16 rd in
-    if idx <> expect_idx then
-      C.bad "part file %d claims index %d" expect_idx idx;
-    let p_count = C.r16 rd in
-    if p_count < 1 then C.bad "part %d: part count %d" expect_idx p_count;
-    let n_attrs = C.r32 rd in
-    if n_attrs * 4 > n - C.pos rd then
-      C.bad "part %d: attribute table count %d exceeds remaining input"
-        expect_idx n_attrs;
-    let attrs_tbl = Array.init n_attrs (fun _ -> attrs_of_bytes (C.rstr rd)) in
-    let n_routes = C.r32 rd in
-    if n_routes * 4 > n - C.pos rd then
-      C.bad "part %d: route table count %d exceeds remaining input" expect_idx
-        n_routes;
-    let route_tbl =
-      Array.init n_routes (fun _ ->
-          let ai = C.r32 rd in
-          if ai >= n_attrs then
-            C.bad "part %d: attribute id %d out of table range %d" expect_idx
-              ai n_attrs;
-          let prefix = Netaddr.Prefix.of_key (C.rint rd) in
-          let path_id = C.rint rd in
-          R.of_attrs ~path_id ~prefix attrs_tbl.(ai))
-    in
-    let d = { rd; route_tbl } in
-    let p_scalars =
-      if expect_idx = 0 then begin
-        let clock = C.rint rd in
-        let next_seq = C.rint rd in
-        let processed = C.rint rd in
-        let rng = C.r64 rd in
-        let best_changes = C.rint rd in
-        let sink = C.ropt rd (fun _ -> rsink d) in
-        let acceptance = C.rlist rd C.r8 in
-        Some (clock, next_seq, processed, rng, best_changes, sink, acceptance)
-      end
-      else None
-    in
-    let p_events = C.rlist rd (fun _ -> revent d) in
-    let p_routers =
-      C.rlist rd (fun _ ->
-          let i = C.rint rd in
-          let st = rstate d in
-          (i, st))
-    in
-    if C.pos rd <> n - 4 then
-      C.bad "part %d: %d trailing bytes after body" expect_idx
-        (n - 4 - C.pos rd);
-    { p_count; p_scalars; p_events; p_routers }
-
-  let read_file path =
-    try
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let data = really_input_string ic len in
-      close_in ic;
-      data
-    with
-    | Sys_error msg -> C.bad "%s" msg
-    | End_of_file -> C.bad "%s: unexpected end of file" path
-
-  let load net ~dir ~label =
-    try
-      let n = (Network.config net).Config.n_routers in
-      let part0 =
-        decode_part net ~expect_idx:0 (read_file (part_path ~dir ~label 0))
-      in
-      let parts = part0.p_count in
-      let all =
-        part0
-        :: List.init (parts - 1) (fun j ->
-               let k = j + 1 in
-               let p =
-                 decode_part net ~expect_idx:k
-                   (read_file (part_path ~dir ~label k))
-               in
-               if p.p_count <> parts then
-                 C.bad "part %d: count %d disagrees with part 0's %d" k
-                   p.p_count parts;
-               p)
-      in
-      let routers = Array.make n None in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun (i, st) ->
-              if i < 0 || i >= n then
-                C.bad "router index %d out of range %d" i n;
-              if routers.(i) <> None then C.bad "router %d appears twice" i;
-              routers.(i) <- Some st)
-            p.p_routers)
-        all;
-      let d_routers =
-        Array.mapi
-          (fun i st ->
-            match st with
-            | Some st -> st
-            | None -> C.bad "router %d missing from all parts" i)
-          routers
-      in
-      let d_events =
-        List.sort
-          (fun (a : Network.payload Sim.event) b ->
-            match Int.compare a.Sim.time b.Sim.time with
-            | 0 -> Int.compare a.Sim.seq b.Sim.seq
-            | c -> c)
-          (List.concat_map (fun p -> p.p_events) all)
-      in
-      let clock, next_seq, processed, rng, best_changes, sink, acceptance =
-        match part0.p_scalars with
-        | Some s -> s
-        | None -> assert false (* expect_idx 0 always parses scalars *)
-      in
-      restore_acceptance net acceptance;
-      let dump =
-        {
-          Network.d_clock = clock;
-          d_next_seq = next_seq;
-          d_processed = processed;
-          d_rng = rng;
-          d_events;
-          d_best_changes = best_changes;
-          d_routers;
-          d_sink = sink;
-        }
-      in
-      (match Network.load net dump with
-      | () -> ()
-      | exception Invalid_argument msg -> C.bad "restore rejected: %s" msg);
-      Ok ()
-    with C.Bad msg -> Error msg
-end
-
 module Bisect = struct
   let search ~lo ~hi ~digest_a ~digest_b =
     if lo > hi then invalid_arg "Snapshot.Bisect.search: lo > hi";

@@ -76,8 +76,8 @@ val digest : Abrr_core.Network.t -> (string, string) result
 (** {1 Segment files}
 
     Naming convention for segmented long-trace runs
-    ([--checkpoint-every] / [--resume-dir] in the CLI and bench
-    harness): run [label], pause [k] lives at [dir/label.segk.snap]
+    ([abrr_sim bench --checkpoint-every] / [--resume-dir]): run
+    [label], pause [k] lives at [dir/label.segk.snap]
     (label sanitized to filename-safe characters). *)
 
 val segment_path : dir:string -> label:string -> int -> string
@@ -85,38 +85,6 @@ val segment_path : dir:string -> label:string -> int -> string
 val latest_segment : dir:string -> label:string -> (int * string) option
 (** Highest-numbered segment of [label] present in [dir], if any.
     [None] too when [dir] is unreadable. *)
-
-(** {1 Multi-part (sharded) snapshots}
-
-    One simulation state split across [parts] files — router state and
-    pending events follow their owning router, partitioned into
-    contiguous index ranges (the same default boundary as
-    [Network.Sharded]); part 0 additionally carries the simulator
-    scalars, random-stream word, change counter, trace sink and
-    acceptance switches. Each part is self-contained (own interning
-    tables, fingerprint, CRC) and independently verifiable; {!load}
-    requires {e all} parts intact — a missing, mismatched or corrupt
-    part fails the whole restore with [Error _], never a partial
-    state. The merged restore is state-identical to a single-file
-    snapshot of the same network. *)
-module Shards : sig
-  val part_path : dir:string -> label:string -> int -> string
-  (** [dir/label.partK.shard] (label sanitized like {!segment_path}). *)
-
-  val save :
-    Abrr_core.Network.t -> dir:string -> label:string -> parts:int ->
-    (unit, string) result
-  (** Write all [parts] files, each atomically. [Error _] on a pending
-      [Thunk] event, [parts < 1], or I/O failure. *)
-
-  val load :
-    Abrr_core.Network.t -> dir:string -> label:string ->
-    (unit, string) result
-  (** Read part 0 (which records the part count), then every other
-      part; verify each one's CRC, fingerprint and indices; check every
-      router appears exactly once; and restore the merged state. Any
-      defect anywhere is a clean [Error _] with the network untouched. *)
-end
 
 (** Binary search for the first event index where two deterministic
     runs' states diverge. *)

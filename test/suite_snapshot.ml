@@ -373,87 +373,6 @@ let test_sharded_pause_resume () =
   | o, _ -> Alcotest.failf "sharded resume: %a" Sim.pp_outcome o);
   check_string "serial pause, sharded resume" final (ok_digest b')
 
-let with_tmpdir f =
-  let dir = Filename.temp_file "abrr_shards" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
-
-let mk_paused_net () =
-  let cfg () = scheme_cfg 2 in
-  let ops = mk_ops ~n:6 ~seed:23 ~count:16 in
-  let net = prepare (cfg ()) ops in
-  ignore (N.run ~max_events:60 net);
-  (net, cfg)
-
-let test_shards_roundtrip () =
-  with_tmpdir (fun dir ->
-      let net, cfg = mk_paused_net () in
-      List.iter
-        (fun parts ->
-          (match S.Shards.save net ~dir ~label:"rt" ~parts with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "save parts=%d: %s" parts e);
-          let net2 = N.create (cfg ()) in
-          (match S.Shards.load net2 ~dir ~label:"rt" with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "load parts=%d: %s" parts e);
-          check_string
-            (Printf.sprintf "digest equal after %d-part roundtrip" parts)
-            (ok_digest net) (ok_digest net2);
-          (* and the merged restore resumes exactly like the original *)
-          if parts = 3 then begin
-            run_to_quiescence net2;
-            let net3 = N.create (cfg ()) in
-            (match
-               S.decode net3 (match S.encode net with Ok b -> b | Error e ->
-                 Alcotest.failf "encode: %s" e)
-             with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "decode: %s" e);
-            run_to_quiescence net3;
-            check_string "resume from parts = resume from single file"
-              (ok_digest net3) (ok_digest net2)
-          end)
-        [ 1; 3; 6 ];
-      match S.Shards.save net ~dir ~label:"rt" ~parts:0 with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "parts=0 accepted")
-
-let test_shards_corrupt_part () =
-  with_tmpdir (fun dir ->
-      let net, cfg = mk_paused_net () in
-      (match S.Shards.save net ~dir ~label:"c" ~parts:3 with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "save: %s" e);
-      (* flip one byte in the middle of part 1: its CRC must fail the
-         whole merged load *)
-      let path = S.Shards.part_path ~dir ~label:"c" 1 in
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let bytes = really_input_string ic len in
-      close_in ic;
-      let b = Bytes.of_string bytes in
-      Bytes.set b (len / 2) (Char.chr (Char.code (Bytes.get b (len / 2)) lxor 0x40));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc;
-      (match S.Shards.load (N.create (cfg ())) ~dir ~label:"c" with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "corrupt part accepted");
-      (* restore the good bytes, drop a different part entirely *)
-      let oc = open_out_bin path in
-      output_string oc bytes;
-      close_out oc;
-      Sys.remove (S.Shards.part_path ~dir ~label:"c" 2);
-      match S.Shards.load (N.create (cfg ())) ~dir ~label:"c" with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "missing part accepted")
-
 (* ------------------------------------------------------------------ *)
 (* Bisection *)
 
@@ -519,9 +438,6 @@ let suite =
       Alcotest.test_case "segment files" `Quick test_segments;
       Alcotest.test_case "sharded pause <-> serial resume" `Quick
         test_sharded_pause_resume;
-      Alcotest.test_case "multi-part roundtrip" `Quick test_shards_roundtrip;
-      Alcotest.test_case "multi-part corruption rejected" `Quick
-        test_shards_corrupt_part;
       Alcotest.test_case "bisect (pure)" `Quick test_bisect_pure;
       Alcotest.test_case "bisect (simulation)" `Quick test_bisect_simulation;
     ] )
