@@ -21,6 +21,7 @@ type attrs = {
   communities : Community.t list;
   ext_communities : Ext_community.t list;
   ahash : int;  (* structural hash over every field above *)
+  wire_len : int;  (* encoded path-attribute length, see [compute_wire_len] *)
 }
 
 type t = { prefix : Prefix.t; path_id : int; attrs : attrs }
@@ -55,6 +56,35 @@ let compute_ahash a =
   in
   h land max_int
 
+(* The bytes [Wire.encode] spends on this block's path attributes:
+   flags, type and (extended, above 255 bytes) length, then the payload
+   of each attribute present.  [Wire.encode] stays the reference; a
+   differential test pins the two together. *)
+let attr_size payload = (if payload > 0xFF then 4 else 3) + payload
+
+let compute_wire_len a =
+  let as_path_payload =
+    List.fold_left
+      (fun n (s : As_path.segment) ->
+        match s with
+        | As_path.Set l | As_path.Seq l | As_path.Confed_seq l
+        | As_path.Confed_set l ->
+          n + 2 + (4 * List.length l))
+      0
+      (As_path.segments a.as_path)
+  in
+  attr_size 1 (* origin *)
+  + attr_size as_path_payload
+  + attr_size 4 (* next hop *)
+  + (match a.med with None -> 0 | Some _ -> attr_size 4)
+  + attr_size 4 (* local pref *)
+  + (match a.communities with [] -> 0 | cs -> attr_size (4 * List.length cs))
+  + (match a.originator_id with None -> 0 | Some _ -> attr_size 4)
+  + (match a.cluster_list with [] -> 0 | ids -> attr_size (4 * List.length ids))
+  + (match a.ext_communities with
+    | [] -> 0
+    | ecs -> attr_size (8 * List.length ecs))
+
 let attrs_structural_equal a b =
   Origin.equal a.origin b.origin
   && As_path.equal a.as_path b.as_path
@@ -79,7 +109,9 @@ end)
    comparisons fall back to the structural path in {!attrs_equal}. *)
 let table = Domain.DLS.new_key (fun () -> Atbl.create 4096)
 
-let intern a = Atbl.merge (Domain.DLS.get table) { a with ahash = compute_ahash a }
+let intern a =
+  Atbl.merge (Domain.DLS.get table)
+    { a with ahash = compute_ahash a; wire_len = compute_wire_len a }
 
 let make_attrs ?(origin = Origin.Igp) ?(as_path = As_path.empty) ?(med = None)
     ?(local_pref = default_local_pref) ?(originator_id = None)
@@ -97,10 +129,29 @@ let make_attrs ?(origin = Origin.Igp) ?(as_path = As_path.empty) ?(med = None)
       communities;
       ext_communities;
       ahash = 0;
+      wire_len = 0;
     }
+
+(* Never interned and never carried by a route; its [ahash] of -1 is
+   outside the range of real hashes, so it equals no real block. *)
+let dummy_attrs =
+  {
+    origin = Origin.Igp;
+    as_path = As_path.empty;
+    next_hop = Ipv4.of_int 0;
+    med = None;
+    local_pref = default_local_pref;
+    originator_id = None;
+    cluster_list = [];
+    communities = [];
+    ext_communities = [];
+    ahash = -1;
+    wire_len = 0;
+  }
 
 let attrs_equal a b = a == b || (a.ahash = b.ahash && attrs_structural_equal a b)
 let attrs_hash a = a.ahash
+let wire_len a = a.wire_len
 let interned_attrs () = Atbl.count (Domain.DLS.get table)
 
 (* ------------------------------------------------------------------ *)
@@ -164,7 +215,11 @@ let mark_reflected t =
       t
 
 let add_cluster id t = update ~cluster_list:(id :: t.attrs.cluster_list) t
-let in_cluster_list id t = List.exists (Ipv4.equal id) t.attrs.cluster_list
+let rec mem_ipv4 id = function
+  | [] -> false
+  | x :: xs -> Ipv4.equal id x || mem_ipv4 id xs
+
+let in_cluster_list id t = mem_ipv4 id t.attrs.cluster_list
 let neighbor_as t = As_path.first_as t.attrs.as_path
 
 let compare_opt cmp a b =

@@ -25,6 +25,10 @@ type attrs = private {
   communities : Community.t list;
   ext_communities : Ext_community.t list;
   ahash : int;  (** precomputed structural hash; not part of the value *)
+  wire_len : int;
+      (** encoded length of the block's path attributes — what one
+          UPDATE spends on them, see {!wire_len}; derived, not part of
+          the value *)
 }
 (** An interned path-attribute block. The type is private: every block
     in circulation went through the intern table, so within a domain
@@ -151,6 +155,19 @@ val attrs_compare : attrs -> attrs -> int
 
 val attrs_hash : attrs -> int
 (** The precomputed structural hash ([ahash]). *)
+
+val wire_len : attrs -> int
+(** The total path-attribute length [Wire.encode] writes for this block
+    (flags, type, one- or two-byte length and payload of every
+    attribute present), computed once when the block is interned. An
+    UPDATE announcing [k] routes of one block is therefore
+    [19 + 4 + wire_len a] bytes plus the routes' NLRI. *)
+
+val dummy_attrs : attrs
+(** A block that is never interned, carried by no route and equal to no
+    other block: a filler for preallocated scratch arrays, so that an
+    emptied slot keeps no real block reachable (the intern table is
+    weak, and {!interned_attrs} counts what is still reachable). *)
 
 val interned_attrs : unit -> int
 (** Number of live attribute blocks in this domain's intern table —

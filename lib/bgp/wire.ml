@@ -234,110 +234,150 @@ let encode_update ~add_paths (u : Msg.update) =
 
 (* --- analytical sizing --------------------------------------------- *)
 
-(* [measure_update] mirrors [encode_update] arithmetically: same
-   attribute sizes, same grouping, same greedy chunking — without
-   allocating a single buffer. The simulator calls this on every
-   transmission to account bytes/messages (Proto.wire_size), so it is
-   hot; [encode] stays the reference and a differential test pins the
-   two together. *)
+(* [Sizer] mirrors [encode_update] arithmetically: same attribute sizes,
+   same grouping, same greedy chunking — without allocating a buffer,
+   a list or a table entry. The simulator sizes every transmission this
+   way (Proto.wire_size), so it is hot; [encode] stays the reference and
+   a differential test pins the two together.
 
-let attr_size payload = (if payload > 0xFF then 4 else 3) + payload
+   Totals do not depend on the order of groups, only on the order of
+   routes inside each group, so each group's greedy chunking runs as
+   its routes arrive: a group needs only the bytes in its open message.
+   Groups are found through an open-addressed table keyed on the
+   block's [ahash] and confirmed with [Route.attrs_equal] (a pointer
+   comparison unless the block comes from another domain). The table
+   lives in domain-local storage like [Decision]'s scratch arrays; an
+   epoch stamp marks a slot as taken in the current call, so starting a
+   call clears nothing, and [total] overwrites the taken block slots so
+   that the scratch keeps no block alive for the weak intern table. *)
 
-let attrs_wire_size (a : Route.attrs) =
-  let as_path_payload =
-    List.fold_left
-      (fun n (s : As_path.segment) ->
-        let len =
-          match s with
-          | As_path.Set l | As_path.Seq l | As_path.Confed_seq l
-          | As_path.Confed_set l ->
-            List.length l
-        in
-        n + 2 + (4 * len))
-      0
-      (As_path.segments a.as_path)
-  in
-  attr_size 1 (* origin *)
-  + attr_size as_path_payload
-  + attr_size 4 (* next hop *)
-  + (match a.med with None -> 0 | Some _ -> attr_size 4)
-  + attr_size 4 (* local pref *)
-  + (match a.communities with [] -> 0 | cs -> attr_size (4 * List.length cs))
-  + (match a.originator_id with None -> 0 | Some _ -> attr_size 4)
-  + (match a.cluster_list with [] -> 0 | ids -> attr_size (4 * List.length ids))
-  + (match a.ext_communities with
-    | [] -> 0
-    | ecs -> attr_size (8 * List.length ecs))
+module Sizer = struct
+  type t = {
+    mutable add_paths : bool;
+    mutable busy : bool;  (* between [create] and [total] *)
+    mutable epoch : int;
+    mutable stamp : int array;  (* slot taken in this call iff = epoch *)
+    mutable blocks : Route.attrs array;
+    mutable open_bytes : int array;  (* NLRI bytes in the group's open message *)
+    mutable taken : int array;  (* the taken slots, [groups] of them *)
+    mutable groups : int;
+    mutable wd_open : int;  (* NLRI bytes in the open withdrawal message *)
+    mutable bytes : int;
+    mutable msgs : int;
+  }
 
-(* How many messages [chunk ~room] would produce over these item sizes. *)
-let chunk_count ~room sizes =
-  match sizes with
-  | [] -> 0
-  | _ ->
-    let n = ref 1 and cur = ref 0 in
-    List.iter
-      (fun s ->
-        if !cur > 0 && !cur + s > room then begin
-          incr n;
-          cur := s
-        end
-        else cur := !cur + s)
-      sizes;
-    !n
+  let initial_slots = 128
+
+  let fresh () =
+    {
+      add_paths = false;
+      busy = false;
+      epoch = 0;
+      stamp = Array.make initial_slots 0;
+      blocks = Array.make initial_slots Route.dummy_attrs;
+      open_bytes = Array.make initial_slots 0;
+      taken = Array.make (initial_slots / 2) 0;
+      groups = 0;
+      wd_open = 0;
+      bytes = 0;
+      msgs = 0;
+    }
+
+  let scratch = Domain.DLS.new_key fresh
+
+  let create ~add_paths =
+    let s = Domain.DLS.get scratch in
+    (* a second sizer alive at once in one domain gets its own table *)
+    let s = if s.busy then fresh () else s in
+    s.add_paths <- add_paths;
+    s.busy <- true;
+    s.epoch <- s.epoch + 1;
+    s.groups <- 0;
+    s.wd_open <- 0;
+    s.bytes <- 0;
+    s.msgs <- 0;
+    s
+
+  (* Greedy chunking, one item at a time: add an item of [n] bytes to a
+     run of messages of [overhead] bytes each besides their items, whose
+     open message holds [cur] bytes of items (0: none open yet). Returns
+     the open message's item bytes afterwards. *)
+  let add s ~overhead cur n =
+    if cur = 0 || cur + n > max_message_size - overhead then begin
+      s.msgs <- s.msgs + 1;
+      s.bytes <- s.bytes + overhead + n;
+      n
+    end
+    else begin
+      s.bytes <- s.bytes + n;
+      cur + n
+    end
+
+  let withdraw s p =
+    s.wd_open <-
+      add s ~overhead:(header_size + 4) s.wd_open
+        (nlri_size ~add_paths:s.add_paths p)
+
+  let rec probe s a mask i =
+    if s.stamp.(i) <> s.epoch || Route.attrs_equal s.blocks.(i) a then i
+    else probe s a mask ((i + 1) land mask)
+
+  (* The slot holding [a], or the empty slot where it belongs. *)
+  let slot s a =
+    let mask = Array.length s.stamp - 1 in
+    probe s a mask (Route.attrs_hash a land mask)
+
+  let claim s i a open_bytes =
+    s.stamp.(i) <- s.epoch;
+    s.blocks.(i) <- a;
+    s.open_bytes.(i) <- open_bytes;
+    s.taken.(s.groups) <- i;
+    s.groups <- s.groups + 1
+
+  (* Double the table, keeping at most half of it taken. *)
+  let grow s =
+    let blocks = s.blocks and open_bytes = s.open_bytes and taken = s.taken in
+    let groups = s.groups in
+    let cap = 2 * Array.length s.stamp in
+    s.stamp <- Array.make cap 0;
+    s.blocks <- Array.make cap Route.dummy_attrs;
+    s.open_bytes <- Array.make cap 0;
+    s.taken <- Array.make (cap / 2) 0;
+    s.groups <- 0;
+    for g = 0 to groups - 1 do
+      let a = blocks.(taken.(g)) in
+      claim s (slot s a) a open_bytes.(taken.(g))
+    done
+
+  let announce s (r : Route.t) =
+    let a = Route.attrs r in
+    let n = nlri_size ~add_paths:s.add_paths r.prefix in
+    let overhead = header_size + 4 + Route.wire_len a in
+    let i = slot s a in
+    if s.stamp.(i) = s.epoch then
+      s.open_bytes.(i) <- add s ~overhead s.open_bytes.(i) n
+    else begin
+      let n = add s ~overhead 0 n in
+      if 2 * (s.groups + 1) <= Array.length s.stamp then claim s i a n
+      else begin
+        grow s;
+        claim s (slot s a) a n
+      end
+    end
+
+  let total s =
+    for g = 0 to s.groups - 1 do
+      s.blocks.(s.taken.(g)) <- Route.dummy_attrs
+    done;
+    s.busy <- false;
+    (s.bytes, s.msgs)
+end
 
 let measure_update ~add_paths (u : Msg.update) =
-  let bytes = ref 0 and msgs = ref 0 in
-  (match u.withdrawn with
-  | [] -> ()
-  | wds ->
-    let sizes =
-      List.map (fun (w : Msg.withdrawal) -> nlri_size ~add_paths w.prefix) wds
-    in
-    let n = chunk_count ~room:(max_message_size - header_size - 4) sizes in
-    msgs := !msgs + n;
-    bytes := !bytes + (n * (header_size + 4)) + List.fold_left ( + ) 0 sizes);
-  (* Group by attribute block, preserving arrival order within a group
-     as [encode_update] does. Blocks are interned, so physical identity
-     is the common case and the structural check only breaks ahash
-     collisions (or cross-domain blocks). *)
-  let groups : (int, (Route.attrs * int list ref) list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let order = ref [] in
-  List.iter
-    (fun (r : Route.t) ->
-      let a = Route.attrs r in
-      let nlri = nlri_size ~add_paths r.prefix in
-      let bucket =
-        match Hashtbl.find_opt groups a.Route.ahash with
-        | Some b -> b
-        | None ->
-          let b = ref [] in
-          Hashtbl.add groups a.Route.ahash b;
-          b
-      in
-      match
-        List.find_opt
-          (fun ((a', _) : Route.attrs * _) -> Route.attrs_equal a' a)
-          !bucket
-      with
-      | Some (_, sizes) -> sizes := nlri :: !sizes
-      | None ->
-        let cell = (a, ref [ nlri ]) in
-        bucket := cell :: !bucket;
-        order := cell :: !order)
-    u.announced;
-  List.iter
-    (fun ((a, sizes_rev) : Route.attrs * int list ref) ->
-      let sizes = List.rev !sizes_rev in
-      let keylen = attrs_wire_size a in
-      let room = max_message_size - header_size - 4 - keylen in
-      let n = chunk_count ~room sizes in
-      msgs := !msgs + n;
-      bytes :=
-        !bytes + (n * (header_size + 4 + keylen)) + List.fold_left ( + ) 0 sizes)
-    !order;
-  (!bytes, !msgs)
+  let s = Sizer.create ~add_paths in
+  List.iter (fun (w : Msg.withdrawal) -> Sizer.withdraw s w.prefix) u.withdrawn;
+  List.iter (Sizer.announce s) u.announced;
+  Sizer.total s
 
 let encode_notification (n : Msg.notification) =
   let buf = Buffer.create 16 in

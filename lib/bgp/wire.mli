@@ -31,13 +31,45 @@ val encode : add_paths:bool -> Msg.t -> bytes list
 val encoded_size : add_paths:bool -> Msg.t -> int
 (** Total bytes over all wire messages produced by [encode]. *)
 
-val measure_update : add_paths:bool -> Msg.update -> int * int
-(** [(bytes, messages)] that [encode] would produce for this update,
-    computed arithmetically — same attribute sizing, grouping and greedy
-    chunking, but no buffer is ever allocated. This backs the
+(** {1 Analytical sizing} *)
+
+(** The bytes and messages [encode] would produce for one UPDATE,
+    accumulated one withdrawal or announcement at a time — the same
+    attribute sizing ({!Route.wire_len}), grouping by attribute block and
+    greedy 4096-byte chunking, but no buffer, list or table entry is
+    allocated. Each group's chunk count is kept up to date as its routes
+    arrive, so only the order of withdrawals among themselves and of
+    routes within a group matters, as in [encode]. Groups are found
+    through a domain-local open-addressed table keyed on the block's
+    hash and confirmed with {!Route.attrs_equal}, so blocks interned in
+    another domain still group with their equals. This backs the
     simulator's per-transmission byte/message accounting
-    (Proto.wire_size), so its agreement with [encode] is pinned by a
-    differential test. *)
+    (Proto.wire_size); its agreement with [encode] is pinned by
+    differential tests. *)
+module Sizer : sig
+  type t
+
+  val create : add_paths:bool -> t
+  (** Start sizing an UPDATE. The accumulator is the domain's scratch
+      table; only a second accumulator created before the first one's
+      {!total} gets a table of its own. *)
+
+  val withdraw : t -> Netaddr.Prefix.t -> unit
+  (** Add one withdrawn NLRI (its path id does not change its size). *)
+
+  val announce : t -> Route.t -> unit
+  (** Add one announced route to its attribute block's group. *)
+
+  val total : t -> int * int
+  (** [(bytes, messages)] so far, and the end of the call: the scratch
+      table drops its references to attribute blocks, so that it keeps
+      none alive. Feed no more items after this. *)
+end
+
+val measure_update : add_paths:bool -> Msg.update -> int * int
+(** [(bytes, messages)] that [encode] would produce for this update: the
+    {!Sizer} fed with the withdrawals, then the announcements, in
+    order. *)
 
 val decode : add_paths:bool -> bytes -> pos:int -> (Msg.t * int, error) result
 (** Decode one message starting at [pos]; returns the message and the

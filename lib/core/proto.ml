@@ -11,7 +11,7 @@ type delta = {
 type item = channel * delta
 
 let delta ?(withdrawn_ids = []) prefix routes = { prefix; routes; withdrawn_ids }
-let is_withdraw d = d.routes = []
+let is_withdraw d = match d.routes with [] -> true | _ :: _ -> false
 
 let to_update deltas =
   let withdrawn =
@@ -23,10 +23,36 @@ let to_update deltas =
   let announced = List.concat_map (fun d -> d.routes) deltas in
   { Bgp.Msg.withdrawn; announced }
 
-(* Analytical: sizes what [Bgp.Wire.encode] would emit without encoding
-   anything — this runs on every transmission (Router.transmit_now). *)
+(* Analytical: sizes what [Bgp.Wire.encode] would emit for [to_update]
+   without building the update — this runs on every transmission
+   (Router.transmit_now). Withdrawals and announcements each keep their
+   [to_update] order, which is all the sizer depends on. *)
+let rec size_withdrawn sizer prefix = function
+  | [] -> ()
+  | _ :: ids ->
+    Bgp.Wire.Sizer.withdraw sizer prefix;
+    size_withdrawn sizer prefix ids
+
+let rec size_announced sizer = function
+  | [] -> ()
+  | r :: rs ->
+    Bgp.Wire.Sizer.announce sizer r;
+    size_announced sizer rs
+
+let size_delta sizer d =
+  size_withdrawn sizer d.prefix d.withdrawn_ids;
+  size_announced sizer d.routes
+
+let rec size_deltas sizer = function
+  | [] -> ()
+  | d :: ds ->
+    size_delta sizer d;
+    size_deltas sizer ds
+
 let wire_size ~add_paths deltas =
-  Bgp.Wire.measure_update ~add_paths (to_update deltas)
+  let sizer = Bgp.Wire.Sizer.create ~add_paths in
+  size_deltas sizer deltas;
+  Bgp.Wire.Sizer.total sizer
 
 let channel_tag = function
   | Mesh -> 0

@@ -33,10 +33,19 @@ val delta : ?withdrawn_ids:int list -> Prefix.t -> Bgp.Route.t list -> delta
 val is_withdraw : delta -> bool
 
 val to_update : delta list -> Bgp.Msg.update
-(** Collapse deltas into one abstract UPDATE (for wire-size accounting). *)
+(** Collapse deltas into one abstract UPDATE: the message {!wire_size}
+    sizes, which tests encode as the reference. *)
 
 val wire_size : add_paths:bool -> delta list -> int * int
-(** [(bytes, messages)] the deltas occupy on the wire. *)
+(** [(bytes, messages)] the deltas occupy on the wire: what
+    [Bgp.Wire.encode] produces for [to_update deltas], computed by
+    feeding every delta to one {!Bgp.Wire.Sizer} without building the
+    update. *)
+
+val size_delta : Bgp.Wire.Sizer.t -> delta -> unit
+(** Feed one delta's withdrawn ids and routes to a sizer — the step
+    {!wire_size} takes per delta, for callers that walk their deltas
+    anyway. *)
 
 val channel_tag : channel -> int
 (** Small integer for use in hash keys. *)

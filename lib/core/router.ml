@@ -511,20 +511,22 @@ let sort_items items =
       | c -> c)
     items
 
+(* Count and size the items in one pass: the sizer sees exactly the
+   deltas of [Proto.wire_size (List.map snd items)]. *)
+let rec count_and_size (c : Counters.t) sizer = function
+  | [] -> ()
+  | ((_, d) : Proto.item) :: items ->
+    c.updates_transmitted <- c.updates_transmitted + 1;
+    if Proto.is_withdraw d then
+      c.withdrawals_transmitted <- c.withdrawals_transmitted + 1;
+    Proto.size_delta sizer d;
+    count_and_size c sizer items
+
 let transmit_now t dst (s : session) items =
   let items = sort_items items in
-  let n_withdraw =
-    List.length (List.filter (fun ((_, d) : Proto.item) -> Proto.is_withdraw d) items)
-  in
-  let bytes, msgs =
-    Proto.wire_size
-      ~add_paths:(Config.add_paths t.env.config)
-      (List.map snd items)
-  in
-  t.counters.updates_transmitted <-
-    t.counters.updates_transmitted + List.length items;
-  t.counters.withdrawals_transmitted <-
-    t.counters.withdrawals_transmitted + n_withdraw;
+  let sizer = Bgp.Wire.Sizer.create ~add_paths:(Config.add_paths t.env.config) in
+  count_and_size t.counters sizer items;
+  let bytes, msgs = Bgp.Wire.Sizer.total sizer in
   t.counters.bytes_transmitted <- t.counters.bytes_transmitted + bytes;
   t.counters.messages_transmitted <- t.counters.messages_transmitted + msgs;
   s.mrai_until <- t.env.now () + t.env.config.mrai;
@@ -1006,28 +1008,35 @@ let recompute t p =
 
 let reject_loop t = t.rejected_loops <- t.rejected_loops + 1
 
-let has_my_cluster_id t (r : R.t) =
-  List.exists (fun c -> R.in_cluster_list c r) t.roles.my_cluster_ids
+(* [List.exists] without a closure per route. *)
+let rec any_in_cluster_list r = function
+  | [] -> false
+  | c :: cs -> R.in_cluster_list c r || any_in_cluster_list r cs
 
+let has_my_cluster_id t (r : R.t) = any_in_cluster_list r t.roles.my_cluster_ids
+
+(* [false] discards the route (loop prevention). *)
 let filter_incoming t channel (r : R.t) =
-  (* Returns [None] to discard the route (loop prevention). *)
   match channel with
   | Proto.Mesh | Proto.To_trr ->
-    if has_my_cluster_id t r then None
-    else if R.originator_id r = Some t.self then None
-    else Some r
+    not (has_my_cluster_id t r || originated_by t.self r)
   | Proto.To_arr -> (
     match t.roles.abrr_loop with
-    | Config.Reflected_bit -> if R.is_reflected r then None else Some r
-    | Config.Cluster_list -> if (R.cluster_list r) <> [] then None else Some r)
+    | Config.Reflected_bit -> not (R.is_reflected r)
+    | Config.Cluster_list -> (
+      match R.cluster_list r with [] -> true | _ :: _ -> false))
   | Proto.Confed -> (
     (* RFC 5065 loop detection: our member ASN in a confed segment *)
     match t.roles.my_member_asn with
-    | Some asn when As_path.confed_contains asn (R.as_path r) -> None
-    | Some _ | None -> Some r)
-  | Proto.To_rcp -> Some r
+    | Some asn -> not (As_path.confed_contains asn (R.as_path r))
+    | None -> true)
+  | Proto.To_rcp -> true
   | Proto.From_trr | Proto.From_arr | Proto.From_rcp ->
-    if R.originator_id r = Some t.self then None else Some r
+    not (originated_by t.self r)
+
+let rec all_accepted t channel = function
+  | [] -> true
+  | r :: rs -> filter_incoming t channel r && all_accepted t channel rs
 
 (* What a client stores from a reflector's advertised set (§3.4). Under
    always-compare MED one best route suffices for full-mesh-equivalent
@@ -1206,15 +1215,14 @@ let run_batch t dirty =
 
 let apply_item t src ((channel, delta) : Proto.item) dirty =
   let p = delta.Proto.prefix in
-  let keep, rejected =
-    List.partition_map
-      (fun r ->
-        match filter_incoming t channel r with
-        | Some r -> Left r
-        | None -> Right r)
-      delta.Proto.routes
+  let keep =
+    let routes = delta.Proto.routes in
+    if all_accepted t channel routes then routes
+    else begin
+      reject_loop t;
+      List.filter (filter_incoming t channel) routes
+    end
   in
-  if rejected <> [] then reject_loop t;
   let store tbl ~best_only =
     let rib = table_rib tbl src in
     let routes =
@@ -1496,8 +1504,9 @@ let receive t ~src ~items ~bytes ~msgs =
   if src <> t.env.id then begin
     t.counters.updates_received <- t.counters.updates_received + List.length items;
     t.counters.withdrawals_received <-
-      t.counters.withdrawals_received
-      + List.length (List.filter (fun ((_, d) : Proto.item) -> Proto.is_withdraw d) items);
+      List.fold_left
+        (fun n ((_, d) : Proto.item) -> if Proto.is_withdraw d then n + 1 else n)
+        t.counters.withdrawals_received items;
     t.counters.bytes_received <- t.counters.bytes_received + bytes
   end;
   (* Coalesce after counting: received-update accounting sees the wire

@@ -150,6 +150,230 @@ let prop_coalesce_one_item_per_key =
       let idx = List.map last_index keys in
       List.sort compare idx = idx)
 
+(* --- wire sizing against the encoder ------------------------------- *)
+
+(* A pool of attribute blocks: the first few are "hot" (half of all
+   routes pick one of them) and a quarter of all blocks carry four long
+   AS_SEQUENCE segments, so a hot group often fills several 4096-byte
+   messages. A block's spec is plain data; [build_block] interns it in
+   whichever domain calls it. *)
+type block_spec = {
+  segs : int list;  (* ASNs per AS_SEQUENCE segment *)
+  b_med : int option;
+  n_comms : int;
+  n_clusters : int;
+  reflected : bool;
+  foreign : bool;  (* also re-created in a second domain *)
+}
+
+let build_block k (b : block_spec) =
+  let asn i = Bgp.Asn.of_int (64_512 + i) in
+  let path =
+    Bgp.As_path.of_segments
+      (List.mapi
+         (fun j n -> Bgp.As_path.Seq (List.init n (fun i -> asn ((100 * j) + i + k))))
+         b.segs)
+  in
+  Bgp.Route.make_attrs ~as_path:path ~med:b.b_med
+    ~communities:
+      (List.init b.n_comms (fun i -> Bgp.Community.make 65_000 (i + k)))
+    ~cluster_list:(List.init b.n_clusters (fun i -> Ipv4.of_int (0x0B00_0000 + i)))
+    ~ext_communities:(if b.reflected then [ Bgp.Ext_community.reflected ] else [])
+    ~next_hop:(Ipv4.of_int (0x0A00_0000 + k))
+    ()
+
+let gen_block_spec =
+  QCheck.Gen.(
+    let* big = int_bound 3 in
+    let* segs =
+      if big = 0 then list_repeat 4 (int_range 200 240)
+      else list_size (int_bound 2) (int_bound 12)
+    in
+    let* b_med = opt (int_bound 1000) in
+    let* n_comms = int_bound 3 in
+    let* n_clusters = int_bound 3 in
+    let* reflected = bool in
+    let* foreign = bool in
+    return { segs; b_med; n_comms; n_clusters; reflected; foreign })
+
+(* A delta: its prefix (address byte, length), its routes (block pick,
+   path id, use the foreign copy) and its withdrawn path ids. *)
+type delta_spec = {
+  p_byte : int;
+  p_len : int;
+  routes : (int * int * bool) list;
+  wd_ids : int list;
+}
+
+type sizing_case = { blocks : block_spec array; deltas : delta_spec list }
+
+let gen_sizing_case =
+  QCheck.Gen.(
+    let* nblocks = int_range 1 150 in
+    let* blocks = array_repeat nblocks gen_block_spec in
+    let pick =
+      let* hot = bool in
+      if hot then int_bound (min 3 (nblocks - 1)) else int_bound (nblocks - 1)
+    in
+    let gen_delta =
+      let* p_byte = int_bound 255 in
+      let* p_len = int_range 8 32 in
+      let* routes = list_size (int_bound 15) (triple pick (int_bound 1000) bool) in
+      let* wd_ids =
+        (* now and then a mass withdrawal, so withdrawals fill messages *)
+        list_size (frequency [ (9, int_bound 4); (1, int_range 50 200) ]) (int_bound 1000)
+      in
+      return { p_byte; p_len; routes; wd_ids }
+    in
+    let* deltas = list_size (int_bound 80) gen_delta in
+    return { blocks; deltas })
+
+let arb_sizing_case =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "<%d blocks, %d deltas, %d routes>" (Array.length c.blocks)
+        (List.length c.deltas)
+        (List.fold_left (fun n d -> n + List.length d.routes) 0 c.deltas))
+    gen_sizing_case
+
+(* Build the case's deltas. Foreign blocks come from a second domain's
+   intern table: equal in structure to the local copy, not physically. *)
+let build_deltas c =
+  let local = Array.mapi build_block c.blocks in
+  let foreign =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Array.mapi
+             (fun k b -> if b.foreign then Some (build_block k b) else None)
+             c.blocks))
+  in
+  List.map
+    (fun d ->
+      let p = Prefix.make (Ipv4.of_octets 20 d.p_byte 7 9) d.p_len in
+      let routes =
+        List.map
+          (fun (k, path_id, use_foreign) ->
+            let block =
+              match foreign.(k) with
+              | Some a when use_foreign -> a
+              | Some _ | None -> local.(k)
+            in
+            Bgp.Route.of_attrs ~path_id ~prefix:p block)
+          d.routes
+      in
+      Proto.delta ~withdrawn_ids:d.wd_ids p routes)
+    c.deltas
+
+let encoded ~add_paths ds =
+  let msgs = Bgp.Wire.encode ~add_paths (Bgp.Msg.Update (Proto.to_update ds)) in
+  (List.fold_left (fun n b -> n + Bytes.length b) 0 msgs, List.length msgs)
+
+(* Does some attribute group fill more than one message? [msgs] counts
+   at most one message per group and one per 452 withdrawals (a
+   withdrawal NLRI is at most 9 bytes) unless a group split. *)
+let distinct_blocks ds =
+  List.length
+    (List.sort_uniq Int.compare
+       (List.concat_map
+          (fun d ->
+            List.map (fun r -> Bgp.Route.attrs_hash (Bgp.Route.attrs r)) d.Proto.routes)
+          ds))
+
+let splits_a_group ds ~msgs =
+  let groups = distinct_blocks ds in
+  let withdrawals =
+    List.fold_left (fun n d -> n + List.length d.Proto.withdrawn_ids) 0 ds
+  in
+  msgs > groups + ((withdrawals + 451) / 452)
+
+(* Each case is sized twice: here, where the scratch table has long
+   grown, and in a fresh domain, whose table starts small enough that
+   more than 64 blocks make it grow in the middle of the update. *)
+let prop_wire_size_matches_encode =
+  QCheck.Test.make ~name:"wire_size = encode (shared blocks, split groups)"
+    ~count:200 arb_sizing_case (fun c ->
+      let ds = build_deltas c in
+      List.for_all
+        (fun add_paths ->
+          let expected = encoded ~add_paths ds in
+          Proto.wire_size ~add_paths ds = expected
+          && Domain.join (Domain.spawn (fun () -> Proto.wire_size ~add_paths ds))
+             = expected)
+        [ false; true ])
+
+(* The sizer's table is domain-local scratch: two domains sizing the
+   same inputs at once must each get the serial results. The fixed-seed
+   cases also show the generator's reach: one of them splits a group
+   across messages, and the serial results match the encoder. *)
+let test_wire_size_two_domains () =
+  let rand = Random.State.make [| 16 |] in
+  let cases =
+    List.init 40 (fun _ -> build_deltas (QCheck.Gen.generate1 ~rand gen_sizing_case))
+  in
+  let size_all () =
+    List.concat_map
+      (fun ds -> [ Proto.wire_size ~add_paths:false ds; Proto.wire_size ~add_paths:true ds ])
+      cases
+  in
+  let serial = size_all () in
+  check_bool "serial = encode" true
+    (serial
+    = List.concat_map
+        (fun ds -> [ encoded ~add_paths:false ds; encoded ~add_paths:true ds ])
+        cases);
+  check_bool "some case has more than 64 blocks" true
+    (List.exists (fun ds -> distinct_blocks ds > 64) cases);
+  check_bool "some case splits a group" true
+    (List.exists
+       (fun ds -> splits_a_group ds ~msgs:(snd (encoded ~add_paths:true ds)))
+       cases);
+  let a = Domain.spawn size_all and b = Domain.spawn size_all in
+  let ra = Domain.join a and rb = Domain.join b in
+  check_bool "domain 1 = serial" true (ra = serial);
+  check_bool "domain 2 = serial" true (rb = serial)
+
+(* Sizing a transmission allocates only its result pair: a 64-route
+   delta list, one block per route, after the scratch has warmed up. *)
+let test_wire_size_allocation () =
+  let ds =
+    List.init 16 (fun i ->
+        let p = Prefix.make (Ipv4.of_octets 30 i 0 0) 16 in
+        Proto.delta ~withdrawn_ids:[ i ] p
+          (List.init 4 (fun j ->
+               Bgp.Route.make ~path_id:j ~med:(Some ((4 * i) + j)) ~prefix:p
+                 ~next_hop:(Ipv4.of_int 0x0A00_0001) ())))
+  in
+  ignore (Proto.wire_size ~add_paths:true ds);
+  let before = Gc.minor_words () in
+  let r = Proto.wire_size ~add_paths:true ds in
+  let words = Gc.minor_words () -. before in
+  check_bool "sized" true (fst r > 0);
+  if words >= 64. then Alcotest.failf "wire_size allocated %.0f words" words
+
+(* The scratch table must not keep a block alive after the call: the
+   weak intern table's population is the sharing statistic
+   [Route.interned_attrs] reports. *)
+let size_fresh_blocks () =
+  let p = Prefix.of_string "31.0.0.0/16" in
+  let ds =
+    [
+      Proto.delta p
+        (List.init 100 (fun j ->
+             Bgp.Route.make ~path_id:j ~med:(Some (7_000_000 + j)) ~prefix:p
+               ~next_hop:(Ipv4.of_int 0x0A00_0002) ()));
+    ]
+  in
+  ignore (Sys.opaque_identity (Proto.wire_size ~add_paths:true ds))
+
+let test_wire_size_keeps_no_block () =
+  Gc.full_major ();
+  let before = Bgp.Route.interned_attrs () in
+  size_fresh_blocks ();
+  Gc.full_major ();
+  let after = Bgp.Route.interned_attrs () in
+  if after > before then
+    Alcotest.failf "%d blocks outlived the sizing call" (after - before)
+
 let suite =
   ( "proto",
     [
@@ -166,4 +390,11 @@ let suite =
       QCheck_alcotest.to_alcotest prop_coalesce_preserves_apply;
       QCheck_alcotest.to_alcotest prop_coalesce_idempotent;
       QCheck_alcotest.to_alcotest prop_coalesce_one_item_per_key;
+      QCheck_alcotest.to_alcotest prop_wire_size_matches_encode;
+      Alcotest.test_case "wire size: two domains = serial" `Quick
+        test_wire_size_two_domains;
+      Alcotest.test_case "wire size: allocation bound" `Quick
+        test_wire_size_allocation;
+      Alcotest.test_case "wire size: scratch keeps no block alive" `Quick
+        test_wire_size_keeps_no_block;
     ] )

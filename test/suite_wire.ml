@@ -291,6 +291,47 @@ let prop_bitflip_no_crash =
         match Wire.decode_all ~add_paths:true bs with Ok _ | Error _ -> true
       end)
 
+
+(* [Route.wire_len], cached when a block is interned, is exactly what
+   the encoder spends on the block: a one-route UPDATE is the header,
+   the two length fields, the attributes and the NLRI. Blocks re-interned
+   by [update], [mark_reflected] and [add_cluster] carry their own
+   length, and a >63-ASN path crosses to the extended-length header. *)
+let test_wire_len_matches_encode () =
+  let base = route ~med:(Some 5) ~comms:[ Community.make 65_000 1 ] "20.0.0.0/16" in
+  let long_path = As_path.of_asns (List.init 70 (fun i -> Asn.of_int (i + 1))) in
+  let cases =
+    [
+      ("base", base);
+      ("update", Route.update ~med:None ~local_pref:200 base);
+      ("mark_reflected", Route.mark_reflected base);
+      ("add_cluster", Route.add_cluster (Ipv4.of_string "10.9.9.9") base);
+      ( "reflected, two clusters",
+        Route.add_cluster (Ipv4.of_string "10.9.9.8")
+          (Route.add_cluster (Ipv4.of_string "10.9.9.9")
+             (Route.mark_reflected
+                (Route.update ~originator_id:(Some (Ipv4.of_string "10.0.0.3")) base))) );
+      ("70-ASN path", Route.update ~as_path:long_path base);
+    ]
+  in
+  List.iter
+    (fun (name, r) ->
+      List.iter
+        (fun add_paths ->
+          let u = { Msg.withdrawn = []; announced = [ r ] } in
+          let bytes = Bytes.length (concat (Wire.encode ~add_paths (Msg.Update u))) in
+          let nlri = (if add_paths then 4 else 0) + 1 + 2 (* a /16 *) in
+          check_int name bytes
+            (Wire.header_size + 4 + Route.wire_len (Route.attrs r) + nlri))
+        [ false; true ])
+    cases;
+  (* 70 ASNs instead of 2: a 282-byte AS_PATH payload, whose header
+     grows by one byte for the 2-byte length *)
+  check_int "extended length header" 1
+    (Route.wire_len (Route.attrs (Route.update ~as_path:long_path base))
+    - Route.wire_len (Route.attrs base)
+    - (4 * 68))
+
 let suite =
   ( "wire",
     [
@@ -304,6 +345,8 @@ let suite =
       Alcotest.test_case "confed segments" `Quick test_confed_segments_roundtrip;
       Alcotest.test_case "decode errors" `Quick test_decode_errors;
       Alcotest.test_case "add-paths ids" `Quick test_add_paths_flag_matters;
+      Alcotest.test_case "wire_len = encoded attribute length" `Quick
+        test_wire_len_matches_encode;
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_measure_matches_encode;
       QCheck_alcotest.to_alcotest prop_fuzz_no_crash;
