@@ -1,13 +1,14 @@
 (* Memory-compact RIB architecture at scale (SCALING.md): one ABRR
    network fed a full route table, then driven by a two-week MRT trace
    streamed off disk — never materialised — while sampling process peak
-   RSS, trace throughput and per-event wall latency.
+   RSS and trace throughput.
 
    Emits BENCH_scale.json. Deterministic quantities (counters, RIB
    totals, simulated time, events) gate against bench/baseline/scale/
    with a relative threshold wide enough to also keep the peak-RSS
-   sample honest across toolchain versions (CI uses 0.3); wall-derived
-   rates and latency percentiles are reported ungated.
+   sample honest across toolchain versions (CI uses 0.3); of the
+   wall-derived figures only the updates/sec floor gates. Per-event
+   latency and per-layer timing belong to benchmark/.
 
    Default knobs are CI-bounded. The full paper-scale run (416 K
    prefixes x 1008 routers x 25 peer ASes) is the same experiment with
@@ -29,28 +30,7 @@ let trace_path = ref "" (* "" = fresh temp file *)
 
 let kb_to_mb kb = float_of_int kb /. 1024.
 
-(* Wrap a pull producer with wall-clock instrumentation: each time the
-   replay loop comes back for more events (once per chunk refill), the
-   wall time and simulator events spent since the previous refill yield
-   one ns-per-event latency sample. *)
-let instrument sim next =
-  let samples = ref [] in
-  let last_wall = ref (Unix.gettimeofday ()) in
-  let last_events = ref (Eventsim.Sim.events_processed sim) in
-  let wrapped () =
-    let wall = Unix.gettimeofday () in
-    let events = Eventsim.Sim.events_processed sim in
-    let de = events - !last_events in
-    if de > 0 then begin
-      samples := (wall -. !last_wall) /. float_of_int de *. 1e9 :: !samples;
-      last_wall := wall;
-      last_events := events
-    end;
-    next ()
-  in
-  (wrapped, samples)
-
-let run () =
+let run_on mrt_file =
   let scale_c = Abrr_core.Counters.create () in
   let wall0 = Unix.gettimeofday () in
   let topo =
@@ -66,10 +46,6 @@ let run () =
     topo.T.n_routers !n_prefixes n_routes !peer_ases !trace_events;
   (* Generate the trace and park it on disk: the replay below must not
      depend on the in-memory event list. *)
-  let mrt_file =
-    if !trace_path <> "" then !trace_path
-    else Filename.temp_file "abrr_scale" ".mrt"
-  in
   let local_as = Bgp.Asn.of_int 65000 in
   let announce_count, withdraw_count =
     let events = tier1_trace table { n_prefixes = !n_prefixes;
@@ -100,31 +76,23 @@ let run () =
     Abrr_core.Counters.reset (N.counters net i)
   done;
   (* Trace: stream the MRT file through the simulator in constant
-     memory, sampling wall latency per replay chunk. *)
+     memory. *)
   let trace_wall0 = Unix.gettimeofday () in
-  let events_before = Sim.events_processed sim in
-  let latency_samples =
-    Sim.phase sim "trace" (fun () ->
-        match Mrt.open_stream mrt_file with
-        | Error e -> failwith ("scale: " ^ mrt_file ^ ": " ^ e)
-        | Ok stream ->
-          Fun.protect
-            ~finally:(fun () -> Mrt.close_stream stream)
-            (fun () ->
-              let producer, samples =
-                instrument sim (fun () -> Mrt.next stream)
-              in
-              match TG.replay ~chunk:256 net producer with
-              | Ok Sim.Quiescent -> !samples
-              | Ok o ->
-                failwith
-                  (Format.asprintf "scale: trace ended with %a" Sim.pp_outcome o)
-              | Error e -> failwith ("scale: replay: " ^ e)))
-  in
+  Sim.phase sim "trace" (fun () ->
+      match Mrt.open_stream mrt_file with
+      | Error e -> failwith ("scale: " ^ mrt_file ^ ": " ^ e)
+      | Ok stream ->
+        Fun.protect
+          ~finally:(fun () -> Mrt.close_stream stream)
+          (fun () ->
+            match TG.replay ~chunk:256 net (fun () -> Mrt.next stream) with
+            | Ok Sim.Quiescent -> ()
+            | Ok o ->
+              failwith
+                (Format.asprintf "scale: trace ended with %a" Sim.pp_outcome o)
+            | Error e -> failwith ("scale: replay: " ^ e)));
   let trace_wall = Unix.gettimeofday () -. trace_wall0 in
-  let trace_events_processed = Sim.events_processed sim - events_before in
   Abrr_core.Counters.sample_mem scale_c;
-  if !trace_path = "" then Sys.remove mrt_file;
   (* Residency accounting (SCALING.md, "Bytes per route") *)
   let ids = List.init topo.T.n_routers Fun.id in
   let sum f = List.fold_left (fun acc i -> acc + f (N.router net i)) 0 ids in
@@ -146,14 +114,6 @@ let run () =
       float_of_int total.Abrr_core.Counters.updates_received /. trace_wall
     else 0.
   in
-  let events_per_sec =
-    if trace_wall > 0. then float_of_int trace_events_processed /. trace_wall
-    else 0.
-  in
-  let pct q =
-    if latency_samples = [] then 0.
-    else Metrics.Summary.percentile latency_samples q
-  in
   let wall_s = Unix.gettimeofday () -. wall0 in
   let knobs =
     [
@@ -171,10 +131,6 @@ let run () =
       ~sim_s:(Eventsim.Time.to_sec (Sim.now sim))
       ~events:(Sim.events_processed sim)
       ~counters:(Abrr_core.Counters.to_fields total)
-      ~summaries:
-        (match latency_samples with
-        | [] -> []
-        | s -> [ ("event_latency_ns", Metrics.Summary.of_list s) ])
       ~phases:(List.map (fun (n, st) -> (n, st.Sim.cpu_s)) (Sim.phase_stats sim))
       [
         m "loc_rib_total" (fi loc_rib_total);
@@ -188,15 +144,11 @@ let run () =
         u ~unit_:"kB" "feed_peak_rss_kb" (fi feed_rss_kb);
         u ~unit_:"kB" "peak_rss_kb" (fi peak_kb);
         u ~unit_:"B" "bytes_per_placement" bytes_per_placement;
-        (* Gated (unlike the other wall-derived rates): the updates/sec
-           CI floor that keeps the incremental decision path fast. The
-           0.3 comparison threshold absorbs machine-to-machine wall
+        (* Gated, unlike wall_s and phases: the updates/sec CI floor
+           that keeps the incremental decision path fast. The 0.3
+           comparison threshold absorbs machine-to-machine wall
            variance; a regression past it fails the job. *)
         E.metric ~unit_:"updates/s" "updates_per_sec" updates_per_sec;
-        u ~unit_:"events/s" "events_per_sec" events_per_sec;
-        u ~unit_:"ns" "latency_p50_ns" (pct 50.);
-        u ~unit_:"ns" "latency_p90_ns" (pct 90.);
-        u ~unit_:"ns" "latency_p99_ns" (pct 99.);
       ]
   in
   emit { E.experiment = "scale"; runs = [ jrun ] };
@@ -214,10 +166,14 @@ let run () =
       [ "peak RSS (feed / end)";
         Printf.sprintf "%.1f / %.1f MB" (kb_to_mb feed_rss_kb) (kb_to_mb peak_kb) ];
       [ "bytes per placement"; Printf.sprintf "%.1f" bytes_per_placement ];
-      [ "trace throughput";
-        Printf.sprintf "%.0f updates/s, %.0f events/s" updates_per_sec
-          events_per_sec ];
-      [ "event latency p50/p90/p99";
-        Printf.sprintf "%.0f / %.0f / %.0f ns" (pct 50.) (pct 90.) (pct 99.) ];
+      [ "trace throughput"; Printf.sprintf "%.0f updates/s" updates_per_sec ];
     ];
   print_newline ()
+
+(* The trace file is a temporary unless --scale-trace names one; the
+   temporary goes away however the run ends. *)
+let run () =
+  if !trace_path <> "" then run_on !trace_path
+  else
+    let mrt_file = Filename.temp_file "abrr_scale" ".mrt" in
+    Fun.protect ~finally:(fun () -> Sys.remove mrt_file) (fun () -> run_on mrt_file)

@@ -33,8 +33,7 @@ let experiments =
      Exp_sessions.run);
     ("schemes", "All iBGP organisations on one workload", Exp_schemes.run);
     ("ablation", "Design-choice ablations", Exp_ablation.run);
-    ("micro", "Bechamel micro-benchmarks", Micro.run);
-    ("scale", "Memory-compact RIB at scale: RSS, throughput, latency",
+    ("scale", "Memory-compact RIB at scale: RSS, throughput",
      Exp_scale.run);
     ("shard", "Sharded simulation core: digest-proven determinism and scaling",
      Exp_shard.run);

@@ -50,6 +50,20 @@ let events_t = Arg.(value & opt int 500 & info [ "events" ] ~doc:"Trace routing 
 let seed_t = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Random seed.")
 let mrai_t = Arg.(value & opt int 0 & info [ "mrai" ] ~doc:"MRAI timer in seconds (0 = off).")
 
+(* Bad sizes and unwritable paths reach a library input validator
+   (Isp_topo.spec, Route_gen.spec, Partition.uniform, Session_setup.spec)
+   or a file open, which raise Invalid_argument or Sys_error.
+   [validated] turns exactly those into a one-line usage error (exit
+   124, as snapshot and resume report a bad file) instead of an uncaught
+   exception (exit 125). It wraps the building of inputs only, never a
+   simulation, so a library bug still surfaces as one. *)
+let validated f =
+  match f () with
+  | v -> Ok v
+  | exception (Invalid_argument msg | Sys_error msg) -> Error msg
+
+let ( let@ ) r k = match r with Ok v -> k v | Error msg -> `Error (false, msg)
+
 let build_topo pops rpp pas points seed =
   T.generate (T.spec ~pops ~routers_per_pop:rpp ~peer_ases:pas ~peering_points_per_as:points ~seed ())
 
@@ -64,8 +78,12 @@ let resolve_scheme topo aps arrs_per_ap = function
 
 (* The simulate/bench workload from one set of CLI knobs. snapshot,
    resume and bisect must rebuild bit-identical runs from the same
-   flags, so all of them share this. *)
-let build_workload med pops rpp pas points prefixes aps arrs events seed mrai =
+   flags, so all of them share this. [cfg] builds a fresh configuration
+   per network; each of [schemes] is built once up front so that a bad
+   knob is reported here rather than midway through a run. *)
+let build_workload med pops rpp pas points prefixes aps arrs events seed mrai
+    schemes =
+  validated @@ fun () ->
   let topo = build_topo pops rpp pas points seed in
   let table = RG.generate topo (RG.spec ~n_prefixes:prefixes ~seed ()) in
   let trace =
@@ -82,6 +100,7 @@ let build_workload med pops rpp pas points prefixes aps arrs events seed mrai =
       ~scheme:(resolve_scheme topo aps arrs scheme)
       topo
   in
+  List.iter (fun s -> ignore (cfg s)) schemes;
   (topo, table, trace, cfg)
 
 (* Feed the eBGP snapshot, wait for convergence, reset the counters and
@@ -100,7 +119,9 @@ let feed_and_schedule net table trace =
 (* ---- simulate ------------------------------------------------------ *)
 
 let simulate scheme med pops rpp pas points prefixes aps arrs events seed mrai =
-  let topo, table, trace, cfg = build_workload med pops rpp pas points prefixes aps arrs events seed mrai in
+  let@ topo, table, trace, cfg =
+    build_workload med pops rpp pas points prefixes aps arrs events seed mrai [ scheme ]
+  in
   let net = N.create (cfg scheme) in
   RG.inject_all table net;
   let snapshot_outcome = N.run ~max_events:200_000_000 net in
@@ -194,8 +215,8 @@ let bench schemes med pops rpp pas points prefixes aps arrs events seed mrai
     `Error (false, "--checkpoint-every must be >= 1")
   else begin
     let schemes = if schemes = [] then [ `Abrr ] else schemes in
-    let _topo, table, trace, cfg =
-      build_workload med pops rpp pas points prefixes aps arrs events seed mrai
+    let@ _topo, table, trace, cfg =
+      build_workload med pops rpp pas points prefixes aps arrs events seed mrai schemes
     in
     let cfg scheme = { (cfg scheme) with Abrr_core.Config.decision } in
     let fi = float_of_int in
@@ -411,8 +432,8 @@ let snapshot_run scheme med pops rpp pas points prefixes aps arrs events seed
     mrai at_event out =
   if at_event < 0 then `Error (false, "--at-event must be >= 0")
   else begin
-    let _topo, table, trace, cfg =
-      build_workload med pops rpp pas points prefixes aps arrs events seed mrai
+    let@ _topo, table, trace, cfg =
+      build_workload med pops rpp pas points prefixes aps arrs events seed mrai [ scheme ]
     in
     let net = N.create (cfg scheme) in
     let base = feed_and_schedule net table trace in
@@ -462,8 +483,8 @@ let snapshot_cmd =
 
 let resume_run scheme med pops rpp pas points prefixes aps arrs events seed
     mrai from =
-  let _topo, _table, _trace, cfg =
-    build_workload med pops rpp pas points prefixes aps arrs events seed mrai
+  let@ _topo, _table, _trace, cfg =
+    build_workload med pops rpp pas points prefixes aps arrs events seed mrai [ scheme ]
   in
   let net = N.create (cfg scheme) in
   match Snapshot.load net ~path:from with
@@ -532,8 +553,8 @@ let bisect_run scheme med pops rpp pas points prefixes aps arrs events seed
         "--jobs compares sharded-vs-serial; it cannot be combined with \
          --fault-rng-at (run B can only carry one fault model)" )
   else begin
-  let _topo, table, trace, cfg =
-    build_workload med pops rpp pas points prefixes aps arrs events seed mrai
+  let@ _topo, table, trace, cfg =
+    build_workload med pops rpp pas points prefixes aps arrs events seed mrai [ scheme ]
   in
   let build () =
     let net = N.create (cfg scheme) in
@@ -1277,18 +1298,22 @@ let replay_cmd =
 (* ---- trace ----------------------------------------------------------- *)
 
 let trace out replay pops rpp pas points prefixes events seed =
-  let topo = build_topo pops rpp pas points seed in
-  let table = RG.generate topo (RG.spec ~n_prefixes:prefixes ~seed ()) in
-  let events_l =
-    TG.generate table (TG.spec ~events ~duration:(Eventsim.Time.days 14) ~seed ())
+  let@ topo, table, events_l =
+    validated @@ fun () ->
+    let topo = build_topo pops rpp pas points seed in
+    let table = RG.generate topo (RG.spec ~n_prefixes:prefixes ~seed ()) in
+    let events_l =
+      TG.generate table (TG.spec ~events ~duration:(Eventsim.Time.days 14) ~seed ())
+    in
+    Topo.Mrt.save out ~local_as:(Bgp.Asn.of_int 65000) events_l;
+    (topo, table, events_l)
   in
-  let local_as = Bgp.Asn.of_int 65000 in
-  Topo.Mrt.save out ~local_as events_l;
   let a, w = TG.action_count events_l in
   Printf.printf "wrote %s: %d announcements, %d withdrawals\n" out a w;
-  if replay then begin
+  if not replay then `Ok ()
+  else
     match Topo.Mrt.load out with
-    | Error e -> Printf.eprintf "replay failed: %s\n" e
+    | Error e -> `Error (false, "replay: " ^ out ^ ": " ^ e)
     | Ok loaded ->
       let cfg =
         T.config ~med_mode:Bgp.Decision.Always_compare
@@ -1301,9 +1326,8 @@ let trace out replay pops rpp pas points prefixes events seed =
       TG.schedule net loaded;
       let o = N.run ~max_events:500_000_000 net in
       Printf.printf "replayed %d events from disk: %s\n" (List.length loaded)
-        (Format.asprintf "%a" Eventsim.Sim.pp_outcome o)
-  end;
-  `Ok ()
+        (Format.asprintf "%a" Eventsim.Sim.pp_outcome o);
+      `Ok ()
 
 let trace_cmd =
   let out = Arg.(value & opt string "trace.mrt" & info [ "out" ] ~doc:"Output MRT file.") in
@@ -1315,11 +1339,12 @@ let trace_cmd =
 (* ---- boot ------------------------------------------------------------ *)
 
 let boot sessions rtt_ms cost_us =
-  let r =
-    Abrr_core.Session_setup.run
-      (Abrr_core.Session_setup.spec ~sessions ~rtt:(Eventsim.Time.ms rtt_ms)
-         ~per_message_cost:(Eventsim.Time.us cost_us) ())
+  let@ spec =
+    validated @@ fun () ->
+    Abrr_core.Session_setup.spec ~sessions ~rtt:(Eventsim.Time.ms rtt_ms)
+      ~per_message_cost:(Eventsim.Time.us cost_us) ()
   in
+  let r = Abrr_core.Session_setup.run spec in
   Printf.printf "%d sessions established in %.3f s (%d messages processed)\n"
     r.Abrr_core.Session_setup.established
     (Eventsim.Time.to_sec r.Abrr_core.Session_setup.boot_time)
@@ -1336,7 +1361,8 @@ let boot_cmd =
 (* ---- partition -------------------------------------------------------- *)
 
 let partition aps =
-  Format.printf "%a@." Abrr_core.Partition.pp (Abrr_core.Partition.uniform aps);
+  let@ p = validated @@ fun () -> Abrr_core.Partition.uniform aps in
+  Format.printf "%a@." Abrr_core.Partition.pp p;
   `Ok ()
 
 let partition_cmd =

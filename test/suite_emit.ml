@@ -179,6 +179,18 @@ let test_diff_missing () =
   in
   let ds = E.diff ~threshold:0. ~baseline:sample_record ~candidate:dropped in
   check_int "missing gated counter drifts" 1 (List.length (gated ds));
+  (* an ungated metric and a summary missing from the candidate are not
+     drifts at all, so a baseline may keep fields the emitter dropped *)
+  let trimmed =
+    with_first_run
+      (fun r ->
+        { r with
+          E.summaries = [];
+          metrics = [ E.metric ~unit_:"entries" "rib_in_avg" 321.5 ] })
+      sample_record
+  in
+  check_int "missing ungated metric and summary ignored" 0
+    (List.length (E.diff ~threshold:0. ~baseline:sample_record ~candidate:trimmed));
   (* candidate-only quantities are ignored (schema may grow) *)
   let grown =
     with_first_run
