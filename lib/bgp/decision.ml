@@ -92,131 +92,232 @@ module Naive = struct
       (List.fold_left (fun cs f -> f cs) cands (all_steps ~med_mode))
 end
 
-(* {2 Scratch-array kernel}
+(* [neighbor_as_key] on a bare route, without [Route.neighbor_as]'s
+   allocations: the first AS of the first segment left once
+   confederation segments are skipped, -1 unless that is a sequence. *)
+let rec first_seq_as = function
+  | (As_path.Confed_seq _ | As_path.Confed_set _) :: segs -> first_seq_as segs
+  | As_path.Seq (a :: _) :: _ -> Asn.to_int a
+  | (As_path.Seq [] | As_path.Set _) :: _ | [] -> -1
 
-   One pass computes each candidate's key and the running minimum, a
-   second compacts the survivors in place — no per-step list allocation.
-   The buffers live in domain-local storage: each simulation runs inside
-   one domain, so reuse is safe, and parallel bench domains each get
-   their own scratch. *)
+let neighbor_as_int (r : Route.t) = first_seq_as (As_path.segments (Route.as_path r))
 
-type scratch = {
-  mutable cand : candidate array;  (* slots >= n hold stale entries *)
-  mutable keys : int array;
-  mutable meds : int array;  (* second key column for per-AS MED *)
-}
+(* {2 Column kernel}
 
-let scratch_key =
-  Domain.DLS.new_key (fun () -> { cand = [||]; keys = [||]; meds = [||] })
+   One domain-local scratch holds the candidate set as columns; callers
+   push candidates straight into it. A run narrows an array of live slot
+   indices step by step: each filter computes one key per live slot and
+   the running minimum, then compacts the indices in place, so no step
+   allocates. The steps 1-4 survivors are copied aside before steps 5-8
+   go on, so one run yields both. Each simulation runs inside one
+   domain, so reuse is safe, and parallel bench domains each get their
+   own scratch. *)
 
-(* Load the candidates into the scratch buffers, growing them if needed;
-   returns the live count. *)
-let load s cands =
-  match cands with
-  | [] -> 0
-  | c0 :: _ ->
-    let n = List.length cands in
-    if Array.length s.cand < n then begin
-      let cap = max 16 n in
-      s.cand <- Array.make cap c0;
-      s.keys <- Array.make cap 0;
-      s.meds <- Array.make cap 0
-    end;
-    List.iteri (fun i c -> s.cand.(i) <- c) cands;
-    n
+module Scratch = struct
+  type t = {
+    mutable n : int;  (* slots loaded; slots >= n hold stale entries *)
+    mutable routes : Route.t array;
+    mutable learns : learned array;
+    mutable peer_ids : int array;
+    mutable peer_addrs : int array;
+    mutable igps : int array;
+    mutable srcs : int array;
+    mutable tags : int array;
+    mutable live : int array;  (* slots still in the running *)
+    mutable keys : int array;
+    mutable meds : int array;  (* second key column for per-AS MED *)
+    mutable surv : int array;  (* steps 1-4 survivors, in slot order *)
+    mutable n_surv : int;
+    mutable winner : int;
+  }
 
-(* Keep the candidates minimising [key] among the first [n]; preserves
-   order, returns the new live count. *)
-let filter_min s n key =
-  if n <= 1 then n
-  else begin
-    let cand = s.cand and keys = s.keys in
-    let m = ref max_int in
-    for i = 0 to n - 1 do
-      let k = key cand.(i) in
-      keys.(i) <- k;
-      if k < !m then m := k
-    done;
-    let m = !m in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if keys.(i) = m then begin
-        cand.(!j) <- cand.(i);
-        incr j
-      end
-    done;
-    !j
-  end
+  let key =
+    Domain.DLS.new_key (fun () ->
+        { n = 0; routes = [||]; learns = [||]; peer_ids = [||]; peer_addrs = [||];
+          igps = [||]; srcs = [||]; tags = [||]; live = [||]; keys = [||];
+          meds = [||]; surv = [||]; n_surv = 0; winner = -1 })
 
-(* Per-neighbour-AS MED: keep candidate [i] unless some candidate of the
-   same neighbour AS has a strictly lower MED. Key columns are filled
-   once; the quadratic scan runs over ints only and candidate sets are
-   small (bounded by peering points per prefix). *)
-let filter_med_per_as s n =
-  if n <= 1 then n
-  else begin
-    let cand = s.cand and keys = s.keys and meds = s.meds in
-    for i = 0 to n - 1 do
-      keys.(i) <- neighbor_as_key cand.(i);
-      meds.(i) <- med cand.(i).route
-    done;
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      let keep = ref true in
-      for k = 0 to n - 1 do
-        if keys.(k) = keys.(i) && meds.(k) < meds.(i) then keep := false
+  let get () = Domain.DLS.get key
+
+  let clear s =
+    s.n <- 0;
+    s.n_surv <- 0;
+    s.winner <- -1
+
+  let grow s (fill : Route.t) =
+    let cap = max 16 (2 * Array.length s.routes) in
+    let ints a = Array.append a (Array.make (cap - Array.length a) 0) in
+    s.routes <- Array.append s.routes (Array.make (cap - s.n) fill);
+    s.learns <- Array.append s.learns (Array.make (cap - s.n) Local);
+    s.peer_ids <- ints s.peer_ids;
+    s.peer_addrs <- ints s.peer_addrs;
+    s.igps <- ints s.igps;
+    s.srcs <- ints s.srcs;
+    s.tags <- ints s.tags;
+    s.live <- ints s.live;
+    s.keys <- ints s.keys;
+    s.meds <- ints s.meds;
+    s.surv <- ints s.surv
+
+  let push s route learned ~peer_id ~peer_addr ~igp_cost ~src ~tag =
+    let i = s.n in
+    if i = Array.length s.routes then grow s route;
+    s.routes.(i) <- route;
+    s.learns.(i) <- learned;
+    s.peer_ids.(i) <- Ipv4.to_int peer_id;
+    s.peer_addrs.(i) <- Ipv4.to_int peer_addr;
+    s.igps.(i) <- igp_cost;
+    s.srcs.(i) <- src;
+    s.tags.(i) <- tag;
+    s.n <- i + 1
+
+  (* Keep the live slots minimising [key] among the first [n]; preserves
+     order, returns the new live count. *)
+  let filter_min s n key =
+    if n <= 1 then n
+    else begin
+      let live = s.live and keys = s.keys in
+      let m = ref max_int in
+      for i = 0 to n - 1 do
+        let k = key s live.(i) in
+        keys.(i) <- k;
+        if k < !m then m := k
       done;
-      if !keep then begin
-        cand.(!j) <- cand.(i);
-        incr j
-      end
+      let m = !m in
+      let j = ref 0 in
+      for i = 0 to n - 1 do
+        if keys.(i) = m then begin
+          live.(!j) <- live.(i);
+          incr j
+        end
+      done;
+      !j
+    end
+
+  (* Per-neighbour-AS MED: keep slot [i] unless some live slot of the
+     same neighbour AS has a strictly lower MED. Key columns are filled
+     once; the quadratic scan runs over ints only and candidate sets are
+     small (bounded by peering points per prefix). *)
+  let filter_med_per_as s n =
+    if n <= 1 then n
+    else begin
+      let live = s.live and keys = s.keys and meds = s.meds in
+      for i = 0 to n - 1 do
+        let r = s.routes.(live.(i)) in
+        keys.(i) <- neighbor_as_int r;
+        meds.(i) <- med r
+      done;
+      let j = ref 0 in
+      for i = 0 to n - 1 do
+        let keep = ref true in
+        for k = 0 to n - 1 do
+          if keys.(k) = keys.(i) && meds.(k) < meds.(i) then keep := false
+        done;
+        if !keep then begin
+          live.(!j) <- live.(i);
+          incr j
+        end
+      done;
+      !j
+    end
+
+  let key_lp s i = -(Route.local_pref s.routes.(i))
+  let key_path s i = As_path.length (Route.as_path s.routes.(i))
+  let key_origin s i = Origin.rank (Route.origin s.routes.(i))
+  let key_med s i = med s.routes.(i)
+
+  let key_learned s i =
+    match s.learns.(i) with Ebgp | Local -> 0 | Confed_ebgp -> 1 | Ibgp -> 2
+
+  let key_igp s i = s.igps.(i)
+
+  let key_router_id s i =
+    match Route.originator_id s.routes.(i) with
+    | Some id -> Ipv4.to_int id
+    | None -> s.peer_ids.(i)
+
+  let key_peer s i = s.peer_addrs.(i)
+
+  let run ~med_mode s =
+    let n = s.n in
+    for i = 0 to n - 1 do
+      s.live.(i) <- i
     done;
-    !j
-  end
+    let n = filter_min s n key_lp in
+    let n = filter_min s n key_path in
+    let n = filter_min s n key_origin in
+    let n =
+      match med_mode with
+      | Always_compare -> filter_min s n key_med
+      | Per_neighbor_as -> filter_med_per_as s n
+    in
+    Array.blit s.live 0 s.surv 0 n;
+    s.n_surv <- n;
+    let n = filter_min s n key_learned in
+    let n = filter_min s n key_igp in
+    let n = filter_min s n key_router_id in
+    let n = filter_min s n key_peer in
+    (* ties after step 8 break deterministically on route attributes,
+       keeping the first minimum *)
+    if n = 0 then s.winner <- -1
+    else begin
+      let w = ref s.live.(0) in
+      for i = 1 to n - 1 do
+        let c = s.live.(i) in
+        if Route.compare_attrs s.routes.(c) s.routes.(!w) < 0 then w := c
+      done;
+      s.winner <- !w
+    end
 
-let key_lp c = -(Route.local_pref c.route)
-let key_path c = As_path.length (Route.as_path c.route)
-let key_origin c = Origin.rank (Route.origin c.route)
-let key_med c = med c.route
-let key_igp c = c.igp_cost
-let key_peer c = Ipv4.to_int c.peer_addr
+  let winner s = s.winner
+  let survivors s = s.n_surv
+  let survivor s k = s.surv.(k)
+  let route s i = s.routes.(i)
+  let learned s i = s.learns.(i)
+  let src s i = s.srcs.(i)
+  let tag s i = s.tags.(i)
+end
 
-let run_1_to_4 ~med_mode s n =
-  let n = filter_min s n key_lp in
-  let n = filter_min s n key_path in
-  let n = filter_min s n key_origin in
-  match med_mode with
-  | Always_compare -> filter_min s n key_med
-  | Per_neighbor_as -> filter_med_per_as s n
+(* {2 List entries} — load a candidate list into the columns, run the
+   same kernel, and map slots back to the input's candidate values
+   (physical identity preserved). *)
+
+let rec load s = function
+  | [] -> ()
+  | c :: cs ->
+    Scratch.push s c.route c.learned ~peer_id:c.peer_id ~peer_addr:c.peer_addr
+      ~igp_cost:c.igp_cost ~src:0 ~tag:0;
+    load s cs
+
+(* The candidates at the survivor slots [k..], walking the input from
+   slot [i]: survivors are in ascending slot order. *)
+let rec pick_survivors s k i = function
+  | [] -> []
+  | c :: cs ->
+    if k < Scratch.survivors s && Scratch.survivor s k = i then
+      c :: pick_survivors s (k + 1) (i + 1) cs
+    else pick_survivors s k (i + 1) cs
 
 let steps_1_to_4 ~med_mode cands =
   match cands with
   | [] | [ _ ] -> cands
   | _ ->
-    let s = Domain.DLS.get scratch_key in
-    let n = run_1_to_4 ~med_mode s (load s cands) in
-    let rec build i acc =
-      if i < 0 then acc else build (i - 1) (s.cand.(i) :: acc)
-    in
-    build (n - 1) []
+    let s = Scratch.get () in
+    Scratch.clear s;
+    load s cands;
+    Scratch.run ~med_mode s;
+    pick_survivors s 0 0 cands
 
 let best ~med_mode cands =
   match cands with
   | [] -> None
   | [ c ] -> Some c
   | _ ->
-    let s = Domain.DLS.get scratch_key in
-    let n = run_1_to_4 ~med_mode s (load s cands) in
-    let n = filter_min s n learned_rank in
-    let n = filter_min s n key_igp in
-    let n = filter_min s n router_id in
-    let n = filter_min s n key_peer in
-    (* ties after step 8 break deterministically on route attributes *)
-    let w = ref s.cand.(0) in
-    for i = 1 to n - 1 do
-      if Route.compare_attrs s.cand.(i).route !w.route < 0 then w := s.cand.(i)
-    done;
-    Some !w
+    let s = Scratch.get () in
+    Scratch.clear s;
+    load s cands;
+    Scratch.run ~med_mode s;
+    Some (List.nth cands (Scratch.winner s))
 
 (* Strict loss on the route-intrinsic key prefix of the process: local
    preference, AS-path length, origin rank, and — where sound — MED.

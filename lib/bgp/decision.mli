@@ -35,19 +35,72 @@ type med_mode =
       (** RFC 4271 semantics: MED is only comparable among routes learned
           from the same neighbouring AS. *)
 
+(** {1 Push-fed kernel}
+
+    The decision process runs on one domain-local, column-oriented
+    scratch. A caller clears it, pushes each candidate's fields into the
+    next slot, runs it once, and reads back both the steps 1–4 survivors
+    and the 8-step winner by slot. Slot order is rank order: survivors
+    keep it, and a tie after step 8 goes to the first slot. Running
+    allocates nothing.
+
+    The scratch is shared by every decision in the domain, so a caller
+    must read what it needs out of a run before anything else loads the
+    scratch again (the list entries below included). *)
+module Scratch : sig
+  type t
+
+  val get : unit -> t
+  (** This domain's scratch. *)
+
+  val clear : t -> unit
+  (** Start a new load: no slots, no result. *)
+
+  val push :
+    t ->
+    Route.t ->
+    learned ->
+    peer_id:Ipv4.t ->
+    peer_addr:Ipv4.t ->
+    igp_cost:int ->
+    src:int ->
+    tag:int ->
+    unit
+  (** Load one candidate into the next slot. [src] and [tag] are the
+      caller's: the kernel stores them and never reads them. *)
+
+  val run : med_mode:med_mode -> t -> unit
+  (** Decide over the loaded slots: the steps 1–4 survivors and the
+      8-step winner, with the same semantics as {!Naive}. *)
+
+  val winner : t -> int
+  (** The winning slot; [-1] when nothing was loaded. *)
+
+  val survivors : t -> int
+  (** How many slots survived steps 1–4. *)
+
+  val survivor : t -> int -> int
+  (** [survivor s k]: the slot of the [k]-th survivor, ascending. *)
+
+  val route : t -> int -> Route.t
+  val learned : t -> int -> learned
+  val src : t -> int -> int
+  val tag : t -> int -> int
+end
+
+(** {1 List entries} — load a candidate list into the scratch and run
+    the same kernel. *)
+
 val steps_1_to_4 : med_mode:med_mode -> candidate list -> candidate list
 (** Survivors of Local-Pref / AS-path length / Origin / MED — the paper's
-    {e best AS-level routes}. Order of the input is preserved.
-
-    Implemented as an allocation-lean kernel: a reusable per-domain
-    scratch array is min-filtered in place instead of chaining
-    [List.filter]s. Survivors are the input's candidate values
-    (physical identity preserved). *)
+    {e best AS-level routes}. Order of the input is preserved, and the
+    survivors are the input's candidate values (physical identity
+    preserved). *)
 
 val best : med_mode:med_mode -> candidate list -> candidate option
 (** Full 8-step decision. Deterministic: ties after step 8 are broken by
-    [Route.compare]. [None] on an empty input. Same scratch-array kernel
-    as {!steps_1_to_4}; agrees with {!Naive.best} on every input. *)
+    [Route.compare]. [None] on an empty input. Agrees with {!Naive.best}
+    on every input, and returns an element of the input. *)
 
 (** The original chained-[List.filter] implementation, retained as the
     differential-testing oracle for the kernel. Semantics (including
@@ -86,6 +139,10 @@ val tie_break_step : med_mode:med_mode -> candidate list -> int
     single candidate was supplied. Diagnostic aid. *)
 
 val describe_step : int -> string
+
+val neighbor_as_int : Route.t -> int
+(** The route's neighbouring AS as an int, [-1] when it has none: the
+    group key of per-neighbour-AS MED. Allocates nothing. *)
 
 val med : Route.t -> int
 (** Missing-MED semantics used throughout: absent MED is treated as 0

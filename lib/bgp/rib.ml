@@ -243,5 +243,7 @@ module Dirty = struct
   let drain t =
     let xs = Hashtbl.fold (fun _ pv acc -> pv :: acc) t [] in
     Hashtbl.reset t;
-    List.sort (fun (a, _) (b, _) -> Prefix.compare a b) xs
+    match xs with
+    | [] | [ _ ] -> xs  (* most batches: [List.sort] would build its closures *)
+    | _ -> List.sort (fun (a, _) (b, _) -> Prefix.compare a b) xs
 end

@@ -16,36 +16,39 @@ let dedup routes =
 
 let assign t prefix routes =
   let key = Prefix.to_key prefix in
-  let entry =
-    match Hashtbl.find_opt t key with
-    | Some e -> e
-    | None ->
-      let e = { routes = []; next = 1 } in
-      Hashtbl.add t key e;
-      e
-  in
-  let routes = dedup routes in
-  let assigned =
-    List.map
-      (fun r ->
-        match List.find_opt (Bgp.Route.same_path r) entry.routes with
-        | Some old -> Bgp.Route.with_path_id old.Bgp.Route.path_id r
-        | None ->
-          let id = entry.next in
-          entry.next <- id + 1;
-          Bgp.Route.with_path_id id r)
-      routes
-  in
-  let withdrawn =
-    List.filter_map
-      (fun (old : Bgp.Route.t) ->
-        if List.exists (Bgp.Route.same_path old) assigned then None
-        else Some old.Bgp.Route.path_id)
-      entry.routes
-  in
-  entry.routes <- assigned;
-  if assigned = [] then Hashtbl.remove t key;
-  (assigned, withdrawn)
+  match Hashtbl.find_opt t key with
+  | None when routes = [] -> ([], [])  (* nothing held or asked: no entry *)
+  | found ->
+    let entry =
+      match found with
+      | Some e -> e
+      | None ->
+        let e = { routes = []; next = 1 } in
+        Hashtbl.add t key e;
+        e
+    in
+    let routes = dedup routes in
+    let assigned =
+      List.map
+        (fun r ->
+          match List.find_opt (Bgp.Route.same_path r) entry.routes with
+          | Some old -> Bgp.Route.with_path_id old.Bgp.Route.path_id r
+          | None ->
+            let id = entry.next in
+            entry.next <- id + 1;
+            Bgp.Route.with_path_id id r)
+        routes
+    in
+    let withdrawn =
+      List.filter_map
+        (fun (old : Bgp.Route.t) ->
+          if List.exists (Bgp.Route.same_path old) assigned then None
+          else Some old.Bgp.Route.path_id)
+        entry.routes
+    in
+    entry.routes <- assigned;
+    if assigned = [] then Hashtbl.remove t key;
+    (assigned, withdrawn)
 
 let current t prefix =
   match Hashtbl.find_opt t (Prefix.to_key prefix) with

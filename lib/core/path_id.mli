@@ -15,7 +15,8 @@ val assign : t -> Prefix.t -> Bgp.Route.t list -> Bgp.Route.t list * int list
     {!Bgp.Route.same_path}) against the previously assigned set: unchanged
     paths keep their ids, new paths get fresh ids (starting at 1), and the
     ids of paths no longer present are returned as withdrawn. The internal
-    state is replaced by the new set. *)
+    state is replaced by the new set. Assigning [[]] to a prefix with no
+    assignment returns [([], [])] and leaves the table untouched. *)
 
 val current : t -> Prefix.t -> Bgp.Route.t list
 (** The set most recently assigned for the prefix (with ids). *)

@@ -53,21 +53,8 @@ type roles = {
   rcp_clients : int list;
 }
 
-(* Which table a decision candidate came from. *)
-type src_tag =
-  | S_ebgp
-  | S_local
-  | S_mesh
-  | S_confed
-  | S_from_rcp
-  | S_managed_trr
-  | S_managed_rcp
-  | S_from_trr
-  | S_from_arr
-  | S_own_arr
-
 (* Per-source route tables carry a memoized ascending-source view:
-   candidate collection folds over every plane's table once per decision,
+   candidate loading walks every plane's table once per decision,
    and rebuilding the sorted association list on each call dominated
    profile runs. The set of sources only changes on [table_rib]
    insertion, peer purge, and table reset — each drops the cache. *)
@@ -87,6 +74,14 @@ type damp_entry = {
   mutable dp_held : R.t option;  (* the suppressed route awaiting reuse *)
   mutable dp_neighbor : Ipv4.t;
   mutable dp_wake : Time.t;  (* latest reuse wake-up already scheduled *)
+}
+
+(* One dirty prefix's churn record for the incremental decision
+   ("Incremental decision" below). *)
+type churn = {
+  mutable ch_full : bool;  (* structural event: always recompute *)
+  mutable ch_planes : int;
+  mutable ch_routes : R.t list;  (* routes added to / removed from tables *)
 }
 
 type t = {
@@ -124,6 +119,7 @@ type t = {
   outgoing : (int, Proto.item list ref) Hashtbl.t;
   sessions : (int, session) Hashtbl.t;
   damping : (int * int, damp_entry) Hashtbl.t;
+  dirty : churn Rib.Dirty.t;  (* [process_now]'s batch, empty between batches *)
   counters : Counters.t;
   mutable rejected_loops : int;
   mutable up : bool;
@@ -313,6 +309,7 @@ let create env =
     outgoing = Hashtbl.create 16;
     sessions = Hashtbl.create 16;
     damping = Hashtbl.create 16;
+    dirty = Rib.Dirty.create ();
     counters = Counters.create ();
     rejected_loops = 0;
     up = true;
@@ -333,10 +330,12 @@ let rib_set t rib p routes =
   t.counters.rib_touches <- t.counters.rib_touches + 1;
   Rib.set rib p routes
 
+let best t p = match Rib.get t.loc_rib p with [] -> None | r :: _ -> Some r
+
 let table_rib st src =
-  match Hashtbl.find_opt st.ribs src with
-  | Some rib -> rib
-  | None ->
+  match Hashtbl.find st.ribs src with
+  | rib -> rib
+  | exception Not_found ->
     let rib = Bgp.Rib.create () in
     Hashtbl.add st.ribs src rib;
     st.view <- None;
@@ -357,21 +356,26 @@ let srctbl_reset st =
   st.view <- None
 
 (* ------------------------------------------------------------------ *)
-(* Candidate construction                                              *)
+(* Candidate loading                                                   *)
 
-let ibgp_candidate ?(learned = D.Ibgp) t src (route : R.t) =
-  let peer = Config.loopback src in
-  {
-    D.route;
-    learned;
-    peer_id = peer;
-    peer_addr = peer;
-    igp_cost = t.env.igp_cost (R.next_hop route);
-  }
+(* Every decision pushes its candidates straight into the kernel's
+   scratch ([Decision.Scratch]) with the source router ([-1] for eBGP
+   and local routes) and a tag. Slot order is part of the outcome:
+   survivors keep it, and it decides path-id assignment of derived sets
+   and ties after step 8. Each source is pushed newest-first — its
+   routes in reverse stored order, per-source tables in descending
+   source order — and the sources of one decision in a fixed order. *)
 
-let eligible (c : D.candidate) = c.igp_cost <> Igp.Spf.unreachable
+module S = D.Scratch
 
-(* Per-source tables in ascending source order. Candidate collection and
+(* The TRR mesh advertises only routes from clients, eBGP or local
+   origination (Table 1). *)
+let tag_other = 0
+let tag_clientside = 1
+
+let med_mode t = t.env.config.med_mode
+
+(* Per-source tables in ascending source order. Candidate loading and
    route dumps must not depend on hashtable iteration order: a restored
    run rebuilds these tables in a different internal order than the
    original, and decision tie-breaks would otherwise diverge. The sorted
@@ -388,98 +392,119 @@ let sorted_tbl st =
     st.view <- Some v;
     v
 
-let table_candidates ?learned t tbl tag p acc =
-  List.fold_left
-    (fun acc (src, rib) ->
-      List.fold_left
-        (fun acc route ->
-          let c = ibgp_candidate ?learned t src route in
-          if eligible c then (c, src, tag) :: acc else acc)
-        acc (Rib.get rib p))
-    acc (sorted_tbl tbl)
+let originated_by addr (r : R.t) =
+  match R.originator_id r with Some o -> Ipv4.equal o addr | None -> false
 
-let ebgp_candidates t p acc =
-  List.fold_left
-    (fun acc (route : R.t) ->
-      let neighbor =
-        match
-          Hashtbl.find_opt t.ebgp_neighbors (Prefix.to_key p, route.R.path_id)
-        with
-        | Some n -> n
-        | None -> (R.next_hop route)
-      in
-      let c =
-        { D.route; learned = D.Ebgp; peer_id = neighbor; peer_addr = neighbor;
-          igp_cost = 0 }
-      in
-      (c, -1, S_ebgp) :: acc)
-    acc (Rib.get t.ebgp_rib p)
+(* An iBGP-learned route from [src]: not a candidate while its next hop
+   is unreachable. *)
+let push_ibgp t s ~learned ~tag src (route : R.t) =
+  let cost = t.env.igp_cost (R.next_hop route) in
+  if cost <> Igp.Spf.unreachable then begin
+    let peer = Config.loopback src in
+    S.push s route learned ~peer_id:peer ~peer_addr:peer ~igp_cost:cost ~src ~tag
+  end
 
-let local_candidates t p acc =
-  List.fold_left
-    (fun acc (route : R.t) ->
-      let c =
-        { D.route; learned = D.Local; peer_id = t.self; peer_addr = t.self;
-          igp_cost = 0 }
-      in
-      (c, -1, S_local) :: acc)
-    acc (Rib.get t.local_rib p)
+let rec push_ibgp_rev t s ~learned ~tag src = function
+  | [] -> ()
+  | r :: rs ->
+    push_ibgp_rev t s ~learned ~tag src rs;
+    push_ibgp t s ~learned ~tag src r
 
-let own_arr_candidates t p acc =
-  (* An ARR's client function reads its own reflected set directly (the
-     internal role passing of §2.1), skipping routes it injected itself. *)
-  List.fold_left
-    (fun acc (route : R.t) ->
-      let own =
-        match (R.originator_id route) with
-        | Some o -> Ipv4.equal o t.self
-        | None -> false
-      in
-      if own then acc
-      else
-        let c = ibgp_candidate t t.env.id route in
-        if eligible c then (c, t.env.id, S_own_arr) :: acc else acc)
-    acc (Rib.get t.out_arr p)
+let rec push_table_rev t s ~learned ~tag p = function
+  | [] -> ()
+  | (src, rib) :: rest ->
+    push_table_rev t s ~learned ~tag p rest;
+    push_ibgp_rev t s ~learned ~tag src (Rib.get rib p)
+
+let push_table t s ~learned ~tag tbl p =
+  push_table_rev t s ~learned ~tag p (sorted_tbl tbl)
+
+let ebgp_neighbor t key (route : R.t) =
+  match Hashtbl.find t.ebgp_neighbors (key, route.R.path_id) with
+  | n -> n
+  | exception Not_found -> R.next_hop route
+
+let rec push_ebgp_rev t s key = function
+  | [] -> ()
+  | (route : R.t) :: rs ->
+    push_ebgp_rev t s key rs;
+    let n = ebgp_neighbor t key route in
+    S.push s route D.Ebgp ~peer_id:n ~peer_addr:n ~igp_cost:0 ~src:(-1)
+      ~tag:tag_clientside
+
+let rec push_local_rev t s = function
+  | [] -> ()
+  | route :: rs ->
+    push_local_rev t s rs;
+    S.push s route D.Local ~peer_id:t.self ~peer_addr:t.self ~igp_cost:0
+      ~src:(-1) ~tag:tag_clientside
+
+(* The routes every decision plane sees, pushed last: local, then eBGP. *)
+let push_own_routes t s p =
+  push_local_rev t s (Rib.get t.local_rib p);
+  push_ebgp_rev t s (Prefix.to_key p) (Rib.get t.ebgp_rib p)
+
+(* An ARR's client function reads its own reflected set directly (the
+   internal role passing of §2.1), skipping routes it injected itself. *)
+let rec push_own_arr_rev t s = function
+  | [] -> ()
+  | route :: rs ->
+    push_own_arr_rev t s rs;
+    if not (originated_by t.self route) then
+      push_ibgp t s ~learned:D.Ibgp ~tag:tag_other t.env.id route
+
+let rec in_any_ap partition p = function
+  | [] -> false
+  | ap :: aps -> Partition.prefix_in_ap partition ap p || in_any_ap partition p aps
 
 let serves_with roles p =
   match roles.partition with
   | None -> false
-  | Some partition ->
-    List.exists (fun ap -> Partition.prefix_in_ap partition ap p) roles.arr_aps
+  | Some partition -> in_any_ap partition p roles.arr_aps
 
 let serves_prefix t p = serves_with t.roles p
 
-(* ABRR-plane candidates: from ARRs for other APs, plus own reflected set. *)
-let abrr_candidates t p acc =
-  let acc = table_candidates t t.from_arr S_from_arr p acc in
-  if serves_prefix t p then own_arr_candidates t p acc else acc
+(* ABRR plane: the own reflected set, then routes from ARRs for other
+   APs. *)
+let push_abrr t s p =
+  if serves_prefix t p then push_own_arr_rev t s (Rib.get t.out_arr p);
+  push_table t s ~learned:D.Ibgp ~tag:tag_other t.from_arr p
 
-(* TBRR-plane candidates, depending on role. *)
-let tbrr_candidates t p acc =
-  let acc =
-    if t.roles.is_trr then
-      table_candidates t t.mesh_in S_mesh p
-        (table_candidates t t.managed_trr S_managed_trr p acc)
-    else acc
-  in
-  if t.roles.my_trrs <> [] then table_candidates t t.from_trr S_from_trr p acc
-  else acc
+(* TRR-plane candidates, depending on role. *)
+let push_tbrr t s p =
+  if t.roles.my_trrs <> [] then
+    push_table t s ~learned:D.Ibgp ~tag:tag_other t.from_trr p;
+  if t.roles.is_trr then begin
+    push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p;
+    push_table t s ~learned:D.Ibgp ~tag:tag_clientside t.managed_trr p
+  end
 
-let collect_candidates t p =
-  let acc = local_candidates t p (ebgp_candidates t p []) in
-  match t.env.config.scheme with
-  | Config.Full_mesh -> table_candidates t t.mesh_in S_mesh p acc
+(* The client function's candidate set: everything this router may
+   choose from. *)
+let load_client t s p =
+  S.clear s;
+  (match t.env.config.scheme with
+  | Config.Full_mesh -> push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p
   | Config.Confed _ ->
-    table_candidates ~learned:D.Confed_ebgp t t.confed_in S_confed p
-      (table_candidates t t.mesh_in S_mesh p acc)
-  | Config.Rcp _ -> table_candidates t t.from_rcp S_from_rcp p acc
-  | Config.Tbrr _ -> tbrr_candidates t p acc
-  | Config.Abrr _ -> abrr_candidates t p acc
+    push_table t s ~learned:D.Confed_ebgp ~tag:tag_other t.confed_in p;
+    push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p
+  | Config.Rcp _ -> push_table t s ~learned:D.Ibgp ~tag:tag_other t.from_rcp p
+  | Config.Tbrr _ -> push_tbrr t s p
+  | Config.Abrr _ -> push_abrr t s p
   | Config.Dual { abrr; accept; _ } -> (
     let ap = Partition.ap_of_addr abrr.partition (Prefix.first p) in
     match accept.(ap) with
-    | Config.Accept_abrr -> abrr_candidates t p acc
-    | Config.Accept_tbrr -> tbrr_candidates t p acc)
+    | Config.Accept_abrr -> push_abrr t s p
+    | Config.Accept_tbrr -> push_tbrr t s p));
+  push_own_routes t s p
+
+(* A TRR's reflection set: the mesh (when [with_mesh]), then the
+   clientside sources. *)
+let load_trr t s p ~with_mesh =
+  S.clear s;
+  if with_mesh then push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p;
+  push_table t s ~learned:D.Ibgp ~tag:tag_clientside t.managed_trr p;
+  push_own_routes t s p
 
 (* ------------------------------------------------------------------ *)
 (* Output plumbing                                                     *)
@@ -585,14 +610,16 @@ let flush_peer t ~peer =
       if items <> [] then transmit_now t peer s items
 
 let flush_outgoing t =
-  let dsts = Hashtbl.fold (fun dst _ acc -> dst :: acc) t.outgoing [] in
-  let dsts = List.sort Int.compare dsts in
-  List.iter
-    (fun dst ->
-      let items = List.rev !(Hashtbl.find t.outgoing dst) in
-      send t dst items)
-    dsts;
-  Hashtbl.reset t.outgoing
+  if Hashtbl.length t.outgoing > 0 then begin
+    let dsts = Hashtbl.fold (fun dst _ acc -> dst :: acc) t.outgoing [] in
+    let dsts = List.sort Int.compare dsts in
+    List.iter
+      (fun dst ->
+        let items = List.rev !(Hashtbl.find t.outgoing dst) in
+        send t dst items)
+      dsts;
+    Hashtbl.reset t.outgoing
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Route derivation                                                    *)
@@ -630,50 +657,40 @@ let derive_arr_reflect t src (r : R.t) =
   | Config.Reflected_bit -> R.mark_reflected r
   | Config.Cluster_list -> R.add_cluster t.self r
 
-(* A TRR's advertisement of a decision entry: iBGP-learned routes are
+(* A TRR's advertisement of slot [i]: iBGP-learned routes are
    reflected, other-learned ones advertised as its own. *)
-let derive_reflected t ((c : D.candidate), src, _) =
-  match c.D.learned with
-  | D.Ibgp -> derive_trr_reflect t src c.D.route
-  | D.Ebgp | D.Local | D.Confed_ebgp -> derive_own t c.D.route
+let derive_reflected t s i =
+  match S.learned s i with
+  | D.Ibgp -> derive_trr_reflect t (S.src s i) (S.route s i)
+  | D.Ebgp | D.Local | D.Confed_ebgp -> derive_own t (S.route s i)
+
+(* The survivors from the [k]-th on, as a TRR advertises them. *)
+let rec reflected_survivors t s k =
+  if k >= S.survivors s then []
+  else
+    let d = derive_reflected t s (S.survivor s k) in
+    d :: reflected_survivors t s (k + 1)
 
 (* Assign stable ids to a derived set and report whether it changed. *)
 let assign_set ids p derived =
-  let previous = Path_id.current ids p in
-  let assigned, withdrawn = Path_id.assign ids p derived in
-  let sort_ids rs =
-    List.sort (fun (a : R.t) b -> Int.compare a.R.path_id b.R.path_id) rs
-  in
-  let changed =
-    withdrawn <> []
-    || not (List.equal R.equal (sort_ids previous) (sort_ids assigned))
-  in
-  (assigned, withdrawn, changed)
+  match (Path_id.current ids p, derived) with
+  | [], [] -> ([], [], false)
+  | previous, _ ->
+    let assigned, withdrawn = Path_id.assign ids p derived in
+    let sort_ids rs =
+      List.sort (fun (a : R.t) b -> Int.compare a.R.path_id b.R.path_id) rs
+    in
+    let changed =
+      withdrawn <> []
+      || not (List.equal R.equal (sort_ids previous) (sort_ids assigned))
+    in
+    (assigned, withdrawn, changed)
 
 let same_single old_routes desired =
   match (old_routes, desired) with
   | [], None -> true
   | [ (old : R.t) ], Some (r : R.t) -> R.same_path old r
   | _, _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Decision-kernel picks                                               *)
-
-let cands_of tagged = List.map (fun (c, _, _) -> c) tagged
-
-(* The tagged entry a kernel pick came from. [D.best] and
-   [D.steps_1_to_4] return elements of their input, so the physical
-   lookup always succeeds. *)
-let entry_of tagged (c : D.candidate) =
-  List.find (fun (c', _, _) -> c' == c) tagged
-
-let best_entry t tagged =
-  Option.map (entry_of tagged)
-    (D.best ~med_mode:t.env.config.med_mode (cands_of tagged))
-
-let survivor_entries t tagged =
-  List.map (entry_of tagged)
-    (D.steps_1_to_4 ~med_mode:t.env.config.med_mode (cands_of tagged))
 
 (* ------------------------------------------------------------------ *)
 (* Adj-RIB-Out writer                                                  *)
@@ -708,9 +725,6 @@ let export_single ?(sender = -1) t ~rib ~channel ~targets p desired =
             { Proto.prefix = p; routes = []; withdrawn_ids = [ 0 ] }
           else d)
 
-let originated_by addr (r : R.t) =
-  match R.originator_id r with Some o -> Ipv4.equal o addr | None -> false
-
 (* [List.exists (originated_by addr)] without a closure per target. *)
 let rec any_originated_by addr = function
   | [] -> false
@@ -733,65 +747,79 @@ let export_set t ~rib ~ids ~channel ~targets p derived =
 (* ------------------------------------------------------------------ *)
 (* ARR reflection (§2.1): best AS-level routes over the managed RIB.    *)
 
+(* Loop prevention and AS-level selection do not consult the IGP, so the
+   managed RIB is loaded whole; the tag records whether the next hop is
+   reachable. *)
+let rec push_managed_rev t s src = function
+  | [] -> ()
+  | (route : R.t) :: rs ->
+    push_managed_rev t s src rs;
+    let cost = t.env.igp_cost (R.next_hop route) in
+    let peer = Config.loopback src in
+    S.push s route D.Ibgp ~peer_id:peer ~peer_addr:peer ~igp_cost:cost ~src
+      ~tag:(if cost = Igp.Spf.unreachable then 0 else 1)
+
+let rec push_managed_tbl_rev t s p = function
+  | [] -> ()
+  | (src, rib) :: rest ->
+    push_managed_tbl_rev t s p rest;
+    push_managed_rev t s src (Rib.get rib p)
+
+(* The reflected routes of the survivors from the [k]-th on whose tag is
+   [reachable]. *)
+let rec reflected_set t s ~reachable k =
+  if k >= S.survivors s then []
+  else
+    let i = S.survivor s k in
+    if S.tag s i = reachable then
+      let d = derive_arr_reflect t (S.src s i) (S.route s i) in
+      d :: reflected_set t s ~reachable (k + 1)
+    else reflected_set t s ~reachable (k + 1)
+
+let rec aps_serving partition p = function
+  | [] -> []
+  | ap :: aps ->
+    if Partition.prefix_in_ap partition ap p then ap :: aps_serving partition p aps
+    else aps_serving partition p aps
+
 let recompute_arr t p =
   match t.roles.partition with
   | None -> ()
   | Some partition ->
-    let my_aps =
-      List.filter (fun ap -> Partition.prefix_in_ap partition ap p) t.roles.arr_aps
-    in
-    if my_aps <> [] then begin
-      let tagged = table_candidates t t.managed_arr S_from_arr p [] in
-      (* Loop prevention and AS-level selection do not consult the IGP, so
-         include candidates regardless of next-hop reachability. *)
-      let tagged =
-        List.fold_left
-          (fun acc (src, rib) ->
-            List.fold_left
-              (fun acc route ->
-                let c = ibgp_candidate t src route in
-                if eligible c then acc (* already included above *)
-                else (c, src, S_from_arr) :: acc)
-              acc (Rib.get rib p))
-          tagged (sorted_tbl t.managed_arr)
-      in
+    if in_any_ap partition p t.roles.arr_aps then begin
+      let s = S.get () in
+      S.clear s;
+      push_managed_tbl_rev t s p (sorted_tbl t.managed_arr);
+      S.run ~med_mode:(med_mode t) s;
+      (* Survivors with an unreachable next hop come first, then the
+         reachable ones, each in slot order: the set's order decides
+         its path-id assignment. *)
       let derived =
-        List.map
-          (fun ((c : D.candidate), src, _) -> derive_arr_reflect t src c.D.route)
-          (survivor_entries t tagged)
+        let reachable = reflected_set t s ~reachable:1 0 in
+        reflected_set t s ~reachable:0 0 @ reachable
       in
       export_set t ~rib:t.out_arr ~ids:t.ids_arr ~channel:Proto.From_arr
-        ~targets:(iter_reflect_targets t.env.config t.roles.abrr_arrs ~aps:my_aps)
+        ~targets:(fun f ->
+          iter_reflect_targets t.env.config t.roles.abrr_arrs
+            ~aps:(aps_serving partition p t.roles.arr_aps) f)
         p derived
     end
 
 (* ------------------------------------------------------------------ *)
 (* TRR reflection                                                      *)
 
-let source_is_clientside tag =
-  match tag with
-  | S_managed_trr | S_ebgp | S_local -> true
-  | S_mesh | S_confed | S_managed_rcp | S_from_rcp | S_from_trr | S_from_arr
-  | S_own_arr ->
-    false
-
-let trr_tagged t p =
-  local_candidates t p (ebgp_candidates t p [])
-  |> table_candidates t t.managed_trr S_managed_trr p
-  |> table_candidates t t.mesh_in S_mesh p
-
-let clientside tagged =
-  List.filter (fun (_, _, tag) -> source_is_clientside tag) tagged
-
-(* The derived route of a best entry and the peer it came from. *)
-let reflect_best t = function
-  | None -> (None, -1)
-  | Some ((_, src, _) as entry) -> (Some (derive_reflected t entry), src)
+(* The derived route of the scratch's winner and the peer it came from. *)
+let reflect_winner t s =
+  let w = S.winner s in
+  if w < 0 then (None, -1) else (Some (derive_reflected t s w), S.src s w)
 
 let recompute_trr_single t p =
-  let tagged = trr_tagged t p in
-  let best = best_entry t tagged in
-  let derived, sender = reflect_best t best in
+  let s = S.get () in
+  load_trr t s p ~with_mesh:true;
+  S.run ~med_mode:(med_mode t) s;
+  let w = S.winner s in
+  let best_clientside = w >= 0 && S.tag s w = tag_clientside in
+  let derived, sender = reflect_winner t s in
   (* To clients: the best route, never back to the client it came from. *)
   export_single t ~rib:t.out_clients ~channel:Proto.From_trr
     ~targets:(to_each t.roles.my_trr_clients) ~sender p derived;
@@ -799,26 +827,29 @@ let recompute_trr_single t p =
      With best-external, the best client-side route is advertised even
      when the overall best was learned from the mesh. *)
   let mesh_desired, mesh_sender =
-    match best with
-    | Some (_, _, tag) when source_is_clientside tag -> (derived, sender)
-    | Some _ | None ->
-      if t.roles.tbrr_best_external then
-        reflect_best t (best_entry t (clientside tagged))
-      else (None, -1)
+    if best_clientside then (derived, sender)
+    else if t.roles.tbrr_best_external then begin
+      load_trr t s p ~with_mesh:false;
+      S.run ~med_mode:(med_mode t) s;
+      reflect_winner t s
+    end
+    else (None, -1)
   in
   export_single t ~rib:t.out_mesh ~channel:Proto.Mesh
     ~targets:(to_each t.roles.trr_mesh) ~sender:mesh_sender p mesh_desired
 
 let recompute_trr_multi t p =
-  let tagged = trr_tagged t p in
-  let export ~rib ~ids ~channel ~targets entries =
+  let s = S.get () in
+  let export ~with_mesh ~rib ~ids ~channel ~targets =
+    load_trr t s p ~with_mesh;
+    S.run ~med_mode:(med_mode t) s;
     export_set t ~rib ~ids ~channel ~targets:(to_each targets) p
-      (List.map (derive_reflected t) (survivor_entries t entries))
+      (reflected_survivors t s 0)
   in
-  export ~rib:t.out_clients ~ids:t.ids_clients ~channel:Proto.From_trr
-    ~targets:t.roles.my_trr_clients tagged;
-  export ~rib:t.out_mesh ~ids:t.ids_mesh ~channel:Proto.Mesh
-    ~targets:t.roles.trr_mesh (clientside tagged)
+  export ~with_mesh:true ~rib:t.out_clients ~ids:t.ids_clients
+    ~channel:Proto.From_trr ~targets:t.roles.my_trr_clients;
+  export ~with_mesh:false ~rib:t.out_mesh ~ids:t.ids_mesh ~channel:Proto.Mesh
+    ~targets:t.roles.trr_mesh
 
 (* ------------------------------------------------------------------ *)
 (* Client function: decision + export                                  *)
@@ -836,67 +867,76 @@ let abrr_active t =
 (* Table 1 reads "best routes" (plural): on add-paths planes the client
    advertises every other-learned route that ties at AS level — exactly
    what makes the ARR's managed RIB equal #BAL x #Prefixes / #APs in
-   Appendix A.1. *)
-let own_as_level_survivors t tagged =
-  let survivors =
-    D.steps_1_to_4 ~med_mode:t.env.config.med_mode (cands_of tagged)
-  in
-  List.filter_map
-    (fun (c : D.candidate) ->
-      match c.D.learned with
-      | D.Ebgp | D.Local -> Some (derive_own t c.D.route)
-      | D.Ibgp | D.Confed_ebgp -> None)
-    survivors
+   Appendix A.1. Read from the client decision's survivors, from the
+   [k]-th on. *)
+let rec own_survivors t s k =
+  if k >= S.survivors s then []
+  else
+    let i = S.survivor s k in
+    match S.learned s i with
+    | D.Ebgp | D.Local ->
+      let d = derive_own t (S.route s i) in
+      d :: own_survivors t s (k + 1)
+    | D.Ibgp | D.Confed_ebgp -> own_survivors t s (k + 1)
 
-let client_export t p tagged (winner : (D.candidate * int * src_tag) option) =
+(* The client's own advertisement of the winner: only an eBGP or local
+   winner is advertised. *)
+let own_winner t s =
+  let w = S.winner s in
+  if w < 0 then None
+  else
+    match S.learned s w with
+    | D.Ebgp | D.Local -> Some (derive_own t (S.route s w))
+    | D.Ibgp | D.Confed_ebgp -> None
+
+let arr_targets t partition p f =
+  let aps = Partition.aps_of_prefix partition p in
+  to_each (dedup_ints (List.concat_map (fun ap -> t.roles.abrr_arrs.(ap)) aps)) f
+
+let client_export t s p =
   if t.roles.is_client then begin
-    let desired =
-      match winner with
-      | Some (c, _, _) when c.D.learned = D.Ebgp || c.D.learned = D.Local ->
-        Some (derive_own t c.D.route)
-      | Some _ | None -> None
-    in
-    let own_survivors () = own_as_level_survivors t tagged in
     (match t.env.config.scheme with
     | Config.Full_mesh ->
       export_single t ~rib:t.adv_mesh ~channel:Proto.Mesh
-        ~targets:(to_each t.roles.mesh_peers) p desired
+        ~targets:(to_each t.roles.mesh_peers) p (own_winner t s)
     | Config.Tbrr _ | Config.Abrr _ | Config.Confed _ | Config.Rcp _
     | Config.Dual _ -> ());
     if tbrr_active t && t.roles.my_trrs <> [] then begin
       let targets = to_each t.roles.my_trrs in
       if t.roles.tbrr_multipath then
         export_set t ~rib:t.adv_trr ~ids:t.ids_adv_trr ~channel:Proto.To_trr
-          ~targets p (own_survivors ())
-      else export_single t ~rib:t.adv_trr ~channel:Proto.To_trr ~targets p desired
+          ~targets p (own_survivors t s 0)
+      else
+        export_single t ~rib:t.adv_trr ~channel:Proto.To_trr ~targets p
+          (own_winner t s)
     end;
     if abrr_active t then begin
       match t.roles.partition with
       | None -> ()
       | Some partition ->
-        let aps = Partition.aps_of_prefix partition p in
-        let targets =
-          dedup_ints (List.concat_map (fun ap -> t.roles.abrr_arrs.(ap)) aps)
-        in
         export_set t ~rib:t.adv_arr ~ids:t.ids_adv_arr ~channel:Proto.To_arr
-          ~targets:(to_each targets) p (own_survivors ())
+          ~targets:(arr_targets t partition p) p (own_survivors t s 0)
     end
   end
 
-let run_decision t p =
-  let tagged = collect_candidates t p in
-  let winner = best_entry t tagged in
-  let old = Rib.get t.loc_rib p in
-  let new_route = Option.map (fun (c, _, _) -> (c : D.candidate).D.route) winner in
-  let changed = not (same_single old new_route) in
+(* Load and run the client decision, and store its winner in the
+   Loc-RIB. The result stays in the scratch for the exports; returns
+   whether the Loc-RIB changed. *)
+let run_decision t s p =
+  load_client t s p;
+  S.run ~med_mode:(med_mode t) s;
+  let w = S.winner s in
+  let changed =
+    match Rib.get t.loc_rib p with
+    | [] -> w >= 0
+    | [ old ] -> w < 0 || not (R.same_path old (S.route s w))
+    | _ :: _ :: _ -> true
+  in
   if changed then begin
-    (match new_route with
-    | Some r -> rib_set t t.loc_rib p [ r ]
-    | None -> rib_set t t.loc_rib p []);
-    t.counters.last_change <- t.env.now ();
-    t.env.on_best_change p new_route
+    rib_set t t.loc_rib p (if w < 0 then [] else [ S.route s w ]);
+    t.counters.last_change <- t.env.now ()
   end;
-  (winner, tagged)
+  changed
 
 (* Confederation advertisement rules (RFC 5065): inside the sub-AS the
    best route is advertised iff it is not iBGP-learned (eBGP, local or
@@ -904,30 +944,29 @@ let run_decision t p =
    advertised (with our member ASN prepended to AS_CONFED_SEQUENCE),
    relying on receiver-side confed loop detection plus split-horizon
    withdrawal toward the sender. *)
-let confed_export t p (winner : (D.candidate * int * src_tag) option) =
+let confed_export t s p =
   let my_asn =
     match t.roles.my_member_asn with Some a -> a | None -> Bgp.Asn.of_int 0
   in
-  let derive_base (c : D.candidate) =
-    match c.D.learned with
-    | D.Ebgp | D.Local -> derive_own t c.D.route
-    | D.Confed_ebgp | D.Ibgp -> { (strip_reflection c.D.route) with R.path_id = 0 }
+  let w = S.winner s in
+  let base () =
+    let route = S.route s w in
+    match S.learned s w with
+    | D.Ebgp | D.Local -> derive_own t route
+    | D.Confed_ebgp | D.Ibgp -> { (strip_reflection route) with R.path_id = 0 }
   in
   let mesh_desired =
-    match winner with
-    | Some (c, _, _) when c.D.learned <> D.Ibgp -> Some (derive_base c)
-    | Some _ | None -> None
+    if w >= 0 && S.learned s w <> D.Ibgp then Some (base ()) else None
   in
   export_single t ~rib:t.adv_mesh ~channel:Proto.Mesh
     ~targets:(to_each t.roles.mesh_peers) p mesh_desired;
   let confed_desired =
-    Option.map
-      (fun ((c : D.candidate), _, _) ->
-        let r = derive_base c in
-        R.update ~as_path:(As_path.prepend_confed my_asn (R.as_path r)) r)
-      winner
+    if w < 0 then None
+    else
+      let r = base () in
+      Some (R.update ~as_path:(As_path.prepend_confed my_asn (R.as_path r)) r)
   in
-  let sender = match winner with Some (_, s, _) -> s | None -> -1 in
+  let sender = if w < 0 then -1 else S.src s w in
   export_single t ~rib:t.adv_confed ~channel:Proto.Confed
     ~targets:(to_each t.roles.confed_links) ~sender p confed_desired
 
@@ -955,50 +994,52 @@ let recompute_rcp t p =
         List.fold_left (fun acc route -> (src, route) :: acc) acc (Rib.get rib p))
       [] (sorted_tbl t.managed_rcp)
   in
+  let s = S.get () in
   List.iter
     (fun client ->
-      let tagged =
-        List.filter_map
-          (fun (src, (route : R.t)) ->
-            let cost = t.env.igp_cost_from ~src:client (R.next_hop route) in
-            if cost = Igp.Spf.unreachable then None
-            else
-              Some
-                ( {
-                    D.route;
-                    learned = (if src = client then D.Ebgp else D.Ibgp);
-                    peer_id = Config.loopback src;
-                    peer_addr = Config.loopback src;
-                    igp_cost = cost;
-                  },
-                  src,
-                  S_managed_rcp ))
-          all
-      in
+      S.clear s;
+      List.iter
+        (fun (src, (route : R.t)) ->
+          let cost = t.env.igp_cost_from ~src:client (R.next_hop route) in
+          if cost <> Igp.Spf.unreachable then begin
+            let peer = Config.loopback src in
+            S.push s route
+              (if src = client then D.Ebgp else D.Ibgp)
+              ~peer_id:peer ~peer_addr:peer ~igp_cost:cost ~src ~tag:tag_other
+          end)
+        all;
+      S.run ~med_mode:(med_mode t) s;
+      let w = S.winner s in
       let desired =
-        match best_entry t tagged with
-        | Some (c, src, _) when src <> client ->
+        if w >= 0 && S.src s w <> client then
           Some
-            (R.update ~path_id:0 ~originator_id:(Some (Config.loopback src))
-               c.D.route)
-        | Some _ | None -> None (* the client's own route: nothing to teach *)
+            (R.update ~path_id:0
+               ~originator_id:(Some (Config.loopback (S.src s w)))
+               (S.route s w))
+        else None (* the client's own route: nothing to teach *)
       in
       export_single t ~rib:(table_rib t.rcp_out client) ~channel:Proto.From_rcp
         ~targets:(fun f -> f client) p desired)
     t.roles.rcp_clients
 
-let rcp_client_export t p tagged =
+let rcp_client_export t s p =
   if t.roles.is_client then
     export_set t ~rib:t.adv_rcp ~ids:t.ids_adv_arr ~channel:Proto.To_rcp
-      ~targets:(to_each t.roles.rcps) p (own_as_level_survivors t tagged)
+      ~targets:(to_each t.roles.rcps) p (own_survivors t s 0)
 
+(* ARR reflection, then the client decision and the exports that read
+   its result, then the TRR planes: each loads the scratch afresh, so
+   the client's result is read out before the TRR planes (or a
+   best-change hook) run. *)
 let recompute t p =
   if abrr_active t then recompute_arr t p;
   if t.roles.is_rcp then recompute_rcp t p;
-  let winner, tagged = run_decision t p in
-  if confed_active t then confed_export t p winner
-  else if rcp_active t then rcp_client_export t p tagged
-  else client_export t p tagged winner;
+  let s = S.get () in
+  let changed = run_decision t s p in
+  if confed_active t then confed_export t s p
+  else if rcp_active t then rcp_client_export t s p
+  else client_export t s p;
+  if changed then t.env.on_best_change p (best t p);
   if t.roles.is_trr && tbrr_active t then
     if t.roles.tbrr_multipath then recompute_trr_multi t p
     else recompute_trr_single t p
@@ -1043,40 +1084,54 @@ let rec all_accepted t channel = function
    decisions. Under per-neighbour-AS MED the client must keep one route
    per neighbour AS (deterministic-MED-style storage): a discarded
    low-MED route could otherwise fail to eliminate the client's own
-   eBGP route from the same AS (footnote 1 of the paper). *)
+   eBGP route from the same AS (footnote 1 of the paper). A group whose
+   next hops are all unreachable is stored whole. *)
+
+let all_ases = min_int
+
+let in_group key r = key = all_ases || D.neighbor_as_int r = key
+
+let rec push_group t s src key = function
+  | [] -> ()
+  | r :: rs ->
+    if in_group key r then push_ibgp t s ~learned:D.Ibgp ~tag:tag_other src r;
+    push_group t s src key rs
+
+(* The stored part of the group [key] of [routes]: its best route, or
+   the whole group when none is reachable. *)
+let pick_group t src key routes =
+  let s = S.get () in
+  S.clear s;
+  push_group t s src key routes;
+  S.run ~med_mode:(med_mode t) s;
+  let w = S.winner s in
+  if w >= 0 then [ S.route s w ]
+  else if key = all_ases then routes
+  else List.filter (in_group key) routes
+
+(* Does one of the first [n] routes have neighbour-AS key [key]? *)
+let rec key_before key n = function
+  | r :: rs when n > 0 -> D.neighbor_as_int r = key || key_before key (n - 1) rs
+  | _ -> false
+
+(* One pick per neighbour AS, in order of first appearance; [rest] is
+   [routes] from position [i] on. *)
+let rec per_as_picks t src routes i = function
+  | [] -> []
+  | r :: rest ->
+    let key = D.neighbor_as_int r in
+    if key_before key i routes then per_as_picks t src routes (i + 1) rest
+    else
+      let pick = pick_group t src key routes in
+      pick @ per_as_picks t src routes (i + 1) rest
+
 let best_of_set t src routes =
   match routes with
   | [] | [ _ ] -> routes
   | _ -> (
-    let med_mode = t.env.config.med_mode in
-    let pick group =
-      let cands = List.map (ibgp_candidate t src) group in
-      let usable = List.filter eligible cands in
-      if usable = [] then group
-      else
-        match D.best ~med_mode usable with
-        | Some c -> [ c.D.route ]
-        | None -> group
-    in
-    match med_mode with
-    | D.Always_compare -> pick routes
-    | D.Per_neighbor_as ->
-      let groups = Hashtbl.create 4 in
-      let order = ref [] in
-      List.iter
-        (fun r ->
-          let key =
-            match R.neighbor_as r with Some a -> Bgp.Asn.to_int a | None -> -1
-          in
-          match Hashtbl.find_opt groups key with
-          | Some l -> l := r :: !l
-          | None ->
-            Hashtbl.add groups key (ref [ r ]);
-            order := key :: !order)
-        routes;
-      List.concat_map
-        (fun key -> pick (List.rev !(Hashtbl.find groups key)))
-        (List.rev !order))
+    match med_mode t with
+    | D.Always_compare -> pick_group t src all_ases routes
+    | D.Per_neighbor_as -> per_as_picks t src routes 0 routes)
 
 (* Every prefix with state anywhere in this router: all Adj-RIB-Ins
    (plain and per-peer) plus the Loc-RIB and derived advert tables,
@@ -1127,12 +1182,6 @@ let plane_trr = 2   (* out_clients: reflected best over the TRR subset *)
 let plane_mesh = 4  (* out_mesh: clientside best/survivors toward the mesh *)
 let plane_arr = 8   (* out_arr: best-AS-level set over managed_arr *)
 
-type churn = {
-  mutable ch_full : bool;  (* structural event: always recompute *)
-  mutable ch_planes : int;
-  mutable ch_routes : R.t list;  (* routes added to / removed from tables *)
-}
-
 let planes_of_channel = function
   | Proto.Mesh -> plane_loc lor plane_trr
   | Proto.Confed -> plane_loc
@@ -1153,7 +1202,21 @@ let mark_noop dirty p = ignore (churn_of dirty p)
 let mark_delta dirty p planes routes =
   let c = churn_of dirty p in
   c.ch_planes <- c.ch_planes lor planes;
-  c.ch_routes <- List.rev_append routes c.ch_routes
+  c.ch_routes <-
+    (match c.ch_routes with [] -> routes | rs -> List.rev_append routes rs)
+
+let rec all_lose med_mode incumbent = function
+  | [] -> true
+  | r :: rs ->
+    D.intrinsic_loses ~med_mode ~incumbent r && all_lose med_mode incumbent rs
+
+(* Does every churned route strictly lose to the head of [rib]? *)
+let loses_to t p (c : churn) rib =
+  match Rib.get rib p with
+  | [] -> false
+  | incumbent :: _ -> all_lose (med_mode t) incumbent c.ch_routes
+
+let needs (c : churn) plane = c.ch_planes land plane <> 0
 
 (* Classify one dirty prefix: [`Noop] when the batch left every stored
    table unchanged, [`Delta] when every churned route strictly loses to
@@ -1167,26 +1230,16 @@ let classify t p (c : churn) =
   if c.ch_full || t.roles.is_rcp then `Full
   else if c.ch_routes = [] then `Noop
   else begin
-    let med_mode = t.env.config.med_mode in
-    let loses_to rib =
-      match Rib.get rib p with
-      | [] -> false
-      | (incumbent : R.t) :: _ ->
-        List.for_all
-          (fun r -> D.intrinsic_loses ~med_mode ~incumbent r)
-          c.ch_routes
-    in
-    let need plane = c.ch_planes land plane <> 0 in
     let trr = t.roles.is_trr && tbrr_active t in
     if
-      (not (need plane_loc) || loses_to t.loc_rib)
-      && ((not trr) || not (need plane_trr) || loses_to t.out_clients)
+      (not (needs c plane_loc) || loses_to t p c t.loc_rib)
+      && ((not trr) || not (needs c plane_trr) || loses_to t p c t.out_clients)
       && ((not trr)
          || not (t.roles.tbrr_multipath || t.roles.tbrr_best_external)
-         || not (need plane_mesh)
-         || loses_to t.out_mesh)
-      && (not (abrr_active t && need plane_arr && serves_prefix t p)
-         || loses_to t.out_arr)
+         || not (needs c plane_mesh)
+         || loses_to t p c t.out_mesh)
+      && (not (abrr_active t && needs c plane_arr && serves_prefix t p)
+         || loses_to t p c t.out_arr)
     then `Delta
     else `Full
   end
@@ -1196,22 +1249,66 @@ let classify t p (c : churn) =
    skips actually skip differs — and a naive recomputation of a skipped
    prefix changes no RIB, generates no update and stamps no change, so
    the two engines stay counter- and snapshot-identical. *)
+let decide t ~incremental p c =
+  t.counters.decisions_run <- t.counters.decisions_run + 1;
+  match classify t p c with
+  | `Full ->
+    t.counters.decisions_full <- t.counters.decisions_full + 1;
+    recompute t p
+  | `Delta ->
+    t.counters.decisions_delta <- t.counters.decisions_delta + 1;
+    if not incremental then recompute t p
+  | `Noop ->
+    t.counters.decisions_skipped <- t.counters.decisions_skipped + 1;
+    if not incremental then recompute t p
+
+let rec decide_all t ~incremental = function
+  | [] -> ()
+  | (p, c) :: rest ->
+    decide t ~incremental p c;
+    decide_all t ~incremental rest
+
 let run_batch t dirty =
-  let incremental = t.env.config.decision = Config.Incremental in
-  List.iter
-    (fun (p, c) ->
-      t.counters.decisions_run <- t.counters.decisions_run + 1;
-      match classify t p c with
-      | `Full ->
-        t.counters.decisions_full <- t.counters.decisions_full + 1;
-        recompute t p
-      | `Delta ->
-        t.counters.decisions_delta <- t.counters.decisions_delta + 1;
-        if not incremental then recompute t p
-      | `Noop ->
-        t.counters.decisions_skipped <- t.counters.decisions_skipped + 1;
-        if not incremental then recompute t p)
+  decide_all t
+    ~incremental:(t.env.config.decision = Config.Incremental)
     (Rib.Dirty.drain dirty)
+
+(* Mark how one stored route set changed from [old] to [routes]. *)
+let note_store dirty p channel old routes =
+  if List.equal R.equal old routes then mark_noop dirty p
+  else
+    let planes = planes_of_channel channel in
+    match (old, routes) with
+    (* one-route fast paths: best-only stores are nearly always one route *)
+    | [], _ -> mark_delta dirty p planes routes
+    | _, [] -> mark_delta dirty p planes old
+    | [ _ ], [ r ] -> mark_delta dirty p planes (r :: old)
+    | _ ->
+      let adds =
+        List.filter (fun r -> not (List.exists (R.equal r) old)) routes
+      in
+      let rems =
+        List.filter (fun r -> not (List.exists (R.equal r) routes)) old
+      in
+      (* Routes common to both sets must keep their relative order: the
+         stored order feeds candidate loading and hence derived-set
+         path-id assignment, so a reorder is not a pure add/remove. *)
+      let common_old = List.filter (fun r -> List.exists (R.equal r) routes) old in
+      let common_new = List.filter (fun r -> List.exists (R.equal r) old) routes in
+      if adds = [] && rems = [] then mark_full dirty p
+      else if List.equal R.equal common_old common_new then
+        mark_delta dirty p planes (adds @ rems)
+      else mark_full dirty p
+
+let store t src channel p routes dirty tbl ~best_only =
+  let rib = table_rib tbl src in
+  let routes =
+    if best_only && not t.env.config.store_full_sets then best_of_set t src routes
+    else routes
+  in
+  let old = Rib.get rib p in
+  rib_set t rib p routes;
+  note_store dirty p channel old routes
 
 let apply_item t src ((channel, delta) : Proto.item) dirty =
   let p = delta.Proto.prefix in
@@ -1223,49 +1320,30 @@ let apply_item t src ((channel, delta) : Proto.item) dirty =
       List.filter (filter_incoming t channel) routes
     end
   in
-  let store tbl ~best_only =
-    let rib = table_rib tbl src in
-    let routes =
-      if best_only && not t.env.config.store_full_sets then best_of_set t src keep
-      else keep
-    in
-    let old = Rib.get rib p in
-    rib_set t rib p routes;
-    if List.equal R.equal old routes then mark_noop dirty p
-    else begin
-      let adds =
-        List.filter (fun r -> not (List.exists (R.equal r) old)) routes
-      in
-      let rems =
-        List.filter (fun r -> not (List.exists (R.equal r) routes)) old
-      in
-      (* Routes common to both sets must keep their relative order: the
-         stored order feeds candidate collection and hence derived-set
-         path-id assignment, so a reorder is not a pure add/remove. *)
-      let common_old = List.filter (fun r -> List.exists (R.equal r) routes) old in
-      let common_new = List.filter (fun r -> List.exists (R.equal r) old) routes in
-      if adds = [] && rems = [] then mark_full dirty p
-      else if List.equal R.equal common_old common_new then
-        mark_delta dirty p (planes_of_channel channel) (adds @ rems)
-      else mark_full dirty p
-    end
-  in
   match channel with
-  | Proto.Mesh -> store t.mesh_in ~best_only:false
-  | Proto.Confed -> store t.confed_in ~best_only:false
+  | Proto.Mesh -> store t src channel p keep dirty t.mesh_in ~best_only:false
+  | Proto.Confed -> store t src channel p keep dirty t.confed_in ~best_only:false
   | Proto.To_rcp ->
-    if t.roles.is_rcp then store t.managed_rcp ~best_only:false
+    if t.roles.is_rcp then
+      store t src channel p keep dirty t.managed_rcp ~best_only:false
     else reject_loop t
-  | Proto.From_rcp -> store t.from_rcp ~best_only:false
+  | Proto.From_rcp -> store t src channel p keep dirty t.from_rcp ~best_only:false
   | Proto.To_trr ->
-    if t.roles.is_trr then store t.managed_trr ~best_only:false
+    if t.roles.is_trr then
+      store t src channel p keep dirty t.managed_trr ~best_only:false
     else reject_loop t
   | Proto.To_arr ->
     if t.roles.arr_aps <> [] && serves_prefix t p then
-      store t.managed_arr ~best_only:false
+      store t src channel p keep dirty t.managed_arr ~best_only:false
     else reject_loop t
-  | Proto.From_trr -> store t.from_trr ~best_only:true
-  | Proto.From_arr -> store t.from_arr ~best_only:true
+  | Proto.From_trr -> store t src channel p keep dirty t.from_trr ~best_only:true
+  | Proto.From_arr -> store t src channel p keep dirty t.from_arr ~best_only:true
+
+let rec apply_items t src dirty = function
+  | [] -> ()
+  | item :: items ->
+    apply_item t src item dirty;
+    apply_items t src dirty items
 
 (* ------------------------------------------------------------------ *)
 (* Route-flap damping (RFC 2439 style, Bgp.Damping arithmetic). Hooks
@@ -1401,9 +1479,17 @@ let damping_pass t dirty =
         entries
     end
 
+(* [prev :: tail] for the route [prev] of [routes] carrying [path_id],
+   [tail] when there is none. *)
+let rec cons_path_id path_id routes tail =
+  match routes with
+  | [] -> tail
+  | (r : R.t) :: rs ->
+    if r.R.path_id = path_id then r :: tail else cons_path_id path_id rs tail
+
 let apply_input t input dirty =
   match input with
-  | In_items { src; items } -> List.iter (fun item -> apply_item t src item dirty) items
+  | In_items { src; items } -> apply_items t src dirty items
   | In_ebgp { neighbor; route } ->
     let absorbed =
       match t.env.config.Config.damping with
@@ -1412,76 +1498,60 @@ let apply_input t input dirty =
     in
     if not absorbed then begin
       let p = route.R.prefix in
-      let key = Prefix.to_key p in
-      let prev =
-        List.find_opt
-          (fun (r : R.t) -> r.R.path_id = route.R.path_id)
-          (Rib.get t.ebgp_rib p)
-      in
+      let key = (Prefix.to_key p, route.R.path_id) in
+      let old = Rib.get t.ebgp_rib p in
       let changed = Rib.upsert t.ebgp_rib route in
       let neighbor_changed =
-        match Hashtbl.find_opt t.ebgp_neighbors (key, route.R.path_id) with
-        | Some n -> not (Ipv4.equal n neighbor)
-        | None -> false
+        match Hashtbl.find t.ebgp_neighbors key with
+        | n -> not (Ipv4.equal n neighbor)
+        | exception Not_found -> false
       in
-      Hashtbl.replace t.ebgp_neighbors (key, route.R.path_id) neighbor;
+      Hashtbl.replace t.ebgp_neighbors key neighbor;
       (* Re-announcing the stored route verbatim is a decision no-op; a
          neighbour change with identical attributes still shifts the
          candidate's peer identity (steps 7-8), so it recomputes in full. *)
       if neighbor_changed then mark_full dirty p
       else if not changed then mark_noop dirty p
-      else mark_delta dirty p planes_clientside (route :: Option.to_list prev)
+      else
+        mark_delta dirty p planes_clientside
+          (route :: cons_path_id route.R.path_id old [])
     end
   | In_ebgp_withdraw { neighbor; prefix; path_id } ->
     (match t.env.config.Config.damping with
     | Some params -> damp_withdraw t params ~neighbor ~prefix ~path_id
     | None -> ());
-    let key = Prefix.to_key prefix in
-    let prev =
-      List.find_opt
-        (fun (r : R.t) -> r.R.path_id = path_id)
-        (Rib.get t.ebgp_rib prefix)
-    in
+    let old = Rib.get t.ebgp_rib prefix in
     if Rib.drop t.ebgp_rib prefix ~path_id then begin
-      Hashtbl.remove t.ebgp_neighbors (key, path_id);
-      mark_delta dirty prefix planes_clientside (Option.to_list prev)
+      Hashtbl.remove t.ebgp_neighbors (Prefix.to_key prefix, path_id);
+      mark_delta dirty prefix planes_clientside (cons_path_id path_id old [])
     end
   | In_local route ->
     let p = route.R.prefix in
-    let prev =
-      List.find_opt
-        (fun (r : R.t) -> r.R.path_id = route.R.path_id)
-        (Rib.get t.local_rib p)
-    in
+    let old = Rib.get t.local_rib p in
     if Rib.upsert t.local_rib route then
-      mark_delta dirty p planes_clientside (route :: Option.to_list prev)
+      mark_delta dirty p planes_clientside
+        (route :: cons_path_id route.R.path_id old [])
     else mark_noop dirty p
   | In_local_withdraw { prefix; path_id } ->
-    let prev =
-      List.find_opt
-        (fun (r : R.t) -> r.R.path_id = path_id)
-        (Rib.get t.local_rib prefix)
-    in
+    let old = Rib.get t.local_rib prefix in
     if Rib.drop t.local_rib prefix ~path_id then
-      mark_delta dirty prefix planes_clientside (Option.to_list prev)
+      mark_delta dirty prefix planes_clientside (cons_path_id path_id old [])
   | In_redecide_all -> iter_known t (fun p -> mark_full dirty p)
+
+let rec drain_inbox t dirty =
+  if not (Queue.is_empty t.inbox) then begin
+    apply_input t (Queue.take t.inbox) dirty;
+    drain_inbox t dirty
+  end
 
 let process_now t =
   t.process_scheduled <- false;
   if not t.up then Queue.clear t.inbox
   else begin
-  let dirty = Rib.Dirty.create () in
-  let rec drain () =
-    match Queue.take_opt t.inbox with
-    | None -> ()
-    | Some input ->
-      apply_input t input dirty;
-      drain ()
-  in
-  drain ();
-  damping_pass t dirty;
-  run_batch t dirty;
-  flush_outgoing t
+    drain_inbox t t.dirty;
+    damping_pass t t.dirty;
+    run_batch t t.dirty;
+    flush_outgoing t
   end
 
 let ensure_process t =
@@ -1720,8 +1790,6 @@ let set_up_cold t =
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-let best t p = match Rib.get t.loc_rib p with [] -> None | r :: _ -> Some r
-
 (* LPM straight off the Loc-RIB trie — no separate FIB copy. *)
 let lookup t addr =
   match Rib.longest_match t.loc_rib addr with
@@ -1731,8 +1799,11 @@ let lookup t addr =
 let idle t = Queue.is_empty t.inbox && not t.process_scheduled
 
 let recomputed_best t p =
-  Option.map (fun (c : D.candidate) -> c.D.route)
-    (D.best ~med_mode:t.env.config.med_mode (cands_of (collect_candidates t p)))
+  let s = S.get () in
+  load_client t s p;
+  S.run ~med_mode:(med_mode t) s;
+  let w = S.winner s in
+  if w < 0 then None else Some (S.route s w)
 
 let best_exit t p =
   match best t p with

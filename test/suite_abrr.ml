@@ -53,6 +53,82 @@ let test_client_stores_per_as_under_med () =
   quiesce net;
   check_int "one per AS" 2 (List.length (R.received_set (N.router net 5) ~from:0 prefix))
 
+(* The §3.4 pick against the oracle, on a set delivered straight to
+   client 5: it stores [Decision.Naive.best] over the set's reachable
+   routes (one per neighbour AS under per-AS MED), and a group with no
+   reachable next hop whole. Router 4 is cut off from the IGP, so routes
+   with its next hop are unreachable. *)
+let test_client_best_of_set_matches_naive () =
+  let n = 6 in
+  let igp = Igp.Graph.create ~n in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if i <> 4 && j <> 4 then Igp.Graph.add_edge igp i j (100 + ((i * 7) + (j * 13) mod 23))
+    done
+  done;
+  let reflected ~id ~asn ~med owner =
+    Bgp.Route.make ~path_id:id ~med:(Some med)
+      ~as_path:(Bgp.As_path.of_asns [ Bgp.Asn.of_int asn; Bgp.Asn.of_int 65500 ])
+      ~prefix ~next_hop:(C.loopback owner) ()
+  in
+  let check med_mode set =
+    let net =
+      N.create
+        (C.make ~med_mode ~n_routers:n ~igp
+           ~scheme:(C.abrr ~partition:(Part.uniform 1) [| [ 0 ] |])
+           ())
+    in
+    let client = N.router net 5 in
+    R.receive client ~src:0 ~bytes:0 ~msgs:0
+      ~items:[ (Abrr_core.Proto.From_arr, Abrr_core.Proto.delta prefix set) ];
+    R.process_now client;
+    let cost r = N.igp_distance net 5 (owner_of_route r) in
+    let pick group =
+      let reachable = List.filter (fun r -> cost r <> Igp.Spf.unreachable) group in
+      let cands =
+        List.map
+          (fun r ->
+            Bgp.Decision.candidate ~learned:Bgp.Decision.Ibgp
+              ~peer_id:(C.loopback 0) ~peer_addr:(C.loopback 0) ~igp_cost:(cost r) r)
+          reachable
+      in
+      match Bgp.Decision.Naive.best ~med_mode cands with
+      | Some c -> [ c.Bgp.Decision.route ]
+      | None -> group
+    in
+    let expected =
+      match med_mode with
+      | Bgp.Decision.Always_compare -> pick set
+      | Bgp.Decision.Per_neighbor_as ->
+        let as_of r = Bgp.Decision.neighbor_as_int r in
+        let keys = List.sort_uniq compare (List.map as_of set) in
+        let first k =
+          let rec go i = function
+            | r :: rs -> if as_of r = k then i else go (i + 1) rs
+            | [] -> max_int
+          in
+          go 0 set
+        in
+        List.concat_map
+          (fun k -> pick (List.filter (fun r -> as_of r = k) set))
+          (List.sort (fun a b -> compare (first a) (first b)) keys)
+    in
+    check_bool "stored = oracle" true
+      (List.equal Bgp.Route.equal (R.received_set client ~from:0 prefix) expected);
+    expected
+  in
+  let mixed =
+    [ reflected ~id:1 ~asn:7000 ~med:5 1; reflected ~id:2 ~asn:8000 ~med:9 4;
+      reflected ~id:3 ~asn:7000 ~med:3 2; reflected ~id:4 ~asn:8000 ~med:1 3 ]
+  in
+  check_int "one best" 1 (List.length (check Bgp.Decision.Always_compare mixed));
+  check_int "one per AS" 2 (List.length (check Bgp.Decision.Per_neighbor_as mixed));
+  let unreachable =
+    [ reflected ~id:1 ~asn:7000 ~med:5 4; reflected ~id:2 ~asn:8000 ~med:3 4 ]
+  in
+  check_int "unreachable kept whole" 2
+    (List.length (check Bgp.Decision.Always_compare unreachable))
+
 let test_client_stores_full_set_when_configured () =
   let cfg = single_ap_abrr ~arrs:[ 0 ] () in
   let cfg = { cfg with C.store_full_sets = true } in
@@ -177,6 +253,52 @@ let test_ebgp_route_replacement () =
   check_bool "still one set entry" true
     (List.length (R.reflector_set (N.router net 0) prefix) = 1)
 
+(* Noop and Delta batches stay allocation-lean: on a converged client,
+   [process_now] for a re-delivered reflected set (Noop), a strictly
+   losing eBGP announcement and its withdrawal (both Delta) allocates
+   under 80 words each, after one warm-up round. *)
+let test_noop_delta_batches_allocation () =
+  let net = N.create (single_ap_abrr ~arrs:[ 0 ] ()) in
+  inject net ~router:2 (route ~asn:7000 ~prefix 2);
+  inject net ~router:3 (route ~asn:8000 ~prefix 3);
+  quiesce net;
+  let client = N.router net 5 in
+  let set = R.reflector_set (N.router net 0) prefix in
+  let loser = route ~lp:50 ~path_id:9 ~prefix 9 in
+  let batch name input =
+    input ();
+    let before = Gc.minor_words () in
+    R.process_now client;
+    let words = Gc.minor_words () -. before in
+    (name, words)
+  in
+  let round () =
+    let noop =
+      batch "noop" (fun () ->
+          R.receive client ~src:0 ~bytes:0 ~msgs:0
+            ~items:[ (Abrr_core.Proto.From_arr, Abrr_core.Proto.delta prefix set) ])
+    in
+    let announce =
+      batch "delta announce" (fun () ->
+          R.inject_ebgp client ~neighbor:(neighbor 9) loser)
+    in
+    let withdraw =
+      batch "delta withdraw" (fun () ->
+          R.withdraw_ebgp client ~neighbor:(neighbor 9) prefix ~path_id:9)
+    in
+    [ noop; announce; withdraw ]
+  in
+  let skipped0 = (R.counters client).Abrr_core.Counters.decisions_skipped in
+  let delta0 = (R.counters client).Abrr_core.Counters.decisions_delta in
+  ignore (round ());
+  let measured = round () in
+  check_int "noops" 2 ((R.counters client).Abrr_core.Counters.decisions_skipped - skipped0);
+  check_int "deltas" 4 ((R.counters client).Abrr_core.Counters.decisions_delta - delta0);
+  List.iter
+    (fun (name, words) ->
+      if words > 80. then Alcotest.failf "%s batch allocated %.0f words" name words)
+    measured
+
 let suite =
   ( "abrr",
     [
@@ -186,6 +308,10 @@ let suite =
       Alcotest.test_case "clients store best only" `Quick test_client_stores_best_only;
       Alcotest.test_case "per-AS storage under MED" `Quick
         test_client_stores_per_as_under_med;
+      Alcotest.test_case "noop/delta batches allocate little" `Quick
+        test_noop_delta_batches_allocation;
+      Alcotest.test_case "best-of-set pick = naive oracle" `Quick
+        test_client_best_of_set_matches_naive;
       Alcotest.test_case "full-set storage mode" `Quick
         test_client_stores_full_set_when_configured;
       Alcotest.test_case "redundant ARRs consistent" `Quick

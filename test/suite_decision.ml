@@ -243,17 +243,65 @@ let arb_rich_candidates =
 
 let both_modes = [ Decision.Always_compare; Decision.Per_neighbor_as ]
 
+(* The push-fed entry over [cands], each candidate pushed with its
+   input position as [src]: the winner's position ([-1] when empty) and
+   the survivors' positions, read back by slot. Each slot's route must be
+   the route pushed at that position. *)
+let push_fed ~med_mode cands =
+  let module K = Decision.Scratch in
+  let s = K.get () in
+  K.clear s;
+  List.iteri
+    (fun i (c : Decision.candidate) ->
+      K.push s c.route c.learned ~peer_id:c.peer_id ~peer_addr:c.peer_addr
+        ~igp_cost:c.igp_cost ~src:i ~tag:(-i))
+    cands;
+  K.run ~med_mode s;
+  let pos slot =
+    let i = K.src s slot in
+    if (List.nth cands i).Decision.route != K.route s slot || K.tag s slot <> -i
+    then Alcotest.fail "slot columns out of step";
+    i
+  in
+  let w = K.winner s in
+  ( (if w < 0 then -1 else pos w),
+    List.init (K.survivors s) (fun k -> pos (K.survivor s k)) )
+
+let rec position c i = function
+  | [] -> -1
+  | c' :: cs -> if c' == c then i else position c (i + 1) cs
+
+(* Both MED modes, over the generated set and over its twin, where each
+   candidate is followed by a physically distinct copy: the twin's best
+   ties after step 8, and the first minimum must win. *)
+let cases cands =
+  let twin =
+    List.concat_map
+      (fun (c : Decision.candidate) -> [ c; { c with igp_cost = c.igp_cost } ])
+      cands
+  in
+  List.concat_map (fun m -> [ (m, cands); (m, twin) ]) both_modes
+
 let prop_kernel_matches_naive_best =
-  QCheck.Test.make ~name:"kernel best = naive best (both MED modes)" ~count:500
+  QCheck.Test.make
+    ~name:"kernel best = naive best (both MED modes)" ~count:500
     arb_rich_candidates
     (fun cands ->
       List.for_all
-        (fun med_mode ->
-          match (Decision.best ~med_mode cands, Decision.Naive.best ~med_mode cands) with
-          | Some a, Some b -> a == b
-          | None, None -> true
-          | _ -> false)
-        both_modes)
+        (fun (med_mode, cands) ->
+          let naive = Decision.Naive.best ~med_mode cands in
+          let list_entry =
+            match (Decision.best ~med_mode cands, naive) with
+            | Some a, Some b -> a == b
+            | None, None -> true
+            | _ -> false
+          in
+          let pushed, _ = push_fed ~med_mode cands in
+          let expected =
+            match naive with None -> -1 | Some b -> position b 0 cands
+          in
+          list_entry && pushed = expected)
+        (cases cands))
 
 let prop_kernel_matches_naive_steps =
   QCheck.Test.make
@@ -261,11 +309,14 @@ let prop_kernel_matches_naive_steps =
     ~count:500 arb_rich_candidates
     (fun cands ->
       List.for_all
-        (fun med_mode ->
+        (fun (med_mode, cands) ->
           let k = Decision.steps_1_to_4 ~med_mode cands in
           let n = Decision.Naive.steps_1_to_4 ~med_mode cands in
-          List.length k = List.length n && List.for_all2 ( == ) k n)
-        both_modes)
+          let _, pushed = push_fed ~med_mode cands in
+          List.length k = List.length n
+          && List.for_all2 ( == ) k n
+          && pushed = List.map (fun c -> position c 0 cands) n)
+        (cases cands))
 
 (* ---- incremental decision: the intrinsic_loses fast-path predicate.
    Soundness contract (decision.mli): a strict loss against a
