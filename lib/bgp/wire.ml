@@ -365,11 +365,17 @@ module Sizer = struct
       end
     end
 
-  let total s =
+  let finish s =
     for g = 0 to s.groups - 1 do
       s.blocks.(s.taken.(g)) <- Route.dummy_attrs
     done;
-    s.busy <- false;
+    s.busy <- false
+
+  let bytes s = s.bytes
+  let msgs s = s.msgs
+
+  let total s =
+    finish s;
     (s.bytes, s.msgs)
 end
 

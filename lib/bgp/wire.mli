@@ -60,10 +60,18 @@ module Sizer : sig
   val announce : t -> Route.t -> unit
   (** Add one announced route to its attribute block's group. *)
 
+  val finish : t -> unit
+  (** The end of the call: the scratch table drops its references to
+      attribute blocks, so that it keeps none alive. Feed no more items
+      after this. *)
+
+  val bytes : t -> int
+  val msgs : t -> int
+  (** The totals after {!finish}, read without building a pair; valid
+      until the domain's next {!create}. *)
+
   val total : t -> int * int
-  (** [(bytes, messages)] so far, and the end of the call: the scratch
-      table drops its references to attribute blocks, so that it keeps
-      none alive. Feed no more items after this. *)
+  (** {!finish}, then [(bytes, messages)]. *)
 end
 
 val measure_update : add_paths:bool -> Msg.update -> int * int

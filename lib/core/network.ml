@@ -160,7 +160,7 @@ let create ?(seed = 42) config =
           sc_now = (fun _ -> Sim.now sim);
           sc_schedule =
             (fun ~src:_ ~kind ~actor ~detail ~delay p ->
-              Sim.schedule sim ~kind ~actor ~detail ~delay p);
+              Sim.push sim ~kind ~actor ~detail ~time:(Sim.now sim + delay) p);
           sc_best_change =
             (fun i prefix route ->
               t.best_changes <- t.best_changes + 1;

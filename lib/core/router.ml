@@ -116,7 +116,7 @@ type t = {
   ids_adv_arr : Path_id.t;
   inbox : input Queue.t;
   mutable process_scheduled : bool;
-  outgoing : (int, Proto.item list ref) Hashtbl.t;
+  uid : int;  (* process-wide serial number: the outbox's owner tag *)
   sessions : (int, session) Hashtbl.t;
   damping : (int * int, damp_entry) Hashtbl.t;
   dirty : churn Rib.Dirty.t;  (* [process_now]'s batch, empty between batches *)
@@ -273,6 +273,10 @@ let derive_roles (config : Config.t) id =
 
 let srctbl_create () = { ribs = Hashtbl.create 8; view = None }
 
+(* Router ids repeat across networks, so the outbox tells routers apart
+   by this serial number instead. *)
+let next_uid = Atomic.make 0
+
 let create env =
   {
     env;
@@ -306,7 +310,7 @@ let create env =
     ids_adv_arr = Path_id.create ();
     inbox = Queue.create ();
     process_scheduled = false;
-    outgoing = Hashtbl.create 16;
+    uid = Atomic.fetch_and_add next_uid 1;
     sessions = Hashtbl.create 16;
     damping = Hashtbl.create 16;
     dirty = Rib.Dirty.create ();
@@ -509,32 +513,95 @@ let load_trr t s p ~with_mesh =
 (* ------------------------------------------------------------------ *)
 (* Output plumbing                                                     *)
 
-let enqueue t dst channel delta =
-  let items =
-    match Hashtbl.find_opt t.outgoing dst with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.add t.outgoing dst r;
-      r
-  in
-  items := (channel, delta) :: !items
+(* The domain's outbox (DESIGN.md, "Fan-out"). Between an entry point's
+   first [enqueue] and its closing [flush_outgoing] one router fills it,
+   so it is empty at every event boundary. Each destination's items are
+   consed onto its list, newest first; a destination's first item also
+   pushes it on the [touched] stack. [owner] is the [uid] of the router
+   filling it: entries an exception left behind are dropped when another
+   router claims the outbox, never sent under that router's id. Like
+   [Decision.Scratch] and [Wire.Sizer] it lives in domain-local storage. *)
+module Outbox = struct
+  type t = {
+    mutable owner : int;  (* uid of the filling router, -1: none *)
+    mutable lists : Proto.item list array;  (* by destination, newest first *)
+    mutable touched : int array;  (* as long as [lists] *)
+    mutable n_touched : int;
+  }
+
+  let key =
+    Domain.DLS.new_key (fun () ->
+        {
+          owner = -1;
+          lists = [||];
+          touched = [||];
+          n_touched = 0;
+        })
+
+  let get () = Domain.DLS.get key
+
+  let clear ob =
+    for k = 0 to ob.n_touched - 1 do
+      ob.lists.(ob.touched.(k)) <- []
+    done;
+    ob.n_touched <- 0;
+    ob.owner <- -1
+
+  let grow ob dst =
+    let n = max (dst + 1) (2 * Array.length ob.lists) in
+    let lists = Array.make n [] in
+    Array.blit ob.lists 0 lists 0 (Array.length ob.lists);
+    let touched = Array.make n 0 in
+    Array.blit ob.touched 0 touched 0 ob.n_touched;
+    ob.lists <- lists;
+    ob.touched <- touched
+
+  (* Insertion sort: reflect targets are enqueued in ascending id order,
+     so the stack is nearly sorted already. *)
+  let sort_touched ob =
+    let a = ob.touched in
+    for i = 1 to ob.n_touched - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+end
+
+let enqueue t dst item =
+  let ob = Outbox.get () in
+  if ob.owner <> t.uid then begin
+    Outbox.clear ob;
+    ob.owner <- t.uid
+  end;
+  if dst >= Array.length ob.lists then Outbox.grow ob dst;
+  match ob.lists.(dst) with
+  | [] ->
+    ob.touched.(ob.n_touched) <- dst;
+    ob.n_touched <- ob.n_touched + 1;
+    ob.lists.(dst) <- [ item ]
+  | items -> ob.lists.(dst) <- item :: items
 
 let session t dst =
-  match Hashtbl.find_opt t.sessions dst with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.sessions dst with
+  | s -> s
+  | exception Not_found ->
     let s = { mrai_until = Time.zero; pending = Hashtbl.create 8; flush_scheduled = false } in
     Hashtbl.add t.sessions dst s;
     s
 
-let sort_items items =
-  List.sort
-    (fun ((c1, d1) : Proto.item) (c2, d2) ->
-      match Int.compare (Proto.channel_tag c1) (Proto.channel_tag c2) with
-      | 0 -> Prefix.compare d1.Proto.prefix d2.Proto.prefix
-      | c -> c)
-    items
+let sort_items = function
+  | ([] | [ _ ]) as items -> items  (* [List.sort] would build its closures *)
+  | items ->
+    List.sort
+      (fun ((c1, d1) : Proto.item) (c2, d2) ->
+        match Int.compare (Proto.channel_tag c1) (Proto.channel_tag c2) with
+        | 0 -> Prefix.compare d1.Proto.prefix d2.Proto.prefix
+        | c -> c)
+      items
 
 (* Count and size the items in one pass: the sizer sees exactly the
    deltas of [Proto.wire_size (List.map snd items)]. *)
@@ -551,7 +618,8 @@ let transmit_now t dst (s : session) items =
   let items = sort_items items in
   let sizer = Bgp.Wire.Sizer.create ~add_paths:(Config.add_paths t.env.config) in
   count_and_size t.counters sizer items;
-  let bytes, msgs = Bgp.Wire.Sizer.total sizer in
+  Bgp.Wire.Sizer.finish sizer;
+  let bytes = Bgp.Wire.Sizer.bytes sizer and msgs = Bgp.Wire.Sizer.msgs sizer in
   t.counters.bytes_transmitted <- t.counters.bytes_transmitted + bytes;
   t.counters.messages_transmitted <- t.counters.messages_transmitted + msgs;
   s.mrai_until <- t.env.now () + t.env.config.mrai;
@@ -609,16 +677,28 @@ let flush_peer t ~peer =
       Hashtbl.reset s.pending;
       if items <> [] then transmit_now t peer s items
 
+(* Hand each destination its items: destinations in ascending id
+   order, each one's items in enqueue order ([transmit_now] then sorts
+   them with [sort_items]). *)
+let send_touched t (ob : Outbox.t) =
+  for k = 0 to ob.n_touched - 1 do
+    let dst = ob.touched.(k) in
+    let items = ob.lists.(dst) in
+    ob.lists.(dst) <- [];
+    send t dst (match items with [ _ ] -> items | _ -> List.rev items)
+  done
+
 let flush_outgoing t =
-  if Hashtbl.length t.outgoing > 0 then begin
-    let dsts = Hashtbl.fold (fun dst _ acc -> dst :: acc) t.outgoing [] in
-    let dsts = List.sort Int.compare dsts in
-    List.iter
-      (fun dst ->
-        let items = List.rev !(Hashtbl.find t.outgoing dst) in
-        send t dst items)
-      dsts;
-    Hashtbl.reset t.outgoing
+  let ob = Outbox.get () in
+  if ob.owner = t.uid then begin
+    Outbox.sort_touched ob;
+    (match send_touched t ob with
+    | () -> ()
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Outbox.clear ob;
+      Printexc.raise_with_backtrace e bt);
+    Outbox.clear ob
   end
 
 (* ------------------------------------------------------------------ *)
@@ -699,13 +779,17 @@ let same_single old_routes desired =
    "Implementation decisions" 5): store the new route set, count one
    generated update and enqueue the change toward each target, in the
    order [targets] iterates them. The delta is built once and shared
-   (deltas are immutable); [per_target] substitutes a copy only for a
-   target that must see something else. *)
+   (deltas are immutable), and so is its item: every target that gets
+   the shared delta gets the same physical item. [per_target]
+   substitutes a copy only for a target that must see something else. *)
 let write_out t ~rib ~channel ~targets ~per_target p routes withdrawn_ids =
   rib_set t rib p routes;
   t.counters.updates_generated <- t.counters.updates_generated + 1;
   let delta = { Proto.prefix = p; routes; withdrawn_ids } in
-  targets (fun dst -> enqueue t dst channel (per_target dst delta))
+  let item = (channel, delta) in
+  targets (fun dst ->
+      let d = per_target dst delta in
+      enqueue t dst (if d == delta then item else (channel, d)))
 
 let to_each dsts f = List.iter f dsts
 
@@ -1631,8 +1715,8 @@ let refresh_to t ~peer =
       Rib.iter
         (fun p routes ->
           if entitled p then
-            enqueue t peer channel
-              { Proto.prefix = p; routes; withdrawn_ids = [] })
+            enqueue t peer
+              (channel, { Proto.prefix = p; routes; withdrawn_ids = [] }))
         rib
     in
     let always _ = true in
@@ -1723,8 +1807,9 @@ let apply_repartition t =
           in
           iter_reflect_targets t.env.config old_roles.abrr_arrs ~aps:old_aps
             (fun dst ->
-              enqueue t dst Proto.From_arr
-                { Proto.prefix = p; routes = []; withdrawn_ids = withdrawn })
+              enqueue t dst
+                (Proto.From_arr,
+                 { Proto.prefix = p; routes = []; withdrawn_ids = withdrawn }))
         end;
         if Rib.get t.out_arr p <> [] then rib_set t t.out_arr p [];
         srctbl_iter
@@ -1753,8 +1838,8 @@ let apply_repartition t =
             in
             List.iter
               (fun dst ->
-                enqueue t dst Proto.To_arr
-                  { Proto.prefix = p; routes; withdrawn_ids = [] })
+                enqueue t dst
+                  (Proto.To_arr, { Proto.prefix = p; routes; withdrawn_ids = [] }))
               added
           end)
         t.adv_arr
@@ -1765,8 +1850,7 @@ let apply_repartition t =
 
 let set_down t =
   t.up <- false;
-  Queue.clear t.inbox;
-  Hashtbl.reset t.outgoing
+  Queue.clear t.inbox
 
 (* Cold start: all BGP state is lost (eBGP feeds must be re-injected by
    the caller, as a rebooted router would re-learn them). *)
@@ -1877,7 +1961,6 @@ type state = {
   st_ebgp_neighbors : ((int * int) * Ipv4.t) list;
   st_inbox : input list;
   st_process_scheduled : bool;
-  st_outgoing : (int * Proto.item list) list;
   st_sessions : session_state list;
   st_damping : damp_state list;
   st_counters : Counters.t;
@@ -1918,9 +2001,6 @@ let dump_state t =
       |> List.sort (fun (a, _) (b, _) -> compare a b);
     st_inbox = List.of_seq (Queue.to_seq t.inbox);
     st_process_scheduled = t.process_scheduled;
-    st_outgoing =
-      Hashtbl.fold (fun dst r acc -> (dst, List.rev !r) :: acc) t.outgoing []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
     st_sessions =
       Hashtbl.fold
         (fun peer (s : session) acc ->
@@ -1968,7 +2048,6 @@ let load_state t st =
   Array.iter Path_id.clear ids;
   Hashtbl.reset t.ebgp_neighbors;
   Queue.clear t.inbox;
-  Hashtbl.reset t.outgoing;
   Hashtbl.reset t.sessions;
   Hashtbl.reset t.damping;
   Array.iteri
@@ -1988,9 +2067,6 @@ let load_state t st =
     st.st_ebgp_neighbors;
   List.iter (fun input -> Queue.add input t.inbox) st.st_inbox;
   t.process_scheduled <- st.st_process_scheduled;
-  List.iter
-    (fun (dst, items) -> Hashtbl.replace t.outgoing dst (ref (List.rev items)))
-    st.st_outgoing;
   List.iter
     (fun ss ->
       let s =

@@ -260,7 +260,6 @@ type state = {
   st_ebgp_neighbors : ((int * int) * Netaddr.Ipv4.t) list;
   st_inbox : input list;  (** FIFO order *)
   st_process_scheduled : bool;
-  st_outgoing : (int * Proto.item list) list;
   st_sessions : session_state list;
   st_damping : damp_state list;  (** sorted by [ds_key] *)
   st_counters : Counters.t;
@@ -269,6 +268,9 @@ type state = {
 }
 
 val dump_state : t -> state
+(** No output is pending at an event boundary: every entry point that
+    queues output flushes it before returning, so the state has no
+    outgoing slot. *)
 
 val load_state : t -> state -> unit
 (** @raise Invalid_argument when the dump's slot-array lengths do not

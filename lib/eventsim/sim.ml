@@ -163,15 +163,20 @@ let set_exec_event t f = t.exec <- Some f
 let now t = t.clock
 let rng t = t.rng
 
-let schedule_at t ?(kind = 0) ?(actor = -1) ?(detail = 0) ~time payload =
-  if time < t.clock then invalid_arg "Sim.schedule_at: time in the past";
+(* The one push path. Its arguments are not optional, so a caller
+   that passes all of them boxes nothing. *)
+let push t ~kind ~actor ~detail ~time payload =
+  if time < t.clock then invalid_arg "Sim.push: time in the past";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   Pqueue.Heap.push t.queue { time; seq; kind; actor; detail; payload }
 
-let schedule t ?kind ?actor ?detail ~delay payload =
+let schedule_at t ?(kind = 0) ?(actor = -1) ?(detail = 0) ~time payload =
+  push t ~kind ~actor ~detail ~time payload
+
+let schedule t ?(kind = 0) ?(actor = -1) ?(detail = 0) ~delay payload =
   if delay < 0 then invalid_arg "Sim.schedule: negative delay";
-  schedule_at t ?kind ?actor ?detail ~time:(t.clock + delay) payload
+  push t ~kind ~actor ~detail ~time:(t.clock + delay) payload
 
 let pending t = Pqueue.Heap.length t.queue
 let events_processed t = t.processed
@@ -269,21 +274,21 @@ let run ?(until = max_int) ?(max_events = max_int) t =
     | Some f -> f
     | None -> invalid_arg "Sim.run: no executor installed (set_exec)"
   in
-  let budget = ref max_events in
-  let rec loop () =
-    if !budget <= 0 then Event_limit
-    else
-      match Pqueue.Heap.peek t.queue with
-      | None -> Quiescent
-      | Some ev when ev.time > until -> Deadline
-      | Some _ ->
-        let ev = Pqueue.Heap.pop_exn t.queue in
-        t.clock <- ev.time;
-        decr budget;
-        dispatch t exec ev;
-        loop ()
+  let queue = t.queue in
+  (* No option per event: the top is read and popped with the [_exn]
+     accessors behind an emptiness test. *)
+  let rec loop budget =
+    if budget <= 0 then Event_limit
+    else if Pqueue.Heap.is_empty queue then Quiescent
+    else if (Pqueue.Heap.top_exn queue).time > until then Deadline
+    else begin
+      let ev = Pqueue.Heap.pop_exn queue in
+      t.clock <- ev.time;
+      dispatch t exec ev;
+      loop (budget - 1)
+    end
   in
-  loop ()
+  loop max_events
 
 let fire t ~seq =
   let exec =

@@ -58,18 +58,25 @@ val rng : 'p t -> Prng.t
 (** The simulation-owned random stream. Draw from this (never from the
     global [Random]) to keep runs reproducible. *)
 
+val push : 'p t -> kind:int -> actor:int -> detail:int -> time:Time.t -> 'p -> unit
+(** Schedule a payload to fire at absolute [time]. [kind], [actor] and
+    [detail] are free-form integers recorded by the trace sink when one
+    is attached; {!Abrr_core.Network} assigns kinds for message
+    delivery, router-local timers and external injections — see
+    [Network.trace_kind_name]. Every scheduling goes through here; none
+    of the arguments is optional, so the call boxes nothing, which is
+    why the network's per-delivery scheduler calls it directly.
+    @raise Invalid_argument if [time] is in the past. *)
+
 val schedule : 'p t -> ?kind:int -> ?actor:int -> ?detail:int -> delay:Time.t ->
   'p -> unit
-(** Schedule a payload to fire [delay] after {!now}. [kind], [actor] and
-    [detail] are free-form integers recorded by the trace sink when one
-    is attached (defaults [0], [-1], [0]); {!Abrr_core.Network} assigns
-    kinds for message delivery, router-local timers and external
-    injections — see [Network.trace_kind_name].
+(** {!push} at [delay] after {!now}, with [kind], [actor] and [detail]
+    defaulting to [0], [-1] and [0].
     @raise Invalid_argument on negative delay. *)
 
 val schedule_at : 'p t -> ?kind:int -> ?actor:int -> ?detail:int -> time:Time.t ->
   'p -> unit
-(** Absolute-time variant of {!schedule}.
+(** {!push} with {!schedule}'s defaults.
     @raise Invalid_argument if [time] is in the past. *)
 
 val pending : 'p t -> int

@@ -54,6 +54,10 @@ let push h x =
 
 let peek h = if h.size = 0 then None else Some h.data.(0).v
 
+let top_exn h =
+  if h.size = 0 then invalid_arg "Heap.top_exn: empty";
+  h.data.(0).v
+
 let rec sift_down h i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
@@ -66,20 +70,21 @@ let rec sift_down h i =
     sift_down h !smallest
   end
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some top.v
-  end
+(* Remove the top slot of a non-empty heap. *)
+let take h =
+  let top = h.data.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
+  end;
+  top.v
+
+let pop h = if h.size = 0 then None else Some (take h)
 
 let pop_exn h =
-  match pop h with Some x -> x | None -> invalid_arg "Heap.pop_exn: empty"
+  if h.size = 0 then invalid_arg "Heap.pop_exn: empty";
+  take h
 
 let remove h pred =
   let rec find i =

@@ -23,11 +23,17 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Smallest element without removing it. *)
 
+val top_exn : 'a t -> 'a
+(** {!peek} without the option: the simulator's run loop reads the top
+    of every event this way, allocating nothing.
+    @raise Invalid_argument on an empty heap. *)
+
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
+(** {!pop} without the option; allocates nothing.
+    @raise Invalid_argument on an empty heap. *)
 
 val remove : 'a t -> ('a -> bool) -> 'a option
 (** Remove and return the first element (in unspecified internal order)

@@ -437,11 +437,9 @@ let wstate e b (st : Router.state) =
     st.Router.st_ebgp_neighbors;
   C.wlist b (winput e) st.Router.st_inbox;
   C.wbool b st.Router.st_process_scheduled;
-  C.wlist b
-    (fun b (dst, items) ->
-      C.wint b dst;
-      C.wlist b (witem e) items)
-    st.Router.st_outgoing;
+  (* Format 5's outgoing-queue slot, a list count that is always 0: a
+     router's output is flushed before its event ends. *)
+  C.w32 b 0;
   C.wlist b
     (fun b (ss : Router.session_state) ->
       C.wint b ss.Router.ss_peer;
@@ -490,12 +488,9 @@ let rstate d : Router.state =
   in
   let st_inbox = C.rlist d.rd (fun _ -> rinput d) in
   let st_process_scheduled = C.rbool d.rd in
-  let st_outgoing =
-    C.rlist d.rd (fun _ ->
-        let dst = C.rint d.rd in
-        let items = C.rlist d.rd (fun _ -> ritem d) in
-        (dst, items))
-  in
+  (match C.r32 d.rd with
+  | 0 -> ()
+  | n -> C.bad "router outgoing queue holds %d entries; it is always empty" n);
   let st_sessions =
     C.rlist d.rd (fun _ ->
         let ss_peer = C.rint d.rd in
@@ -526,7 +521,6 @@ let rstate d : Router.state =
     st_ebgp_neighbors;
     st_inbox;
     st_process_scheduled;
-    st_outgoing;
     st_sessions;
     st_damping;
     st_counters;

@@ -299,9 +299,86 @@ let test_noop_delta_batches_allocation () =
       if words > 80. then Alcotest.failf "%s batch allocated %.0f words" name words)
     measured
 
+(* ARR fan-out stays allocation-lean: on a converged 40-router single-AP
+   network, each ARR batch that changes the reflected set schedules one
+   delivery per client, and [process_now] allocates at most 32 words per
+   delivery (the Deliver event, its heap entry and the list cell), after
+   one warm-up round. *)
+let test_fanout_allocation () =
+  let n = 40 in
+  let net = N.create (single_ap_abrr ~arrs:[ 0 ] ~n ()) in
+  inject net ~router:2 (route ~prefix 2);
+  quiesce net;
+  let arr = N.router net 0 in
+  let sim = N.sim net in
+  let better = Bgp.Route.update ~next_hop:(C.loopback 3) (route ~lp:200 ~prefix 3) in
+  let batch name items =
+    R.receive arr ~src:3 ~bytes:0 ~msgs:0 ~items;
+    let pending0 = Eventsim.Sim.pending sim in
+    let before = Gc.minor_words () in
+    R.process_now arr;
+    let words = Gc.minor_words () -. before in
+    let delivered = Eventsim.Sim.pending sim - pending0 in
+    ignore (N.run net);
+    (name, delivered, words)
+  in
+  let round () =
+    [
+      batch "announce" [ (Abrr_core.Proto.To_arr, Abrr_core.Proto.delta prefix [ better ]) ];
+      batch "withdraw"
+        [ (Abrr_core.Proto.To_arr, Abrr_core.Proto.delta ~withdrawn_ids:[ 0 ] prefix []) ];
+    ]
+  in
+  ignore (round ());
+  List.iter
+    (fun (name, delivered, words) ->
+      check_int (name ^ " deliveries") (n - 1) delivered;
+      let per = words /. float_of_int delivered in
+      if per > 32. then Alcotest.failf "%s: %.1f words per delivery" name per)
+    (round () @ round ())
+
+(* A flush sends to its destinations in ascending id order, one Deliver
+   per destination carrying its items in [sort_items] order (channel,
+   then prefix). Here the lower AP is served by the higher-numbered ARR,
+   so the client's enqueue order (by prefix) is 4 then 1. *)
+let test_flush_order () =
+  let cfg =
+    C.make ~n_routers:6 ~igp:(flat_igp 6)
+      ~scheme:(C.abrr ~partition:(Part.uniform 2) [| [ 4 ]; [ 1 ] |])
+      ()
+  in
+  let net = N.create cfg in
+  let low0 = pfx "20.0.0.0/16" and low1 = pfx "20.1.0.0/16" in
+  let high = pfx "200.0.0.0/16" in
+  List.iter (fun prefix -> inject net ~router:2 (route ~prefix 2)) [ high; low1; low0 ];
+  (match N.run ~max_events:1 net with
+  | Eventsim.Sim.Event_limit -> ()
+  | o -> Alcotest.failf "unexpected outcome %a" Eventsim.Sim.pp_outcome o);
+  let delivers =
+    Eventsim.Sim.pending_events (N.sim net)
+    |> List.sort (fun (a : _ Eventsim.Sim.event) b -> Int.compare a.seq b.seq)
+    |> List.filter_map (fun (ev : _ Eventsim.Sim.event) ->
+           match ev.payload with
+           | N.Deliver { src = 2; dst; items; _ } ->
+             Some (dst, List.map (fun (_, d) -> d.Abrr_core.Proto.prefix) items)
+           | _ -> None)
+  in
+  let show (dst, ps) =
+    Printf.sprintf "%d:[%s]" dst
+      (String.concat ";" (List.map Netaddr.Prefix.to_string ps))
+  in
+  Alcotest.(check (list string))
+    "deliveries in seq order"
+    (List.map show [ (1, [ high ]); (4, [ low0; low1 ]) ])
+    (List.map show delivers)
+
 let suite =
   ( "abrr",
     [
+      Alcotest.test_case "flush order: destinations ascending" `Quick
+        test_flush_order;
+      Alcotest.test_case "ARR fan-out allocates little" `Quick
+        test_fanout_allocation;
       Alcotest.test_case "reflection reaches all clients" `Quick
         test_reflection_reaches_all;
       Alcotest.test_case "best AS-level set" `Quick test_best_as_level_set;

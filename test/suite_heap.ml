@@ -95,6 +95,25 @@ let test_fifo_capacity_interaction () =
   check_bool "FIFO after clear" true
     (Pqueue.Heap.to_sorted_list h = [ (0, 1); (0, 2) ])
 
+(* The option-free accessors: [top_exn] reads without removing,
+   [pop_exn] removes; both raise on an empty heap and keep FIFO ties. *)
+let test_exn_accessors () =
+  let h = Pqueue.Heap.create ~cmp:by_key () in
+  let raises f =
+    try
+      ignore (f h);
+      false
+    with Invalid_argument _ -> true
+  in
+  check_bool "top_exn on empty raises" true (raises Pqueue.Heap.top_exn);
+  check_bool "pop_exn on empty raises" true (raises Pqueue.Heap.pop_exn);
+  List.iter (Pqueue.Heap.push h) [ (2, "a"); (1, "b"); (2, "c"); (1, "d"); (2, "e") ];
+  check_bool "top_exn is the min" true (Pqueue.Heap.top_exn h = (1, "b"));
+  check_int "top_exn does not remove" 5 (Pqueue.Heap.length h);
+  let order = List.init 5 (fun _ -> snd (Pqueue.Heap.pop_exn h)) in
+  check_bool "pop_exn keeps FIFO ties" true (order = [ "b"; "d"; "a"; "c"; "e" ]);
+  check_bool "drained" true (raises Pqueue.Heap.top_exn)
+
 let test_remove () =
   let h = Pqueue.Heap.create ~cmp:by_key () in
   List.iter (Pqueue.Heap.push h)
@@ -181,6 +200,7 @@ let suite =
     [
       Alcotest.test_case "basic" `Quick test_basic;
       Alcotest.test_case "empty pops" `Quick test_pop_empty;
+      Alcotest.test_case "top_exn/pop_exn" `Quick test_exn_accessors;
       Alcotest.test_case "clear" `Quick test_clear;
       Alcotest.test_case "capacity hint" `Quick test_capacity_hint;
       Alcotest.test_case "FIFO same-key order" `Quick test_fifo_same_key;

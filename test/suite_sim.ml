@@ -86,6 +86,24 @@ let test_determinism () =
   in
   check_bool "deterministic" true (run () = run ())
 
+(* Popping allocates nothing: the run loop reads the heap top and pops
+   without an option, so a no-op executor leaves dispatch itself at
+   zero words per event. *)
+let test_run_allocation () =
+  let sim = Sim.create_reified () in
+  Sim.set_exec sim (fun (_ : int) -> ());
+  let n = 10_000 in
+  for i = 0 to n - 1 do
+    Sim.push sim ~kind:1 ~actor:(i mod 7) ~detail:0 ~time:(i mod 97) i
+  done;
+  let before = Gc.minor_words () in
+  let outcome = Sim.run sim in
+  let words = Gc.minor_words () -. before in
+  check_bool "quiescent" true (outcome = Sim.Quiescent);
+  check_int "all processed" n (Sim.events_processed sim);
+  if words >= float_of_int n then
+    Alcotest.failf "run allocated %.2f words per event" (words /. float_of_int n)
+
 let test_time_units () =
   check_int "ms" 1_000 (Time.ms 1);
   check_int "sec" 1_000_000 (Time.sec 1);
@@ -105,5 +123,7 @@ let suite =
       Alcotest.test_case "rejects past scheduling" `Quick test_rejects_past;
       Alcotest.test_case "rejects negative delay" `Quick test_negative_delay;
       Alcotest.test_case "determinism" `Quick test_determinism;
+      Alcotest.test_case "run allocates nothing per event" `Quick
+        test_run_allocation;
       Alcotest.test_case "time units" `Quick test_time_units;
     ] )

@@ -252,6 +252,33 @@ let test_corrupt_rejected () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "decoded under a mismatched config")
 
+(* Format 5 keeps a per-router outgoing-queue slot that is always
+   written empty; a snapshot claiming queued output is refused. On a
+   fresh network every table is empty, so router 0's slot sits at a
+   fixed offset: the header with empty attribute and route tables, the
+   body's clock, sequence, processed count, random state, event count,
+   best-change count and router count, then router 0's 11 RIBs, 9
+   per-source tables, 5 path-id tables, eBGP neighbours, inbox and
+   process flag. *)
+let test_outgoing_slot_rejected () =
+  let cfg = Helpers.full_mesh_config 4 in
+  let good = match S.encode (N.create cfg) with Ok b -> b | Error e -> Alcotest.fail e in
+  let header = 10 + 4 + String.length (S.fingerprint cfg) + 4 + 4 in
+  let body = (4 * 8) + 4 + 8 + 4 in
+  let router0 = (4 + (11 * 4)) + (4 + (9 * 4)) + (4 + (5 * 4)) + 4 + 4 + 1 in
+  let off = header + body + router0 in
+  check_string "slot written empty" "\000\000\000\000" (String.sub good off 4);
+  (* the count is a big-endian u32: make it 1 *)
+  match S.decode (N.create cfg) (reseal (patch good (off + 3) '\001')) with
+  | Ok () -> Alcotest.fail "decoded a router with queued output"
+  | Error msg ->
+    let word = "outgoing" in
+    let rec mentions i =
+      i + String.length word <= String.length msg
+      && (String.sub msg i (String.length word) = word || mentions (i + 1))
+    in
+    if not (mentions 0) then Alcotest.failf "rejected for another reason: %s" msg
+
 let test_corrupt_never_raises () =
   (* every single-byte corruption must come back as a result, not an
      exception — sweep the whole file *)
@@ -434,6 +461,7 @@ let suite =
       Alcotest.test_case "thunk rejected" `Quick test_thunk_rejected;
       Alcotest.test_case "corruption rejected" `Quick test_corrupt_rejected;
       Alcotest.test_case "corruption never raises" `Quick test_corrupt_never_raises;
+      Alcotest.test_case "queued output rejected" `Quick test_outgoing_slot_rejected;
       Alcotest.test_case "save/load" `Quick test_save_load;
       Alcotest.test_case "segment files" `Quick test_segments;
       Alcotest.test_case "sharded pause <-> serial resume" `Quick
