@@ -53,16 +53,6 @@ type roles = {
   rcp_clients : int list;
 }
 
-(* Per-source route tables carry a memoized ascending-source view:
-   candidate loading walks every plane's table once per decision,
-   and rebuilding the sorted association list on each call dominated
-   profile runs. The set of sources only changes on [table_rib]
-   insertion, peer purge, and table reset — each drops the cache. *)
-type srctbl = {
-  ribs : (int, Rib.t) Hashtbl.t;
-  mutable view : (int * Rib.t) list option;
-}
-
 (* Route-flap damping state per (prefix key, path id) — i.e. per eBGP
    session route, matching the [ebgp_neighbors] keying. Only populated
    when [config.damping] is [Some _]. A suppressed route is pulled out
@@ -91,15 +81,15 @@ type t = {
   ebgp_rib : Rib.t;
   ebgp_neighbors : (int * int, Ipv4.t) Hashtbl.t;
   local_rib : Rib.t;
-  managed_trr : srctbl;
-  managed_arr : srctbl;
-  mesh_in : srctbl;
-  confed_in : srctbl;
-  managed_rcp : srctbl;  (* RCP node: routes per client *)
-  from_rcp : srctbl;
-  rcp_out : srctbl;  (* RCP node: per-client Adj-RIB-Out *)
-  from_trr : srctbl;
-  from_arr : srctbl;
+  managed_trr : Adj_in.t;
+  managed_arr : Adj_in.t;
+  mesh_in : Adj_in.t;
+  confed_in : Adj_in.t;
+  managed_rcp : Adj_in.t;  (* RCP node: routes per client *)
+  from_rcp : Adj_in.t;
+  rcp_out : (int, Rib.t) Hashtbl.t;  (* RCP node: per-client Adj-RIB-Out *)
+  from_trr : Adj_in.t;
+  from_arr : Adj_in.t;
   loc_rib : Rib.t;
   adv_mesh : Rib.t;
   adv_confed : Rib.t;
@@ -271,8 +261,6 @@ let derive_roles (config : Config.t) id =
 
 (* ------------------------------------------------------------------ *)
 
-let srctbl_create () = { ribs = Hashtbl.create 8; view = None }
-
 (* Router ids repeat across networks, so the outbox tells routers apart
    by this serial number instead. *)
 let next_uid = Atomic.make 0
@@ -285,15 +273,15 @@ let create env =
     ebgp_rib = Rib.create ();
     ebgp_neighbors = Hashtbl.create 16;
     local_rib = Rib.create ();
-    managed_trr = srctbl_create ();
-    managed_arr = srctbl_create ();
-    mesh_in = srctbl_create ();
-    confed_in = srctbl_create ();
-    managed_rcp = srctbl_create ();
-    from_rcp = srctbl_create ();
-    rcp_out = srctbl_create ();
-    from_trr = srctbl_create ();
-    from_arr = srctbl_create ();
+    managed_trr = Adj_in.create ();
+    managed_arr = Adj_in.create ();
+    mesh_in = Adj_in.create ();
+    confed_in = Adj_in.create ();
+    managed_rcp = Adj_in.create ();
+    from_rcp = Adj_in.create ();
+    rcp_out = Hashtbl.create 8;
+    from_trr = Adj_in.create ();
+    from_arr = Adj_in.create ();
     loc_rib = Rib.create ();
     adv_mesh = Rib.create ();
     adv_confed = Rib.create ();
@@ -319,6 +307,12 @@ let create env =
     up = true;
   }
 
+(* The eight Adj-RIB-In planes, in snapshot slot order ([rcp_out], an
+   Adj-RIB-Out, sits between [from_rcp] and [from_trr] there). *)
+let adj_in_planes t =
+  [ t.managed_trr; t.managed_arr; t.mesh_in; t.confed_in; t.managed_rcp;
+    t.from_rcp; t.from_trr; t.from_arr ]
+
 let id t = t.env.id
 let loopback t = t.self
 let counters t = t.counters
@@ -336,28 +330,14 @@ let rib_set t rib p routes =
 
 let best t p = match Rib.get t.loc_rib p with [] -> None | r :: _ -> Some r
 
-let table_rib st src =
-  match Hashtbl.find st.ribs src with
+(* An RCP node's Adj-RIB-Out toward [client], created on first use. *)
+let rcp_out_rib t client =
+  match Hashtbl.find t.rcp_out client with
   | rib -> rib
   | exception Not_found ->
-    let rib = Bgp.Rib.create () in
-    Hashtbl.add st.ribs src rib;
-    st.view <- None;
+    let rib = Rib.create () in
+    Hashtbl.add t.rcp_out client rib;
     rib
-
-let srctbl_find_opt st src = Hashtbl.find_opt st.ribs src
-let srctbl_iter f st = Hashtbl.iter f st.ribs
-let srctbl_fold f st acc = Hashtbl.fold f st.ribs acc
-
-let srctbl_remove st src =
-  if Hashtbl.mem st.ribs src then begin
-    Hashtbl.remove st.ribs src;
-    st.view <- None
-  end
-
-let srctbl_reset st =
-  Hashtbl.reset st.ribs;
-  st.view <- None
 
 (* ------------------------------------------------------------------ *)
 (* Candidate loading                                                   *)
@@ -367,8 +347,8 @@ let srctbl_reset st =
    and local routes) and a tag. Slot order is part of the outcome:
    survivors keep it, and it decides path-id assignment of derived sets
    and ties after step 8. Each source is pushed newest-first — its
-   routes in reverse stored order, per-source tables in descending
-   source order — and the sources of one decision in a fixed order. *)
+   routes in reverse stored order, an Adj-RIB-In plane's sources in
+   descending order — and the sources of one decision in a fixed order. *)
 
 module S = D.Scratch
 
@@ -378,23 +358,6 @@ let tag_other = 0
 let tag_clientside = 1
 
 let med_mode t = t.env.config.med_mode
-
-(* Per-source tables in ascending source order. Candidate loading and
-   route dumps must not depend on hashtable iteration order: a restored
-   run rebuilds these tables in a different internal order than the
-   original, and decision tie-breaks would otherwise diverge. The sorted
-   view is memoized on the table (invalidated whenever the source set
-   changes) — this sits on the per-decision hot path. *)
-let sorted_tbl st =
-  match st.view with
-  | Some v -> v
-  | None ->
-    let v =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.ribs []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    st.view <- Some v;
-    v
 
 let originated_by addr (r : R.t) =
   match R.originator_id r with Some o -> Ipv4.equal o addr | None -> false
@@ -414,14 +377,12 @@ let rec push_ibgp_rev t s ~learned ~tag src = function
     push_ibgp_rev t s ~learned ~tag src rs;
     push_ibgp t s ~learned ~tag src r
 
-let rec push_table_rev t s ~learned ~tag p = function
-  | [] -> ()
-  | (src, rib) :: rest ->
-    push_table_rev t s ~learned ~tag p rest;
-    push_ibgp_rev t s ~learned ~tag src (Rib.get rib p)
-
+(* One descent into the plane, then its sources from the highest. *)
 let push_table t s ~learned ~tag tbl p =
-  push_table_rev t s ~learned ~tag p (sorted_tbl tbl)
+  let n = Adj_in.node tbl p in
+  for i = Adj_in.width n - 1 downto 0 do
+    push_ibgp_rev t s ~learned ~tag (Adj_in.src n i) (Adj_in.routes n i)
+  done
 
 let ebgp_neighbor t key (route : R.t) =
   match Hashtbl.find t.ebgp_neighbors (key, route.R.path_id) with
@@ -843,12 +804,6 @@ let rec push_managed_rev t s src = function
     S.push s route D.Ibgp ~peer_id:peer ~peer_addr:peer ~igp_cost:cost ~src
       ~tag:(if cost = Igp.Spf.unreachable then 0 else 1)
 
-let rec push_managed_tbl_rev t s p = function
-  | [] -> ()
-  | (src, rib) :: rest ->
-    push_managed_tbl_rev t s p rest;
-    push_managed_rev t s src (Rib.get rib p)
-
 (* The reflected routes of the survivors from the [k]-th on whose tag is
    [reachable]. *)
 let rec reflected_set t s ~reachable k =
@@ -873,7 +828,10 @@ let recompute_arr t p =
     if in_any_ap partition p t.roles.arr_aps then begin
       let s = S.get () in
       S.clear s;
-      push_managed_tbl_rev t s p (sorted_tbl t.managed_arr);
+      let n = Adj_in.node t.managed_arr p in
+      for i = Adj_in.width n - 1 downto 0 do
+        push_managed_rev t s (Adj_in.src n i) (Adj_in.routes n i)
+      done;
       S.run ~med_mode:(med_mode t) s;
       (* Survivors with an unreachable next hop come first, then the
          reachable ones, each in slot order: the set's order decides
@@ -1071,27 +1029,27 @@ let rcp_active t =
 (* RCP node (related work §5): compute each client's best path from that
    client's own IGP vantage over the platform's complete visibility, and
    maintain a per-client Adj-RIB-Out. *)
+let rec push_rcp_rev t s client src = function
+  | [] -> ()
+  | (route : R.t) :: rs ->
+    push_rcp_rev t s client src rs;
+    let cost = t.env.igp_cost_from ~src:client (R.next_hop route) in
+    if cost <> Igp.Spf.unreachable then begin
+      let peer = Config.loopback src in
+      S.push s route
+        (if src = client then D.Ebgp else D.Ibgp)
+        ~peer_id:peer ~peer_addr:peer ~igp_cost:cost ~src ~tag:tag_other
+    end
+
 let recompute_rcp t p =
-  let all =
-    List.fold_left
-      (fun acc (src, rib) ->
-        List.fold_left (fun acc route -> (src, route) :: acc) acc (Rib.get rib p))
-      [] (sorted_tbl t.managed_rcp)
-  in
+  let n = Adj_in.node t.managed_rcp p in
   let s = S.get () in
   List.iter
     (fun client ->
       S.clear s;
-      List.iter
-        (fun (src, (route : R.t)) ->
-          let cost = t.env.igp_cost_from ~src:client (R.next_hop route) in
-          if cost <> Igp.Spf.unreachable then begin
-            let peer = Config.loopback src in
-            S.push s route
-              (if src = client then D.Ebgp else D.Ibgp)
-              ~peer_id:peer ~peer_addr:peer ~igp_cost:cost ~src ~tag:tag_other
-          end)
-        all;
+      for i = Adj_in.width n - 1 downto 0 do
+        push_rcp_rev t s client (Adj_in.src n i) (Adj_in.routes n i)
+      done;
       S.run ~med_mode:(med_mode t) s;
       let w = S.winner s in
       let desired =
@@ -1102,7 +1060,7 @@ let recompute_rcp t p =
                (S.route s w))
         else None (* the client's own route: nothing to teach *)
       in
-      export_single t ~rib:(table_rib t.rcp_out client) ~channel:Proto.From_rcp
+      export_single t ~rib:(rcp_out_rib t client) ~channel:Proto.From_rcp
         ~targets:(fun f -> f client) p desired)
     t.roles.rcp_clients
 
@@ -1237,10 +1195,8 @@ let iter_known t f =
   List.iter rib
     [ t.ebgp_rib; t.local_rib; t.loc_rib; t.adv_mesh; t.adv_confed; t.adv_rcp;
       t.adv_trr; t.adv_arr; t.out_mesh; t.out_clients; t.out_arr ];
-  List.iter
-    (fun tbl -> srctbl_iter (fun _ r -> rib r) tbl)
-    [ t.managed_trr; t.managed_arr; t.mesh_in; t.confed_in; t.managed_rcp;
-      t.from_rcp; t.rcp_out; t.from_trr; t.from_arr ]
+  Hashtbl.iter (fun _ r -> rib r) t.rcp_out;
+  List.iter (Adj_in.iter_prefixes visit) (adj_in_planes t)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decision (DESIGN.md, "Incremental decision").
@@ -1385,14 +1341,12 @@ let note_store dirty p channel old routes =
       else mark_full dirty p
 
 let store t src channel p routes dirty tbl ~best_only =
-  let rib = table_rib tbl src in
   let routes =
     if best_only && not t.env.config.store_full_sets then best_of_set t src routes
     else routes
   in
-  let old = Rib.get rib p in
-  rib_set t rib p routes;
-  note_store dirty p channel old routes
+  t.counters.rib_touches <- t.counters.rib_touches + 1;
+  note_store dirty p channel (Adj_in.exchange tbl p src routes) routes
 
 let apply_item t src ((channel, delta) : Proto.item) dirty =
   let p = delta.Proto.prefix in
@@ -1682,18 +1636,8 @@ let is_up t = t.up
    from it and stop holding pending output for it. *)
 let purge_peer t ~peer =
   if t.up then begin
-    let drop tbl =
-      match srctbl_find_opt tbl peer with
-      | None -> []
-      | Some rib ->
-        let prefixes = Rib.prefixes rib in
-        srctbl_remove tbl peer;
-        prefixes
-    in
     let dirty =
-      List.concat_map drop
-        [ t.managed_trr; t.managed_arr; t.managed_rcp; t.mesh_in; t.confed_in;
-          t.from_trr; t.from_arr; t.from_rcp ]
+      List.concat_map (fun tbl -> Adj_in.drop_source tbl peer) (adj_in_planes t)
     in
     Hashtbl.remove t.sessions peer;
     if dirty <> [] then begin
@@ -1725,7 +1669,7 @@ let refresh_to t ~peer =
       replay t.adv_confed Proto.Confed always;
     if List.mem peer t.roles.rcps then replay t.adv_rcp Proto.To_rcp always;
     if t.roles.is_rcp then (
-      match srctbl_find_opt t.rcp_out peer with
+      match Hashtbl.find_opt t.rcp_out peer with
       | Some rib -> replay rib Proto.From_rcp always
       | None -> ());
     if List.mem peer t.roles.my_trrs then begin
@@ -1787,8 +1731,8 @@ let apply_repartition t =
       if serves_with old_roles p && not (serves_with new_roles p) then
         Hashtbl.replace retired (Prefix.to_key p) p
     in
-    List.iter note (Rib.prefixes t.out_arr);
-    srctbl_iter (fun _ rib -> List.iter note (Rib.prefixes rib)) t.managed_arr;
+    Rib.iter (fun p _ -> note p) t.out_arr;
+    Adj_in.iter_prefixes note t.managed_arr;
     let retired =
       Hashtbl.fold (fun _ p acc -> p :: acc) retired []
       |> List.sort Prefix.compare
@@ -1812,9 +1756,9 @@ let apply_repartition t =
                  { Proto.prefix = p; routes = []; withdrawn_ids = withdrawn }))
         end;
         if Rib.get t.out_arr p <> [] then rib_set t t.out_arr p [];
-        srctbl_iter
-          (fun _ rib -> if Rib.get rib p <> [] then rib_set t rib p [])
-          t.managed_arr;
+        (* one RIB touch per source cleared *)
+        t.counters.rib_touches <-
+          t.counters.rib_touches + Adj_in.clear_prefix t.managed_arr p;
         mark_full dirty p)
       retired;
     t.counters.Counters.prefixes_moved_on_repartition <-
@@ -1859,9 +1803,8 @@ let set_up_cold t =
   Rib.clear t.ebgp_rib;
   Hashtbl.reset t.ebgp_neighbors;
   Rib.clear t.local_rib;
-  List.iter srctbl_reset
-    [ t.managed_trr; t.managed_arr; t.managed_rcp; t.mesh_in; t.confed_in;
-      t.from_trr; t.from_arr; t.from_rcp; t.rcp_out ];
+  List.iter Adj_in.clear (adj_in_planes t);
+  Hashtbl.reset t.rcp_out;
   List.iter Rib.clear
     [ t.loc_rib; t.adv_mesh; t.adv_confed; t.adv_trr; t.adv_arr; t.adv_rcp;
       t.out_mesh; t.out_clients; t.out_arr ];
@@ -1894,20 +1837,18 @@ let best_exit t p =
   | None -> None
   | Some r -> Config.router_of_loopback t.env.config (R.next_hop r)
 
-let sum_tbl tbl = srctbl_fold (fun _ rib acc -> acc + Rib.entry_count rib) tbl 0
-
-let rib_in_managed t =
-  sum_tbl t.managed_trr + sum_tbl t.managed_arr + sum_tbl t.managed_rcp
+let sum_tbl tbls = List.fold_left (fun acc tbl -> acc + Adj_in.entry_count tbl) 0 tbls
+let rib_in_managed t = sum_tbl [ t.managed_trr; t.managed_arr; t.managed_rcp ]
 
 let rib_in_unmanaged t =
-  sum_tbl t.mesh_in + sum_tbl t.confed_in + sum_tbl t.from_trr
-  + sum_tbl t.from_arr + sum_tbl t.from_rcp
+  sum_tbl [ t.mesh_in; t.confed_in; t.from_trr; t.from_arr; t.from_rcp ]
 
 let rib_in_entries t = rib_in_managed t + rib_in_unmanaged t
 
 let rib_out_entries t =
   Rib.entry_count t.out_mesh + Rib.entry_count t.out_clients
-  + Rib.entry_count t.out_arr + sum_tbl t.rcp_out
+  + Rib.entry_count t.out_arr
+  + Hashtbl.fold (fun _ rib acc -> acc + Rib.entry_count rib) t.rcp_out 0
 
 let rib_out_client_entries t =
   Rib.entry_count t.adv_mesh + Rib.entry_count t.adv_confed
@@ -1918,7 +1859,7 @@ let loc_rib_entries t = Rib.entry_count t.loc_rib
 let ebgp_entries t = Rib.entry_count t.ebgp_rib
 
 let received_set t ~from p =
-  let get tbl = match srctbl_find_opt tbl from with None -> [] | Some rib -> Rib.get rib p in
+  let get tbl = Adj_in.get tbl p from in
   get t.from_arr @ get t.from_trr @ get t.mesh_in @ get t.confed_in
   @ get t.from_rcp
 
@@ -1975,9 +1916,9 @@ let rib_slots t =
   [| t.ebgp_rib; t.local_rib; t.loc_rib; t.adv_mesh; t.adv_confed; t.adv_rcp;
      t.adv_trr; t.adv_arr; t.out_mesh; t.out_clients; t.out_arr |]
 
-let peer_table_slots t =
-  [| t.managed_trr; t.managed_arr; t.mesh_in; t.confed_in; t.managed_rcp;
-     t.from_rcp; t.rcp_out; t.from_trr; t.from_arr |]
+(* [st_peer_tables]: the [adj_in_planes] with [rcp_out] at this slot. *)
+let rcp_out_slot = 6
+let peer_table_count = 9
 
 let path_id_slots t =
   [| t.ids_mesh; t.ids_clients; t.ids_arr; t.ids_adv_trr; t.ids_adv_arr |]
@@ -1987,14 +1928,26 @@ let dump_rib rib =
   |> List.sort Prefix.compare
   |> List.map (fun p -> (p, Rib.get rib p))
 
+(* Clients ascending; a client with nothing advertised is left out, as
+   an Adj-RIB-In plane leaves out a source with no routes. *)
+let dump_rcp_out t =
+  Hashtbl.fold
+    (fun client rib acc ->
+      if Rib.entry_count rib = 0 then acc else (client, dump_rib rib) :: acc)
+    t.rcp_out []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let dump_peer_tables t =
+  let planes = Array.of_list (List.map Adj_in.dump (adj_in_planes t)) in
+  Array.init peer_table_count (fun i ->
+      if i < rcp_out_slot then planes.(i)
+      else if i = rcp_out_slot then dump_rcp_out t
+      else planes.(i - 1))
+
 let dump_state t =
   {
     st_ribs = Array.map dump_rib (rib_slots t);
-    st_peer_tables =
-      Array.map
-        (fun tbl ->
-          List.map (fun (src, rib) -> (src, dump_rib rib)) (sorted_tbl tbl))
-        (peer_table_slots t);
+    st_peer_tables = dump_peer_tables t;
     st_path_ids = Array.map Path_id.dump (path_id_slots t);
     st_ebgp_neighbors =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ebgp_neighbors []
@@ -2035,16 +1988,17 @@ let dump_state t =
 
 let load_state t st =
   let ribs = rib_slots t in
-  let tables = peer_table_slots t in
+  let planes = Array.of_list (adj_in_planes t) in
   let ids = path_id_slots t in
   if
     Array.length st.st_ribs <> Array.length ribs
-    || Array.length st.st_peer_tables <> Array.length tables
+    || Array.length st.st_peer_tables <> peer_table_count
     || Array.length st.st_path_ids <> Array.length ids
   then invalid_arg "Router.load_state: slot count mismatch";
   (* Wipe everything, as a cold start would, then refill from the dump. *)
   Array.iter Rib.clear ribs;
-  Array.iter srctbl_reset tables;
+  Array.iter Adj_in.clear planes;
+  Hashtbl.reset t.rcp_out;
   Array.iter Path_id.clear ids;
   Hashtbl.reset t.ebgp_neighbors;
   Queue.clear t.inbox;
@@ -2057,8 +2011,14 @@ let load_state t st =
     (fun i d ->
       List.iter
         (fun (src, rd) ->
-          let rib = table_rib tables.(i) src in
-          List.iter (fun (p, rs) -> Rib.set rib p rs) rd)
+          if i = rcp_out_slot then begin
+            if rd <> [] then
+              let rib = rcp_out_rib t src in
+              List.iter (fun (p, rs) -> Rib.set rib p rs) rd
+          end
+          else
+            let plane = planes.(if i < rcp_out_slot then i else i - 1) in
+            List.iter (fun (p, rs) -> ignore (Adj_in.exchange plane p src rs)) rd)
         d)
     st.st_peer_tables;
   Array.iteri (fun i d -> Path_id.load ids.(i) d) st.st_path_ids;

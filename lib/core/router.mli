@@ -255,7 +255,9 @@ type damp_state = {
 
 type state = {
   st_ribs : rib_dump array;  (** fixed slot order — see router.ml *)
-  st_peer_tables : (int * rib_dump) list array;  (** per-source Adj-RIB-Ins *)
+  st_peer_tables : (int * rib_dump) list array;
+      (** per-source Adj-RIB-Ins and the RCP per-client Adj-RIB-Out,
+          sources ascending, none with an empty dump *)
   st_path_ids : Path_id.dump array;  (** add-paths id allocators *)
   st_ebgp_neighbors : ((int * int) * Netaddr.Ipv4.t) list;
   st_inbox : input list;  (** FIFO order *)

@@ -79,17 +79,6 @@ let scenario_of_gadget ?(check_exits = true) (g : Abrr_core.Gadgets.t) =
    session is behaviorally identical to an absent one (and the ghost-
    entry class of divergence disappears from the digest). *)
 let norm_router mrai_off (st : Router.state) =
-  (* A per-source Adj-RIB-In entry left empty by an implicit withdraw is
-     hashtable residue: every reader folds over entries and [Rib.get]
-     answers [] for absent and empty alike, and writers re-create
-     entries on demand — so empty and absent are behaviorally identical
-     and must digest identically. ([Rib.set] deletes emptied prefix
-     keys, so an empty entry dumps exactly as [(src, [])].) *)
-  let peer_tables =
-    Array.map
-      (List.filter (fun ((_, rd) : int * Router.rib_dump) -> rd <> []))
-      st.Router.st_peer_tables
-  in
   (* Inbox order across sources is dead state: [process_now] drains the
      whole inbox into per-source tables before recomputing any decision,
      and inputs from different sources write disjoint entries (eBGP /
@@ -120,8 +109,7 @@ let norm_router mrai_off (st : Router.state) =
   in
   {
     st with
-    Router.st_peer_tables = peer_tables;
-    st_inbox = inbox;
+    Router.st_inbox = inbox;
     st_sessions = sessions;
     st_counters = Abrr_core.Counters.create ();
     st_rejected_loops = 0;

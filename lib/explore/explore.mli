@@ -31,8 +31,6 @@
     erases the clock and event timestamps (Async mode — that is the
     asynchronous abstraction itself), renumbers event [seq]s
     canonically, zeroes measurement counters and the unused RNG word,
-    drops per-source Adj-RIB-In entries emptied by implicit withdraws
-    (every reader treats an empty entry exactly like an absent one),
     canonicalizes inbox order across sources (a processing batch drains
     the whole inbox into disjoint per-source tables before any decision
     runs, so only same-source relative order is observable),

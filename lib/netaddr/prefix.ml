@@ -36,6 +36,24 @@ let compare p q =
 let equal p q = p.len = q.len && Ipv4.equal p.addr q.addr
 let to_key p = (Ipv4.to_int p.addr lsl 6) lor p.len
 let of_key k = { addr = Ipv4.of_int (k lsr 6); len = k land 0x3F }
+let key_len k = k land 0x3F
+
+(* The addresses agree on the first [key_len kp] bits: both shifted past
+   them are equal (a shift by 38 leaves 0 of either). *)
+let key_subsumes kp kq =
+  let l = key_len kp in
+  l <= key_len kq && kp lsr (38 - l) = kq lsr (38 - l)
+
+let key_bit k i = (k lsr (37 - i)) land 1 = 1
+
+let key_common kp kq =
+  let x = (kp lxor kq) lsr 6 in
+  let rec first_diff i =
+    if i >= 32 || (x lsr (31 - i)) land 1 = 1 then i else first_diff (i + 1)
+  in
+  let l = min (min (key_len kp) (key_len kq)) (first_diff 0) in
+  (((kp lsr 6) land netmask l) lsl 6) lor l
+
 let hash p = Hashtbl.hash (to_key p)
 let mem a p = Ipv4.to_int a land netmask p.len = Ipv4.to_int p.addr
 

@@ -37,6 +37,25 @@ val to_key : t -> int
 
 val of_key : int -> t
 
+(** {2 Key arithmetic}
+
+    Keys order as their prefixes do ([Int.compare (to_key p) (to_key q)]
+    has the sign of [compare p q]), so a trie over keys descends and
+    folds without building a [t]. *)
+
+val key_len : int -> int
+(** [key_len (to_key p) = len p]. *)
+
+val key_subsumes : int -> int -> bool
+(** [key_subsumes (to_key p) (to_key q) = subsumes p q]. *)
+
+val key_bit : int -> int -> bool
+(** [key_bit (to_key p) i] is address bit [i < 32] of [p]: [bit p i]
+    when [i < len p], [false] beyond (host bits are zero). *)
+
+val key_common : int -> int -> int
+(** The key of the longest prefix that subsumes both. *)
+
 val mem : Ipv4.t -> t -> bool
 (** [mem a p] is true iff address [a] falls inside prefix [p]. *)
 

@@ -372,11 +372,32 @@ let test_flush_order () =
     (List.map show [ (1, [ high ]); (4, [ low0; low1 ]) ])
     (List.map show delivers)
 
+(* Candidate order is part of the outcome: an ARR pushes its managed
+   sources in descending order, so equal routes survive in that order
+   and the reflected set's path ids follow it; a client's tie-break then
+   falls to the lowest peer address. Routes arrive at routers 5, 2, 4
+   and 3, in that order. *)
+let test_candidate_order () =
+  let net =
+    N.create
+      (single_ap_abrr ~arrs:[ 0; 1 ] ~n:8 ~med_mode:Bgp.Decision.Always_compare ())
+  in
+  List.iter (fun k -> inject net ~router:k (route ~prefix k)) [ 5; 2; 4; 3 ];
+  quiesce net;
+  let set = R.reflector_set (N.router net 0) prefix in
+  Alcotest.(check (list (pair int int)))
+    "owners and path ids"
+    [ (5, 1); (4, 2); (3, 3); (2, 4) ]
+    (List.map (fun (r : Bgp.Route.t) -> (owner_of_route r, r.Bgp.Route.path_id)) set);
+  Alcotest.(check (option int)) "router 7 exit" (Some 2) (N.best_exit net ~router:7 prefix)
+
 let suite =
   ( "abrr",
     [
       Alcotest.test_case "flush order: destinations ascending" `Quick
         test_flush_order;
+      Alcotest.test_case "candidate order: sources descending" `Quick
+        test_candidate_order;
       Alcotest.test_case "ARR fan-out allocates little" `Quick
         test_fanout_allocation;
       Alcotest.test_case "reflection reaches all clients" `Quick

@@ -7,6 +7,7 @@ module N = Abrr_core.Network
 module Sim = Eventsim.Sim
 module Time = Eventsim.Time
 module S = Snapshot
+module R = Abrr_core.Router
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -131,6 +132,45 @@ let test_canonical_encoding () =
   run_to_quiescence a;
   run_to_quiescence b;
   check_bool "identical bytes" true (S.encode a = S.encode b)
+
+(* A source whose last route is withdrawn leaves no entry behind: two
+   routers in the same logical state must dump equal per-source tables,
+   so no table lists a source with an empty dump. *)
+let withdrawn_net () =
+  let net = N.create (Helpers.single_ap_abrr ()) in
+  let prefix = prefixes.(0) in
+  Helpers.inject net ~router:2 (Helpers.route ~prefix 2);
+  run_to_quiescence net;
+  N.withdraw net ~router:2 ~neighbor:(Helpers.neighbor 2) prefix ~path_id:0;
+  run_to_quiescence net;
+  net
+
+let empty_entries (st : R.state) =
+  Array.to_list st.R.st_peer_tables
+  |> List.concat_map (List.filter (fun (_, rd) -> rd = []))
+  |> List.length
+
+let test_no_empty_sources () =
+  let net = withdrawn_net () in
+  for i = 0 to N.router_count net - 1 do
+    check_int (Printf.sprintf "router %d empty entries" i) 0
+      (empty_entries (R.dump_state (N.router net i)))
+  done
+
+(* A format-5 dump may still hold such an entry: it loads, and the
+   router dumps without it. *)
+let test_empty_source_loads () =
+  let net = withdrawn_net () in
+  Helpers.inject net ~router:3 (Helpers.route ~prefix:prefixes.(1) 3);
+  run_to_quiescence net;
+  let router = N.router net 5 in
+  let st = R.dump_state router in
+  let slot = st.R.st_peer_tables.(8) in
+  let padded = Array.copy st.R.st_peer_tables in
+  padded.(8) <- List.sort compare ((4, []) :: slot);
+  check_bool "dump has from_arr entries" true (slot <> []);
+  R.load_state router { st with R.st_peer_tables = padded };
+  check_bool "dump without the empty entry" true (R.dump_state router = st)
 
 (* ------------------------------------------------------------------ *)
 (* Property: for any (seed, scheme, pause point), checkpoint + restore
@@ -457,6 +497,9 @@ let suite =
       Alcotest.test_case "roundtrip at quiescence" `Quick test_roundtrip_quiescent;
       Alcotest.test_case "roundtrip mid-run" `Quick test_roundtrip_midrun;
       Alcotest.test_case "canonical encoding" `Quick test_canonical_encoding;
+      Alcotest.test_case "no empty per-source entry" `Quick test_no_empty_sources;
+      Alcotest.test_case "empty per-source entry loads" `Quick
+        test_empty_source_loads;
       QCheck_alcotest.to_alcotest prop_resume;
       Alcotest.test_case "thunk rejected" `Quick test_thunk_rejected;
       Alcotest.test_case "corruption rejected" `Quick test_corrupt_rejected;

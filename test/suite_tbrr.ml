@@ -110,6 +110,27 @@ let test_multipath_advertises_set () =
   let out = R.rib_out_entries (N.router net 0) in
   check_bool "trr rib-out holds multiple" true (out >= 2)
 
+(* A multipath TRR reflects its clients' routes in candidate order:
+   managed sources descending, so equal routes arriving from clients 5,
+   2, 4 and 3 (in that order) get path ids in the order 5, 4, 3, 2, and
+   a client storing full sets keeps them so. *)
+let test_multipath_candidate_order () =
+  let cfg =
+    C.make ~store_full_sets:true ~med_mode:Bgp.Decision.Always_compare ~n_routers:8
+      ~igp:(flat_igp 8)
+      ~scheme:(C.tbrr ~multipath:true [ { C.trrs = [ 0 ]; clients = [ 1; 2; 3; 4; 5; 6; 7 ] } ])
+      ()
+  in
+  let net = N.create cfg in
+  List.iter (fun k -> inject net ~router:k (route ~prefix k)) [ 5; 2; 4; 3 ];
+  quiesce net;
+  Alcotest.(check (list (pair int int)))
+    "owners and path ids"
+    [ (5, 1); (4, 2); (3, 3); (2, 4) ]
+    (List.map
+       (fun (r : Bgp.Route.t) -> (owner_of_route r, r.Bgp.Route.path_id))
+       (R.received_set (N.router net 7) ~from:0 prefix))
+
 let test_single_path_hides_diversity () =
   let net = N.create (two_clusters ()) in
   inject net ~router:4 (route ~asn:7000 ~prefix 4);
@@ -149,6 +170,8 @@ let suite =
       Alcotest.test_case "mesh export rules" `Quick
         test_trr_to_trr_no_reflection_of_mesh_routes;
       Alcotest.test_case "client in two clusters" `Quick test_dual_cluster_client;
+      Alcotest.test_case "multipath candidate order" `Quick
+        test_multipath_candidate_order;
       Alcotest.test_case "multipath TBRR set" `Quick test_multipath_advertises_set;
       Alcotest.test_case "single-path hides diversity" `Quick
         test_single_path_hides_diversity;
