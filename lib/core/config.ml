@@ -89,10 +89,13 @@ let member_asn i = Bgp.Asn.of_int (64512 + i)
 
 let loopback i = Ipv4.of_int (0x0A00_0000 + i)
 
+let loopback_index t a =
+  let i = Ipv4.to_int a - 0x0A00_0000 in
+  if i >= 0 && i < t.n_routers then i else -1
+
 let router_of_loopback t a =
-  let x = Ipv4.to_int a in
-  if x >= 0x0A00_0000 && x < 0x0A00_0000 + t.n_routers then Some (x - 0x0A00_0000)
-  else None
+  let i = loopback_index t a in
+  if i < 0 then None else Some i
 
 let cluster_id c = Ipv4.of_int (0xC0A8_0000 + c)
 

@@ -141,7 +141,13 @@ val default_link_delay : int -> int -> Time.t
     to exercise the TBRR race conditions of §4.2. *)
 
 val loopback : int -> Ipv4.t
+val loopback_index : t -> Ipv4.t -> int
+(** The router whose loopback is the address, or -1 if none. Allocates
+    nothing: the IGP-cost readers call it once per candidate route. *)
+
 val router_of_loopback : t -> Ipv4.t -> int option
+(** {!loopback_index} as an option. *)
+
 val cluster_id : int -> Ipv4.t
 
 val add_paths : t -> bool

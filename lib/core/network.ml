@@ -52,7 +52,7 @@ type t = {
   config : Config.t;
   sim : payload Sim.t;
   mutable routers : Router.t array;
-  mutable dist : int array array;
+  mutable dist : Igp.Spf.table;  (* shared with every network over the graph *)
   mutable dist_gen : int;  (* [Igp.Graph.generation] [dist] was computed at *)
   mutable plan : (int * (shard_plan, string) result) option;
       (* [Sharded.run]'s plan for one [jobs] value; dropped on repartition *)
@@ -150,8 +150,8 @@ let create ?(seed = 42) config =
       config;
       sim;
       routers = [||];
-      dist = Igp.Spf.all_pairs config.Config.igp;
       dist_gen = Igp.Graph.generation config.Config.igp;
+      dist = Igp.Spf.table config.Config.igp;
       plan = None;
       hooks = [];
       best_changes = 0;
@@ -193,14 +193,12 @@ let create ?(seed = 42) config =
               (Deliver { src = i; dst; bytes; msgs; items }));
         igp_cost =
           (fun next_hop ->
-            match Config.router_of_loopback config next_hop with
-            | Some j -> t.dist.(i).(j)
-            | None -> 0);
+            let j = Config.loopback_index config next_hop in
+            if j < 0 then 0 else Igp.Spf.cost t.dist ~src:i ~dst:j);
         igp_cost_from =
           (fun ~src next_hop ->
-            match Config.router_of_loopback config next_hop with
-            | Some j -> t.dist.(src).(j)
-            | None -> 0);
+            let j = Config.loopback_index config next_hop in
+            if j < 0 then 0 else Igp.Spf.cost t.dist ~src ~dst:j);
         on_best_change = (fun prefix route -> t.sched.sc_best_change i prefix route);
       }
     in
@@ -236,12 +234,12 @@ let last_change t =
 
 let on_best_change t hook = t.hooks <- t.hooks @ [ hook ]
 let best_changes t = t.best_changes
-let igp_distance t i j = t.dist.(i).(j)
+let igp_distance t i j = Igp.Spf.cost t.dist ~src:i ~dst:j
 
 let recompute_dist t =
   let igp = t.config.Config.igp in
-  t.dist <- Igp.Spf.all_pairs igp;
-  t.dist_gen <- Igp.Graph.generation igp
+  t.dist_gen <- Igp.Graph.generation igp;
+  t.dist <- Igp.Spf.table igp
 
 let refresh_igp t =
   recompute_dist t;
@@ -321,8 +319,8 @@ let load t d =
   t.best_changes <- d.d_best_changes;
   (* SPF distances come from the caller-rebuilt config rather than the
      checkpoint; a run that edits the IGP graph mid-flight must re-apply
-     those edits before resuming. [create] computed them already, so
-     they are recomputed only if the graph changed since. *)
+     those edits before resuming. [create] took the graph's table
+     already, so a new one is taken only if the graph changed since. *)
   if Igp.Graph.generation t.config.Config.igp <> t.dist_gen then
     recompute_dist t;
   Sim.restore t.sim ~clock:d.d_clock ~next_seq:d.d_next_seq

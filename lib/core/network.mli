@@ -52,7 +52,10 @@ type payload =
   | Thunk of (unit -> unit)  (** opaque closure ({!at}) — not snapshotable *)
 
 val create : ?seed:int -> Config.t -> t
-(** @raise Invalid_argument when {!Config.validate} fails. *)
+(** Takes the IGP graph's distance table ({!Igp.Spf.table}): the first
+    network over a graph generation computes it, later ones (a
+    checkpoint restore, a sweep sharing one topology) reuse it.
+    @raise Invalid_argument when {!Config.validate} fails. *)
 
 val config : t -> Config.t
 
@@ -126,10 +129,16 @@ val best_changes : t -> int
 (** Total Loc-RIB changes since creation (oscillation diagnostics). *)
 
 val igp_distance : t -> int -> int -> int
+(** [igp_distance t i j]: metric of the shortest IGP path from router
+    [i] to router [j], read from the distance table the network took at
+    {!create} or its last {!refresh_igp}. That table is
+    {!Igp.Spf.table} of the configuration's graph, shared with every
+    network over the same graph generation. *)
 
 val refresh_igp : t -> unit
-(** Recompute SPF after the IGP graph was edited (link failure
-    experiments) and re-run every router's decision process. *)
+(** Take the IGP graph's current distance table after it was edited
+    (link failure experiments) and re-run every router's decision
+    process. *)
 
 (** {1 Transition (§2.4)} *)
 
@@ -174,7 +183,7 @@ val hold_time : Eventsim.Time.t
     ring when one is attached. Not in here: the config (the restoring
     caller rebuilds it and the codec checks a fingerprint), SPF
     distances (taken from that config's IGP graph: {!load} keeps the
-    ones {!create} computed unless the graph was edited since), and
+    table {!create} took unless the graph was edited since), and
     {!on_best_change} hooks (closures — re-register after restoring). *)
 type dump = {
   d_clock : Time.t;

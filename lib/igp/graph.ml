@@ -1,17 +1,27 @@
+type memo = ..
+type memo += Nothing
+
 type t = {
   adj : (int, int) Hashtbl.t array;
   mutable arcs : int;
   mutable generation : int;
+  memo : (int * memo) Atomic.t;
 }
 (* adj.(u) maps neighbour v to the arc metric. *)
 
 let create ~n =
   if n < 0 then invalid_arg "Graph.create: negative size";
-  { adj = Array.init n (fun _ -> Hashtbl.create 4); arcs = 0; generation = 0 }
+  {
+    adj = Array.init n (fun _ -> Hashtbl.create 4);
+    arcs = 0;
+    generation = 0;
+    memo = Atomic.make (-1, Nothing);
+  }
 
 let node_count g = Array.length g.adj
 let edge_count g = g.arcs
 let generation g = g.generation
+let memo g = g.memo
 
 let check g u =
   if u < 0 || u >= node_count g then

@@ -35,3 +35,13 @@ val generation : t -> int
 (** Counts the edits that changed the graph: every arc added, removed
     or lowered bumps it. Equal generations mean equal graphs, so a
     caller can tell whether distances it computed earlier are stale. *)
+
+type memo = ..
+(** Data derived from the graph at one generation. Only the module that
+    adds a constructor can build or read its data. *)
+
+val memo : t -> (int * memo) Atomic.t
+(** The graph's one derived-data slot: [(generation, data)], with
+    generation -1 until something is derived. {!Spf.table} keeps its
+    distance table here, so the table lives as long as the graph, and
+    a reader that finds an older generation derives afresh. *)

@@ -26,23 +26,10 @@ type work = {
   mutable stamps : int;
 }
 
-let work g =
-  let n = Graph.node_count g in
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + Graph.degree g u
-  done;
+let rec width x = if x = 0 then 0 else 1 + width (x lsr 1)
+
+let workspace ~n off dst wt =
   let m = off.(n) in
-  let dst = Array.make m 0 and wt = Array.make m 0 in
-  for u = 0 to n - 1 do
-    (* [neighbors] reverses iteration order: fill each row from its end. *)
-    let k = ref off.(u + 1) in
-    Graph.iter_neighbors g u (fun v metric ->
-        decr k;
-        dst.(!k) <- v;
-        wt.(!k) <- metric)
-  done;
-  let rec width x = if x = 0 then 0 else 1 + width (x lsr 1) in
   let bits = width m in
   (* A tentative distance is a shortest distance plus one arc: at most
      [n] arcs, each no longer than the longest. *)
@@ -60,6 +47,48 @@ let work g =
     size = 0;
     stamps = 0;
   }
+
+let work g =
+  let n = Graph.node_count g in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Graph.degree g u
+  done;
+  let m = off.(n) in
+  let dst = Array.make m 0 and wt = Array.make m 0 in
+  for u = 0 to n - 1 do
+    (* [neighbors] reverses iteration order: fill each row from its end. *)
+    let k = ref off.(u + 1) in
+    Graph.iter_neighbors g u (fun v metric ->
+        decr k;
+        dst.(!k) <- v;
+        wt.(!k) <- metric)
+  done;
+  workspace ~n off dst wt
+
+(* The same rows over incoming arcs: row [v] lists every arc [u -> v] as
+   [u] with its metric, so a run "from" [v] yields each node's distance
+   to [v]. Parents then point away from [v]; nothing reads them. *)
+let work_incoming g =
+  let n = Graph.node_count g in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    Graph.iter_neighbors g u (fun v _ -> off.(v + 1) <- off.(v + 1) + 1)
+  done;
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let m = off.(n) in
+  let dst = Array.make m 0 and wt = Array.make m 0 in
+  let next = Array.sub off 0 n in
+  for u = 0 to n - 1 do
+    Graph.iter_neighbors g u (fun v metric ->
+        let k = next.(v) in
+        next.(v) <- k + 1;
+        dst.(k) <- u;
+        wt.(k) <- metric)
+  done;
+  workspace ~n off dst wt
 
 let push w d v =
   let key = (d lsl w.bits) lor w.stamps in
@@ -137,13 +166,37 @@ let path g ~src ~dst =
     Some (build dst [])
   end
 
-let all_pairs g =
-  let n = Graph.node_count g in
-  let w = work g in
+(* One run from every row of [w]'s adjacency, each into its own array. *)
+let runs w =
+  let n = Array.length w.parent in
   Array.init n (fun src ->
       let dist = Array.make n unreachable in
       fill w ~src dist;
       dist)
+
+let all_pairs g = runs (work g)
+
+(* Destination-major: [t.(dst).(src)] is the metric of the shortest path
+   [src -> dst]. A reflected set's next hops are a few columns that every
+   client reads, so they stay cached across clients. *)
+type table = int array array
+
+type Graph.memo += Table of table
+
+(* Whoever computes a generation's table first installs it; a caller that
+   loses the race adopts the winner's, so one generation has one table. *)
+let table g =
+  let slot = Graph.memo g and gen = Graph.generation g in
+  let rec install t =
+    match Atomic.get slot with
+    | g', Table t' when g' = gen -> t'
+    | seen -> if Atomic.compare_and_set slot seen (gen, Table t) then t else install t
+  in
+  match Atomic.get slot with
+  | g', Table t when g' = gen -> t
+  | _ -> install (runs (work_incoming g))
+
+let cost (t : table) ~src ~dst = t.(dst).(src)
 
 let reachable_from g ~src =
   Array.map (fun d -> d <> unreachable) (distances g ~src)

@@ -25,5 +25,23 @@ val all_pairs : Graph.t -> int array array
     the flattened adjacency and the heap once and reuses them for every
     source; allocates nothing beyond the matrix. *)
 
+type table
+(** Destination-major distance table: one column per destination,
+    holding every node's distance to it. Shared between all its
+    readers and never mutated. *)
+
+val table : Graph.t -> table
+(** [table g] is the table of [g] at its current {!Graph.generation}.
+    It is computed once per generation, one Dijkstra per destination
+    over incoming arcs, and kept in the graph's {!Graph.memo} slot:
+    every call at one generation returns the physically same table,
+    also across domains, and an edit makes the next call compute a
+    fresh one. A table taken earlier keeps its old distances. *)
+
+val cost : table -> src:int -> dst:int -> int
+(** Metric of the shortest path [src -> dst] ({!unreachable} if none),
+    as [(all_pairs g).(src).(dst)]. Allocates nothing.
+    @raise Invalid_argument if [src] or [dst] is out of range. *)
+
 val reachable_from : Graph.t -> src:int -> bool array
 val connected : Graph.t -> bool

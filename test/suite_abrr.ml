@@ -337,6 +337,39 @@ let test_fanout_allocation () =
       if per > 32. then Alcotest.failf "%s: %.1f words per delivery" name per)
     (round () @ round ())
 
+(* The §3.4 pick reads one IGP cost per route of a reflected set without
+   allocating: a client storing a changed [From_arr] set of 32 routes
+   allocates at most 8 words more than one storing 4 routes, after a
+   warm-up. Deliveries alternate between two next-hop ranges, so each
+   one changes the set and runs the pick over all of its routes. *)
+let test_pick_allocation () =
+  let n = 40 in
+  let net = N.create (single_ap_abrr ~arrs:[ 0 ] ~n ()) in
+  let client = N.router net 5 in
+  let set ~first k =
+    List.init k (fun i ->
+        let j = first + i in
+        Bgp.Route.update ~next_hop:(C.loopback j) (route ~path_id:(i + 1) ~prefix j))
+  in
+  let words k =
+    let deliver first =
+      R.receive client ~src:0 ~bytes:0 ~msgs:0
+        ~items:[ (Abrr_core.Proto.From_arr, Abrr_core.Proto.delta prefix (set ~first k)) ];
+      let before = Gc.minor_words () in
+      R.process_now client;
+      let words = Gc.minor_words () -. before in
+      ignore (N.run net);
+      words
+    in
+    ignore (deliver 6);
+    ignore (deliver 7);
+    let total = deliver 6 +. deliver 7 +. deliver 6 +. deliver 7 in
+    total /. 4.
+  in
+  let small = words 4 and large = words 32 in
+  if large -. small > 8. then
+    Alcotest.failf "storing 32 routes: %.1f words, 4 routes: %.1f words" large small
+
 (* A flush sends to its destinations in ascending id order, one Deliver
    per destination carrying its items in [sort_items] order (channel,
    then prefix). Here the lower AP is served by the higher-numbered ARR,
@@ -408,6 +441,8 @@ let suite =
         test_client_stores_per_as_under_med;
       Alcotest.test_case "noop/delta batches allocate little" `Quick
         test_noop_delta_batches_allocation;
+      Alcotest.test_case "best-of-set pick allocates little" `Quick
+        test_pick_allocation;
       Alcotest.test_case "best-of-set pick = naive oracle" `Quick
         test_client_best_of_set_matches_naive;
       Alcotest.test_case "full-set storage mode" `Quick

@@ -66,7 +66,23 @@ let test_loopback () =
   check_bool "out of range" true
     (C.router_of_loopback cfg (C.loopback 200) = None);
   check_bool "non loopback" true
-    (C.router_of_loopback cfg (Netaddr.Ipv4.of_string "172.16.0.1") = None)
+    (C.router_of_loopback cfg (Netaddr.Ipv4.of_string "172.16.0.1") = None);
+  let check_int = Alcotest.(check int) in
+  check_int "index roundtrip" 2 (C.loopback_index cfg (C.loopback 2));
+  check_int "index out of range" (-1) (C.loopback_index cfg (C.loopback 200));
+  check_int "index last router" 3 (C.loopback_index cfg (C.loopback 3));
+  check_int "index one past the last" (-1) (C.loopback_index cfg (C.loopback 4));
+  check_int "index non loopback" (-1)
+    (C.loopback_index cfg (Netaddr.Ipv4.of_string "172.16.0.1"));
+  check_int "index below the range" (-1)
+    (C.loopback_index cfg (Netaddr.Ipv4.of_string "9.255.255.255"));
+  List.iter
+    (fun i ->
+      let a = C.loopback i in
+      let i' = C.loopback_index cfg a in
+      check_bool "option view" true
+        (C.router_of_loopback cfg a = if i' < 0 then None else Some i'))
+    [ -1; 0; 1; 3; 4; 200 ]
 
 let test_proc_delay_of () =
   let cfg =

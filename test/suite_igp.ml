@@ -87,17 +87,31 @@ let prop_triangle_inequality =
 (* Random graphs for the SPF oracles: directed arcs and undirected
    edges, zero metrics, repeated arcs (the graph keeps the smallest
    metric) and isolated nodes that stay unreachable. *)
-let random_graph =
+let arc n = QCheck.Gen.(quad (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 6) bool)
+
+let show_graph (n, arcs) =
+  Printf.sprintf "n=%d %s" n
+    (String.concat " "
+       (List.map (fun (u, v, m, e) -> Printf.sprintf "%d%s%d:%d" u (if e then "-" else ">") v m) arcs))
+
+let graph_gen ~nodes ~arcs =
+  QCheck.Gen.(int_range 1 nodes >>= fun n -> map (fun l -> (n, l)) (list_size (int_bound arcs) (arc n)))
+
+let random_graph = QCheck.make ~print:show_graph (graph_gen ~nodes:14 ~arcs:40)
+
+(* Up to 40 nodes, plus one arc [u -> v] to lower to metric 0 and one
+   edge to remove after the first table was taken. *)
+let edited_graph =
   let open QCheck in
-  let arc n = Gen.(quad (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 6) bool) in
   let gen =
-    Gen.(int_range 1 14 >>= fun n -> map (fun arcs -> (n, arcs)) (list_size (int_bound 40) (arc n)))
+    Gen.(
+      graph_gen ~nodes:40 ~arcs:120 >>= fun (n, arcs) ->
+      let node = int_bound (n - 1) in
+      map (fun (a, b) -> ((n, arcs), a, b)) (pair (pair node node) (pair node node)))
   in
   make
-    ~print:(fun (n, arcs) ->
-      Printf.sprintf "n=%d %s" n
-        (String.concat " "
-           (List.map (fun (u, v, m, e) -> Printf.sprintf "%d%s%d:%d" u (if e then "-" else ">") v m) arcs)))
+    ~print:(fun (spec, (u, v), (x, y)) ->
+      Printf.sprintf "%s; lower %d>%d; remove %d-%d" (show_graph spec) u v x y)
     gen
 
 let build (n, arcs) =
@@ -168,6 +182,68 @@ let prop_run_parents =
         (fun src -> Igp.Spf.run g ~src = reference_run g ~src)
         (List.init (fst spec) Fun.id))
 
+(* The destination-major table [t] holds the row-major distances [m]. *)
+let holds t m =
+  let ok = ref true in
+  Array.iteri
+    (fun src row ->
+      Array.iteri (fun dst d -> if Igp.Spf.cost t ~src ~dst <> d then ok := false) row)
+    m;
+  !ok
+
+(* The table is the transpose of [all_pairs], one per generation: a
+   second call returns the same table, an edit that moves the generation
+   yields a fresh one, and a table taken earlier keeps the distances of
+   its generation. *)
+let prop_table_transpose =
+  QCheck.Test.make ~name:"table = transpose of all_pairs, one per generation" ~count:150
+    edited_graph (fun (spec, (u, v), (x, y)) ->
+      let g = build spec in
+      let step edit =
+        let t = Igp.Spf.table g and m = Igp.Spf.all_pairs g in
+        let gen = Igp.Graph.generation g in
+        edit ();
+        let t' = Igp.Spf.table g in
+        holds t' (Igp.Spf.all_pairs g)
+        && (if Igp.Graph.generation g = gen then t' == t else t' != t)
+        && t' == Igp.Spf.table g
+        && holds t m
+      in
+      step (fun () -> Igp.Graph.add_arc g u v 0)
+      && step (fun () -> Igp.Graph.remove_edge g x y))
+
+(* A network reads the table it took at [create] or [refresh_igp];
+   [refresh_igp] and [load] after an IGP edit read the new distances. *)
+let prop_network_reads_generation =
+  let module C = Abrr_core.Config in
+  let module N = Abrr_core.Network in
+  QCheck.Test.make ~name:"refresh_igp and load read an edited graph" ~count:60
+    edited_graph (fun (spec, (u, v), (x, y)) ->
+      let g = build spec in
+      let n = fst spec in
+      let cfg = C.make ~n_routers:n ~igp:g ~scheme:C.Full_mesh () in
+      let reads net m =
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if N.igp_distance net i j <> m.(i).(j) then ok := false
+          done
+        done;
+        !ok
+      in
+      let step edit =
+        let m0 = Igp.Spf.all_pairs g in
+        let stale = N.create cfg and refreshed = N.create cfg and loaded = N.create cfg in
+        let dump = N.dump loaded in
+        edit ();
+        let m1 = Igp.Spf.all_pairs g in
+        N.refresh_igp refreshed;
+        N.load loaded dump;
+        reads stale m0 && reads refreshed m1 && reads loaded m1 && reads (N.create cfg) m1
+      in
+      step (fun () -> Igp.Graph.add_arc g u v 0)
+      && step (fun () -> Igp.Graph.remove_edge g x y))
+
 let test_generation () =
   let g = Igp.Graph.create ~n:3 in
   let gen0 = Igp.Graph.generation g in
@@ -201,6 +277,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_triangle_inequality;
       QCheck_alcotest.to_alcotest prop_all_pairs_reference;
       QCheck_alcotest.to_alcotest prop_run_parents;
+      QCheck_alcotest.to_alcotest prop_table_transpose;
+      QCheck_alcotest.to_alcotest prop_network_reads_generation;
       Alcotest.test_case "generation counts edits" `Quick test_generation;
       Alcotest.test_case "oversized metrics rejected" `Quick
         test_oversized_metrics_rejected;

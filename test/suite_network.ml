@@ -252,7 +252,7 @@ let prop_reflect_targets =
 (* Network.create on the 42 x 24-router paper topology under ABRR with
    8 APs x 2 ARRs. Role state must not grow with routers² (a reflect
    target list per router and AP is ~200 MB here); what remains is the
-   1008² IGP distance matrix (8 MB) and per-router tables. *)
+   1008² IGP distance table (8 MB) and per-router tables. *)
 let test_create_live_memory () =
   let module T = Topo.Isp_topo in
   let topo =
@@ -270,6 +270,31 @@ let test_create_live_memory () =
   let mb = float_of_int ((live () - before) * (Sys.word_size / 8)) /. 1048576. in
   check_int "routers" 1008 (N.router_count (Sys.opaque_identity net));
   if mb >= 32. then Alcotest.failf "Network.create left %.1f MB live (bound 32 MB)" mb
+
+(* A second [Network.create] over the same 1008-router configuration
+   takes the IGP graph's distance table instead of running 1008
+   Dijkstras: it allocates less than the table's 1008² words, while the
+   first create allocated more than that. *)
+let test_create_reuses_igp_table () =
+  let module T = Topo.Isp_topo in
+  let topo =
+    T.generate
+      (T.spec ~pops:42 ~routers_per_pop:24 ~peer_ases:15 ~peering_points_per_as:6
+         ~seed:7 ())
+  in
+  let cfg = T.config ~scheme:(T.abrr_scheme ~aps:8 ~arrs_per_ap:2 topo) topo in
+  let words_of_create () =
+    let before = Gc.allocated_bytes () in
+    let net = N.create cfg in
+    let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+    check_int "routers" 1008 (N.router_count (Sys.opaque_identity net));
+    words
+  in
+  let table = float_of_int (1008 * 1008) in
+  let first = words_of_create () in
+  let second = words_of_create () in
+  if first < table then Alcotest.failf "first create: %.0f words, no table built" first;
+  if second >= table then Alcotest.failf "second create allocated %.0f words" second
 
 (* [load] keeps the distances [create] computed, unless the IGP graph was
    edited in between. *)
@@ -292,6 +317,41 @@ let test_load_recomputes_edited_igp () =
   check_int "edited after create: recomputed" 50 (N.igp_distance edited 0 2);
   check_int "rerouted around the cut link" 60 (N.igp_distance edited 1 2)
 
+(* A directed IGP whose metrics differ each way: router 3 reaches exit 2
+   at cost 1 and exit 1 at cost 50, while the reverse arcs cost the
+   opposite. Every reader must use the cost from the deciding router to
+   the next hop; reading the reverse direction picks exit 1, which is
+   also what the router-id tie-break would pick. *)
+let directed_igp () =
+  let g = Igp.Graph.create ~n:4 in
+  for i = 1 to 3 do
+    Igp.Graph.add_edge g 0 i 100
+  done;
+  Igp.Graph.add_arc g 3 2 1;
+  Igp.Graph.add_arc g 2 3 50;
+  Igp.Graph.add_arc g 3 1 50;
+  Igp.Graph.add_arc g 1 3 1;
+  g
+
+let test_igp_orientation () =
+  let run scheme =
+    let net = N.create (C.make ~n_routers:4 ~igp:(directed_igp ()) ~scheme ()) in
+    inject net ~router:1 (route ~prefix 1);
+    inject net ~router:2 (route ~prefix 2);
+    quiesce net;
+    net
+  in
+  let abrr = run (C.abrr ~partition:(Part.uniform 1) [| [ 0 ] |]) in
+  check_int "distance 3 -> 2" 1 (N.igp_distance abrr 3 2);
+  check_int "distance 2 -> 3" 50 (N.igp_distance abrr 2 3);
+  check_int "distance 3 -> 1" 50 (N.igp_distance abrr 3 1);
+  check_int "distance 1 -> 3" 1 (N.igp_distance abrr 1 3);
+  check_bool "ABRR client picks its near exit" true
+    (N.best_exit abrr ~router:3 prefix = Some 2);
+  let rcp = run (C.rcp [ 0 ]) in
+  check_bool "RCP picks from the client's vantage" true
+    (N.best_exit rcp ~router:3 prefix = Some 2)
+
 let suite =
   ( "network",
     [
@@ -312,6 +372,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_reflect_targets;
       Alcotest.test_case "create: paper-scale live memory" `Quick
         test_create_live_memory;
+      Alcotest.test_case "create: a second network reuses the IGP table" `Quick
+        test_create_reuses_igp_table;
       Alcotest.test_case "load recomputes an edited IGP" `Quick
         test_load_recomputes_edited_igp;
+      Alcotest.test_case "IGP orientation: directed metrics" `Quick
+        test_igp_orientation;
     ] )
