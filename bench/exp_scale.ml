@@ -4,11 +4,12 @@
    RSS and trace throughput.
 
    Emits BENCH_scale.json. Deterministic quantities (counters, RIB
-   totals, simulated time, events) gate against bench/baseline/scale/
-   with a relative threshold wide enough to also keep the peak-RSS
-   sample honest across toolchain versions (CI uses 0.3); of the
-   wall-derived figures only the updates/sec floor gates. Per-event
-   latency and per-layer timing belong to benchmark/.
+   totals, trace composition, simulated time, events) gate exactly
+   against bench/baseline/scale/. Figures from the host clock or the
+   allocator (peak RSS, bytes per placement, updates/sec) are recorded
+   ungated: a fall-back to full recomputation shows exactly, on any
+   host, as decisions_full rising. Per-event latency and per-layer
+   timing belong to benchmark/.
 
    Default knobs are CI-bounded. The full paper-scale run (416 K
    prefixes x 1008 routers x 25 peer ASes) is the same experiment with
@@ -107,8 +108,9 @@ let run_on mrt_file =
     if placements = 0 then 0.
     else float_of_int peak_kb *. 1024. /. float_of_int placements
   in
+  (* [scale_c] holds only the RSS samples: they stay out of the gated
+     counters and are recorded below as ungated metrics. *)
   let total = N.total_counters net in
-  Abrr_core.Counters.add total scale_c;
   let updates_per_sec =
     if trace_wall > 0. then
       float_of_int total.Abrr_core.Counters.updates_received /. trace_wall
@@ -144,11 +146,7 @@ let run_on mrt_file =
         u ~unit_:"kB" "feed_peak_rss_kb" (fi feed_rss_kb);
         u ~unit_:"kB" "peak_rss_kb" (fi peak_kb);
         u ~unit_:"B" "bytes_per_placement" bytes_per_placement;
-        (* Gated, unlike wall_s and phases: the updates/sec CI floor
-           that keeps the incremental decision path fast. The 0.3
-           comparison threshold absorbs machine-to-machine wall
-           variance; a regression past it fails the job. *)
-        E.metric ~unit_:"updates/s" "updates_per_sec" updates_per_sec;
+        u ~unit_:"updates/s" "updates_per_sec" updates_per_sec;
       ]
   in
   emit { E.experiment = "scale"; runs = [ jrun ] };

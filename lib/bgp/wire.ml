@@ -51,79 +51,114 @@ let w_nlri buf ~add_paths ~path_id p =
   if add_paths then w32 buf path_id;
   w_prefix buf p
 
-(* Attribute: flags, type, (extended) length, payload. *)
-let w_attr buf ~flags ~typ payload =
-  let n = Buffer.length payload in
-  if n > 0xFF then (
-    w8 buf (flags lor 0x10);
-    w8 buf typ;
-    w16 buf n)
-  else (
-    w8 buf flags;
-    w8 buf typ;
-    w8 buf n);
-  Buffer.add_buffer buf payload
-
 let flag_transitive = 0x40
 let flag_optional = 0x80
 let flag_opt_transitive = 0xC0
 
-(* Encode a path-attribute block (excluding prefix/path id). One call
-   per distinct interned block: every route sharing the block shares
-   the encoding (see [encode_update]'s grouping). *)
-let encode_attrs (r : Route.attrs) =
-  let buf = Buffer.create 64 in
-  let payload = Buffer.create 16 in
-  let attr ~flags ~typ fill =
-    Buffer.clear payload;
-    fill payload;
-    w_attr buf ~flags ~typ payload
+(* In-place writers: each stores big-endian bytes at [pos] of a caller's
+   [bytes] and returns the position just past them. *)
+let put8 b pos v =
+  Bytes.set b pos (Char.unsafe_chr (v land 0xFF));
+  pos + 1
+
+let put16 b pos v = put8 b (put8 b pos (v lsr 8)) v
+let put32 b pos v = put16 b (put16 b pos (v lsr 16)) v
+
+let rec put_addrs b pos = function
+  | [] -> pos
+  | a :: rest -> put_addrs b (put32 b pos (Ipv4.to_int a)) rest
+
+let rec put_asns b pos = function
+  | [] -> pos
+  | a :: rest -> put_asns b (put32 b pos (Asn.to_int a)) rest
+
+let rec put_communities b pos = function
+  | [] -> pos
+  | c :: rest -> put_communities b (put32 b pos (Community.to_int c)) rest
+
+let rec put_ext_communities b pos = function
+  | [] -> pos
+  | e :: rest ->
+    let pos = put8 b pos (Ext_community.typ e) in
+    let pos = put8 b pos (Ext_community.subtyp e) in
+    let v = Ext_community.value e in
+    let pos = put16 b pos (v lsr 32) in
+    put_ext_communities b (put32 b pos (v land 0xFFFF_FFFF)) rest
+
+let segment_code : As_path.segment -> int = function
+  | As_path.Set _ -> 1
+  | As_path.Seq _ -> 2
+  | As_path.Confed_seq _ -> 3
+  | As_path.Confed_set _ -> 4
+
+let segment_asns : As_path.segment -> Asn.t list = function
+  | As_path.Set a | As_path.Seq a | As_path.Confed_seq a | As_path.Confed_set a -> a
+
+let rec put_segments b pos = function
+  | [] -> pos
+  | s :: rest ->
+    let asns = segment_asns s in
+    let pos = put8 b (put8 b pos (segment_code s)) (List.length asns) in
+    put_segments b (put_asns b pos asns) rest
+
+let rec segments_payload n = function
+  | [] -> n
+  | s :: rest -> segments_payload (n + 2 + (4 * List.length (segment_asns s))) rest
+
+(* Attribute header: flags, type and the payload length, extended to
+   two bytes above 255 (the sizes {!Route.wire_len} counts). *)
+let put_attr b pos ~flags ~typ n =
+  if n > 0xFF then put16 b (put8 b (put8 b pos (flags lor 0x10)) typ) n
+  else put8 b (put8 b (put8 b pos flags) typ) n
+
+(* The path-attribute section of a block: exactly [Route.wire_len a]
+   bytes at [pos]. The one attribute encoder; [encode_update] and the
+   snapshot entry writer both go through it. *)
+let write_attrs (a : Route.attrs) b pos =
+  let pos = put_attr b pos ~flags:flag_transitive ~typ:1 1 in
+  let pos = put8 b pos (Origin.to_code a.origin) in
+  let segs = As_path.segments a.as_path in
+  let pos = put_attr b pos ~flags:flag_transitive ~typ:2 (segments_payload 0 segs) in
+  let pos = put_segments b pos segs in
+  let pos = put_attr b pos ~flags:flag_transitive ~typ:3 4 in
+  let pos = put32 b pos (Ipv4.to_int a.next_hop) in
+  let pos =
+    match a.med with
+    | None -> pos
+    | Some m -> put32 b (put_attr b pos ~flags:flag_optional ~typ:4 4) m
   in
-  attr ~flags:flag_transitive ~typ:1 (fun b -> w8 b (Origin.to_code r.origin));
-  attr ~flags:flag_transitive ~typ:2 (fun b ->
-      let seg (s : As_path.segment) =
-        let code, asns =
-          match s with
-          | As_path.Set a -> (1, a)
-          | As_path.Seq a -> (2, a)
-          | As_path.Confed_seq a -> (3, a)
-          | As_path.Confed_set a -> (4, a)
-        in
-        w8 b code;
-        w8 b (List.length asns);
-        List.iter (fun asn -> w32 b (Asn.to_int asn)) asns
-      in
-      List.iter seg (As_path.segments r.as_path));
-  attr ~flags:flag_transitive ~typ:3 (fun b -> w_addr b r.next_hop);
-  (match r.med with
-  | None -> ()
-  | Some m -> attr ~flags:flag_optional ~typ:4 (fun b -> w32 b m));
-  attr ~flags:flag_transitive ~typ:5 (fun b -> w32 b r.local_pref);
-  (match r.communities with
-  | [] -> ()
-  | cs ->
-    attr ~flags:flag_opt_transitive ~typ:8 (fun b ->
-        List.iter (fun c -> w32 b (Community.to_int c)) cs));
-  (match r.originator_id with
-  | None -> ()
-  | Some id -> attr ~flags:flag_optional ~typ:9 (fun b -> w_addr b id));
-  (match r.cluster_list with
-  | [] -> ()
-  | ids ->
-    attr ~flags:flag_optional ~typ:10 (fun b -> List.iter (w_addr b) ids));
-  (match r.ext_communities with
-  | [] -> ()
+  let pos = put32 b (put_attr b pos ~flags:flag_transitive ~typ:5 4) a.local_pref in
+  let pos =
+    match a.communities with
+    | [] -> pos
+    | cs ->
+      put_communities b
+        (put_attr b pos ~flags:flag_opt_transitive ~typ:8 (4 * List.length cs))
+        cs
+  in
+  let pos =
+    match a.originator_id with
+    | None -> pos
+    | Some id ->
+      put32 b (put_attr b pos ~flags:flag_optional ~typ:9 4) (Ipv4.to_int id)
+  in
+  let pos =
+    match a.cluster_list with
+    | [] -> pos
+    | ids ->
+      put_addrs b (put_attr b pos ~flags:flag_optional ~typ:10 (4 * List.length ids)) ids
+  in
+  match a.ext_communities with
+  | [] -> pos
   | ecs ->
-    attr ~flags:flag_opt_transitive ~typ:16 (fun b ->
-        let ec e =
-          w8 b (Ext_community.typ e);
-          w8 b (Ext_community.subtyp e);
-          let v = Ext_community.value e in
-          w16 b (v lsr 32);
-          w32 b (v land 0xFFFF_FFFF)
-        in
-        List.iter ec ecs));
-  Buffer.contents buf
+    put_ext_communities b
+      (put_attr b pos ~flags:flag_opt_transitive ~typ:16 (8 * List.length ecs))
+      ecs
+
+let attrs_string a =
+  let b = Bytes.create (Route.wire_len a) in
+  ignore (write_attrs a b 0);
+  Bytes.unsafe_to_string b
 
 let finish_message typ body =
   let n = String.length body + header_size in
@@ -206,7 +241,7 @@ let encode_update ~add_paths (u : Msg.update) =
   let order = ref [] in
   List.iter
     (fun r ->
-      let key = encode_attrs (Route.attrs r) in
+      let key = attrs_string (Route.attrs r) in
       match Hashtbl.find_opt groups key with
       | Some l -> l := r :: !l
       | None ->
@@ -407,13 +442,16 @@ exception Decode_error of error
 
 let fail e = raise (Decode_error e)
 
-type reader = { data : bytes; mutable pos : int; limit : int }
+(* A cursor over immutable bytes. A nested length (an attribute, the
+   withdrawn-routes field) narrows [limit] in place and widens it back,
+   so a parse allocates no sub-reader. *)
+type reader = { data : string; mutable pos : int; mutable limit : int }
 
 let need rd n = if rd.pos + n > rd.limit then fail Truncated
 
 let r8 rd =
   need rd 1;
-  let v = Char.code (Bytes.get rd.data rd.pos) in
+  let v = Char.code (String.unsafe_get rd.data rd.pos) in
   rd.pos <- rd.pos + 1;
   v
 
@@ -429,12 +467,15 @@ let r32 rd =
 
 let r_addr rd = Ipv4.of_int (r32 rd)
 
-let r_prefix rd =
+let r_prefix_len rd =
   let len = r8 rd in
   if len > 32 then fail (Bad_attribute "prefix length > 32");
-  let n = prefix_byte_len len in
+  len
+
+let r_prefix rd =
+  let len = r_prefix_len rd in
   let a = ref 0 in
-  for i = 0 to n - 1 do
+  for i = 0 to prefix_byte_len len - 1 do
     a := !a lor (r8 rd lsl (24 - (8 * i)))
   done;
   Prefix.make (Ipv4.of_int !a) len
@@ -456,6 +497,45 @@ type raw_attrs = {
   mutable ext_communities : Ext_community.t list;
 }
 
+let[@tail_mod_cons] rec r_asns rd n =
+  if n = 0 then []
+  else
+    let a = Asn.of_int (r32 rd) in
+    a :: r_asns rd (n - 1)
+
+(* Items of a list attribute up to the attribute's end. *)
+let[@tail_mod_cons] rec r_until rd f =
+  if rd.pos >= rd.limit then []
+  else
+    let x = f rd in
+    x :: r_until rd f
+
+let r_community rd = Community.of_int32_bits (r32 rd)
+
+let r_ext_community rd =
+  let typ = r8 rd in
+  let subtyp = r8 rd in
+  let hi = r16 rd in
+  let lo = r32 rd in
+  Ext_community.make ~typ ~subtyp ~value:((hi lsl 32) lor lo)
+
+let[@tail_mod_cons] rec r_segments rd =
+  if rd.pos >= rd.limit then []
+  else
+    let code = r8 rd in
+    let count = r8 rd in
+    let asns = r_asns rd count in
+    let seg =
+      match code with
+      | 1 -> As_path.Set asns
+      | 2 -> As_path.Seq asns
+      | 3 -> As_path.Confed_seq asns
+      | 4 -> As_path.Confed_set asns
+      | n -> fail (Bad_attribute (Printf.sprintf "AS path segment type %d" n))
+    in
+    seg :: r_segments rd
+
+(* The path attributes from [rd.pos] to [rd.limit]. *)
 let decode_attrs rd =
   let acc =
     {
@@ -470,105 +550,79 @@ let decode_attrs rd =
       ext_communities = [];
     }
   in
-  while rd.pos < rd.limit do
+  let limit = rd.limit in
+  while rd.pos < limit do
     let flags = r8 rd in
     let typ = r8 rd in
     let len = if flags land 0x10 <> 0 then r16 rd else r8 rd in
     need rd len;
     let attr_end = rd.pos + len in
-    let sub = { rd with limit = attr_end } in
+    rd.limit <- attr_end;
     (match typ with
     | 1 -> (
-      match Origin.of_code (r8 sub) with
+      match Origin.of_code (r8 rd) with
       | Some o -> acc.origin <- Some o
       | None -> fail (Bad_attribute "origin code"))
-    | 2 ->
-      let segs = ref [] in
-      while sub.pos < sub.limit do
-        let code = r8 sub in
-        let count = r8 sub in
-        let asns = List.init count (fun _ -> Asn.of_int (r32 sub)) in
-        match code with
-        | 1 -> segs := As_path.Set asns :: !segs
-        | 2 -> segs := As_path.Seq asns :: !segs
-        | 3 -> segs := As_path.Confed_seq asns :: !segs
-        | 4 -> segs := As_path.Confed_set asns :: !segs
-        | n -> fail (Bad_attribute (Printf.sprintf "AS path segment type %d" n))
-      done;
-      acc.as_path <- As_path.of_segments (List.rev !segs)
-    | 3 -> acc.next_hop <- Some (r_addr sub)
-    | 4 -> acc.med <- Some (r32 sub)
-    | 5 -> acc.local_pref <- Some (r32 sub)
-    | 8 ->
-      let cs = ref [] in
-      while sub.pos < sub.limit do
-        cs := Community.of_int32_bits (r32 sub) :: !cs
-      done;
-      acc.communities <- List.rev !cs
-    | 9 -> acc.originator_id <- Some (r_addr sub)
-    | 10 ->
-      let ids = ref [] in
-      while sub.pos < sub.limit do
-        ids := r_addr sub :: !ids
-      done;
-      acc.cluster_list <- List.rev !ids
-    | 16 ->
-      let ecs = ref [] in
-      while sub.pos < sub.limit do
-        let typ = r8 sub in
-        let subtyp = r8 sub in
-        let hi = r16 sub in
-        let lo = r32 sub in
-        ecs := Ext_community.make ~typ ~subtyp ~value:((hi lsl 32) lor lo) :: !ecs
-      done;
-      acc.ext_communities <- List.rev !ecs
+    | 2 -> acc.as_path <- As_path.of_segments (r_segments rd)
+    | 3 -> acc.next_hop <- Some (r_addr rd)
+    | 4 -> acc.med <- Some (r32 rd)
+    | 5 -> acc.local_pref <- Some (r32 rd)
+    | 8 -> acc.communities <- r_until rd r_community
+    | 9 -> acc.originator_id <- Some (r_addr rd)
+    | 10 -> acc.cluster_list <- r_until rd r_addr
+    | 16 -> acc.ext_communities <- r_until rd r_ext_community
     | _ when flags land flag_optional <> 0 -> () (* skip unknown optional *)
     | n -> fail (Bad_attribute (Printf.sprintf "unknown well-known attribute %d" n)));
+    rd.limit <- limit;
     rd.pos <- attr_end
   done;
   acc
 
+(* Intern the block an announcement carries. *)
+let block_of acc =
+  match (acc.origin, acc.next_hop) with
+  | Some origin, Some next_hop ->
+    Route.make_attrs ~origin ~as_path:acc.as_path ~med:acc.med
+      ~local_pref:(Option.value ~default:Route.default_local_pref acc.local_pref)
+      ~originator_id:acc.originator_id ~cluster_list:acc.cluster_list
+      ~communities:acc.communities ~ext_communities:acc.ext_communities ~next_hop ()
+  | None, _ -> fail (Bad_attribute "missing ORIGIN on announcement")
+  | _, None -> fail (Bad_attribute "missing NEXT_HOP on announcement")
+
+(* The attribute section of an UPDATE body: its length, then the
+   attributes, leaving [rd] just past them. *)
+let r_attr_section rd =
+  let attr_len = r16 rd in
+  need rd attr_len;
+  let limit = rd.limit in
+  let attr_end = rd.pos + attr_len in
+  rd.limit <- attr_end;
+  let attrs = decode_attrs rd in
+  rd.limit <- limit;
+  attrs
+
 let decode_update rd ~add_paths =
   let wd_len = r16 rd in
   need rd wd_len;
-  let wd_end = rd.pos + wd_len in
-  let wrd = { rd with limit = wd_end } in
+  let limit = rd.limit in
+  rd.limit <- rd.pos + wd_len;
   let withdrawn = ref [] in
-  while wrd.pos < wrd.limit do
-    let p, path_id = r_nlri wrd ~add_paths in
+  while rd.pos < rd.limit do
+    let p, path_id = r_nlri rd ~add_paths in
     withdrawn := { Msg.prefix = p; path_id } :: !withdrawn
   done;
-  rd.pos <- wd_end;
-  let attr_len = r16 rd in
-  need rd attr_len;
-  let attr_end = rd.pos + attr_len in
-  let ard = { rd with limit = attr_end } in
-  let attrs = decode_attrs ard in
-  rd.pos <- attr_end;
+  rd.limit <- limit;
+  let attrs = r_attr_section rd in
   let announced = ref [] in
   (* Intern the attribute block once per UPDATE: every announced NLRI
      shares it, so decoding N prefixes allocates N heads, one block. *)
-  let block =
-    if rd.pos >= rd.limit then None
-    else
-      match (attrs.origin, attrs.next_hop) with
-      | Some origin, Some next_hop ->
-        Some
-          (Route.make_attrs ~origin ~as_path:attrs.as_path ~med:attrs.med
-             ~local_pref:
-               (Option.value ~default:Route.default_local_pref attrs.local_pref)
-             ~originator_id:attrs.originator_id ~cluster_list:attrs.cluster_list
-             ~communities:attrs.communities
-             ~ext_communities:attrs.ext_communities ~next_hop ())
-      | None, _ -> fail (Bad_attribute "missing ORIGIN on announcement")
-      | _, None -> fail (Bad_attribute "missing NEXT_HOP on announcement")
-  in
-  while rd.pos < rd.limit do
-    let p, path_id = r_nlri rd ~add_paths in
-    match block with
-    | Some attrs -> announced := Route.of_attrs ~path_id ~prefix:p attrs :: !announced
-    | None -> assert false
-  done;
+  if rd.pos < rd.limit then begin
+    let block = block_of attrs in
+    while rd.pos < rd.limit do
+      let p, path_id = r_nlri rd ~add_paths in
+      announced := Route.of_attrs ~path_id ~prefix:p block :: !announced
+    done
+  end;
   Msg.Update { withdrawn = List.rev !withdrawn; announced = List.rev !announced }
 
 let decode_open rd =
@@ -606,21 +660,26 @@ let decode_open rd =
   rd.pos <- params_end;
   Msg.Open { asn = Asn.of_int !asn; hold_time; bgp_id; add_paths = !add_paths }
 
+(* The header of the message at [pos], checked: the reader over its
+   body. The type is the byte at [pos + 18]. *)
+let header data ~pos ~total =
+  if pos + header_size > total then fail Truncated;
+  for i = 0 to 15 do
+    if String.get data (pos + i) <> '\xFF' then fail Bad_marker
+  done;
+  let len =
+    (Char.code (String.get data (pos + 16)) lsl 8)
+    lor Char.code (String.get data (pos + 17))
+  in
+  if len < header_size || len > max_message_size then fail (Bad_length len);
+  if pos + len > total then fail Truncated;
+  { data; pos = pos + header_size; limit = pos + len }
+
 let decode ~add_paths data ~pos =
   try
-    let total = Bytes.length data in
-    if pos + header_size > total then fail Truncated;
-    for i = 0 to 15 do
-      if Char.code (Bytes.get data (pos + i)) <> 0xFF then fail Bad_marker
-    done;
-    let len =
-      (Char.code (Bytes.get data (pos + 16)) lsl 8)
-      lor Char.code (Bytes.get data (pos + 17))
-    in
-    if len < header_size || len > max_message_size then fail (Bad_length len);
-    if pos + len > total then fail Truncated;
-    let typ = Char.code (Bytes.get data (pos + 18)) in
-    let rd = { data; pos = pos + header_size; limit = pos + len } in
+    let data = Bytes.unsafe_to_string data in
+    let rd = header data ~pos ~total:(String.length data) in
+    let typ = Char.code data.[pos + 18] in
     let msg =
       if typ = msg_type_open then decode_open rd
       else if typ = msg_type_update then decode_update rd ~add_paths
@@ -628,11 +687,11 @@ let decode ~add_paths data ~pos =
       else if typ = msg_type_notification then (
         let code = r8 rd in
         let subcode = r8 rd in
-        let data = Bytes.sub_string rd.data rd.pos (rd.limit - rd.pos) in
+        let data = String.sub rd.data rd.pos (rd.limit - rd.pos) in
         Msg.Notification { code; subcode; data })
       else fail (Bad_type typ)
     in
-    Ok (msg, pos + len)
+    Ok (msg, rd.limit)
   with Decode_error e -> Error e
 
 let decode_all ~add_paths data =
@@ -645,3 +704,35 @@ let decode_all ~add_paths data =
       | Error e -> Error e
   in
   go 0 []
+
+(* --- single-route entries ------------------------------------------ *)
+
+let attrs_entry_size a = header_size + 2 + 2 + Route.wire_len a + 5
+
+let write_attrs_entry a b pos =
+  let n = attrs_entry_size a in
+  if n > max_message_size then
+    invalid_arg "Wire.write_attrs_entry: the block does not fit one UPDATE";
+  Bytes.fill b pos 16 '\xFF';
+  let pos = put8 b (put16 b (pos + 16) n) msg_type_update in
+  let pos = put16 b (put16 b pos 0) (Route.wire_len a) in
+  let pos = write_attrs a b pos in
+  (* add-paths NLRI: path id 0, the default prefix (length 0, no bytes) *)
+  ignore (put8 b (put32 b pos 0) 0)
+
+let read_attrs_entry s ~pos ~len =
+  try
+    if pos < 0 || len < 0 || pos + len > String.length s then fail Truncated;
+    let rd = header s ~pos ~total:(pos + len) in
+    if rd.limit <> pos + len then fail (Bad_length (rd.limit - pos));
+    let typ = Char.code s.[pos + 18] in
+    if typ <> msg_type_update then fail (Bad_type typ);
+    if r16 rd <> 0 then fail (Bad_attribute "withdrawn routes in a single-route entry");
+    let block = block_of (r_attr_section rd) in
+    let _path_id = r32 rd in
+    let n = prefix_byte_len (r_prefix_len rd) in
+    need rd n;
+    rd.pos <- rd.pos + n;
+    if rd.pos <> rd.limit then fail (Bad_attribute "more than one route in the entry");
+    Ok block
+  with Decode_error e -> Error e

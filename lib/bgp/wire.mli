@@ -86,3 +86,38 @@ val decode : add_paths:bool -> bytes -> pos:int -> (Msg.t * int, error) result
 
 val decode_all : add_paths:bool -> bytes -> (Msg.t list, error) result
 (** Decode a concatenated stream of messages. *)
+
+(** {1 Single-route entries}
+
+    One attribute block stored as the wire bytes of an add-paths UPDATE
+    that announces a single route: path id 0, the default prefix.
+    [Snapshot]'s attribute table holds one entry per distinct block.
+    The writer and the reader work in place, on the caller's bytes; the
+    reader accepts exactly the entries whose bytes {!decode_all} (with
+    add-paths) reads as one UPDATE announcing one route and withdrawing
+    none, and returns that route's block. *)
+
+val write_attrs :
+  Route.attrs -> bytes -> int -> int
+(** [write_attrs a b pos] writes [a]'s path-attribute section, exactly
+    {!Route.wire_len}[ a] bytes, at [pos] and returns the position just
+    past it. The attribute encoder {!encode} itself uses. *)
+
+val attrs_entry_size : Route.attrs -> int
+(** [header_size + 2 + 2 + Route.wire_len a + 5]: the header, the empty
+    withdrawn-routes field, the attribute length, the attributes and
+    the NLRI (a 4-byte path id and a zero prefix length). *)
+
+val write_attrs_entry : Route.attrs -> bytes -> int -> unit
+(** [write_attrs_entry a b pos] writes the {!attrs_entry_size}[ a]
+    bytes that {!encode} gives for the UPDATE announcing
+    [Route.of_attrs ~prefix:Netaddr.Prefix.default a] with add-paths.
+    @raise Invalid_argument when that exceeds {!max_message_size}: no
+    single UPDATE can carry the block. *)
+
+val read_attrs_entry : string -> pos:int -> len:int -> (Route.attrs, error) result
+(** [read_attrs_entry s ~pos ~len] parses the entry in [s] from [pos] to
+    [pos + len] with the checks of {!decode}, plus: the entry is exactly
+    one message, an UPDATE that withdraws nothing and announces exactly
+    one route (any prefix and path id). Returns the interned block. It
+    copies no bytes and builds no message. *)

@@ -177,31 +177,42 @@ val hold_time : Eventsim.Time.t
 
 (** {1 Checkpoint support (lib/snapshot)} *)
 
-(** Complete network-level simulation state as plain data: the
-    simulator's dispatch scalars and pending (reified) event queue, the
-    per-router BGP state, the Loc-RIB change counter, and the trace-sink
-    ring when one is attached. Not in here: the config (the restoring
-    caller rebuilds it and the codec checks a fingerprint), SPF
-    distances (taken from that config's IGP graph: {!load} keeps the
-    table {!create} took unless the graph was edited since), and
-    {!on_best_change} hooks (closures — re-register after restoring). *)
-type dump = {
+(** Network-level simulation state beside the routers, as plain data:
+    the simulator's dispatch scalars and pending (reified) event queue,
+    the Loc-RIB change counter, and the trace-sink ring when one is
+    attached. Not in here: the config (the restoring caller rebuilds it
+    and the codec checks a fingerprint), SPF distances (taken from that
+    config's IGP graph: {!restore_sim} keeps the table {!create} took
+    unless the graph was edited since), and {!on_best_change} hooks
+    (closures — re-register after restoring). *)
+type sim_dump = {
   d_clock : Time.t;
   d_next_seq : int;
   d_processed : int;
   d_rng : int64;  (** splitmix64 state word *)
   d_events : payload Sim.event list;  (** sorted by (time, seq) *)
   d_best_changes : int;
-  d_routers : Router.state array;
   d_sink : Sim.Trace.dump option;
 }
 
+type dump = { d_sim : sim_dump; d_routers : Router.state array }
+(** Complete simulation state: {!sim_dump} and every router's
+    {!Router.state}. *)
+
+val dump_sim : t -> sim_dump
 val dump : t -> dump
+
+val restore_sim : t -> sim_dump -> unit
+(** The network-level half of {!load}: the scalars, the event queue and
+    the sink. A caller that restores routers one at a time (the
+    snapshot codec, with {!Router.load_state} on each {!router}) calls
+    it once all of them are loaded.
+    @raise Invalid_argument on a sink dump {!Sim.Trace.of_dump} refuses. *)
 
 val load : t -> dump -> unit
 (** Restore into a network freshly {!create}d from the same config the
-    dump was taken under. @raise Invalid_argument on a router-count
-    mismatch. *)
+    dump was taken under: every router, then {!restore_sim}.
+    @raise Invalid_argument on a router-count mismatch. *)
 
 (** {1 Sharded execution (lib/eventsim {!Eventsim.Sharded})} *)
 

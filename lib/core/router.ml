@@ -1923,10 +1923,8 @@ let peer_table_count = 9
 let path_id_slots t =
   [| t.ids_mesh; t.ids_clients; t.ids_arr; t.ids_adv_trr; t.ids_adv_arr |]
 
-let dump_rib rib =
-  Rib.prefixes rib
-  |> List.sort Prefix.compare
-  |> List.map (fun p -> (p, Rib.get rib p))
+(* [Rib.fold] runs in ascending prefix order already. *)
+let dump_rib rib = List.rev (Rib.fold (fun p rs acc -> (p, rs) :: acc) rib [])
 
 (* Clients ascending; a client with nothing advertised is left out, as
    an Adj-RIB-In plane leaves out a source with no routes. *)

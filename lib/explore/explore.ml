@@ -133,7 +133,7 @@ let norm_dump mode net =
   let cfg = N.config net in
   let mrai_off = cfg.Abrr_core.Config.mrai = Time.zero in
   let events =
-    List.map (norm_event mode d.N.d_clock) d.N.d_events
+    List.map (norm_event mode d.N.d_sim.N.d_clock) d.N.d_sim.N.d_events
     |> List.sort Stdlib.compare
   in
   (events, Array.map (norm_router mrai_off) d.N.d_routers)

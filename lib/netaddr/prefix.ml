@@ -36,6 +36,11 @@ let compare p q =
 let equal p q = p.len = q.len && Ipv4.equal p.addr q.addr
 let to_key p = (Ipv4.to_int p.addr lsl 6) lor p.len
 let of_key k = { addr = Ipv4.of_int (k lsr 6); len = k land 0x3F }
+
+let is_key k =
+  let len = k land 0x3F and a = k asr 6 in
+  len <= 32 && a >= 0 && a <= 0xFFFF_FFFF && a land netmask len = a
+
 let key_len k = k land 0x3F
 
 (* The addresses agree on the first [key_len kp] bits: both shifted past

@@ -36,6 +36,12 @@ val to_key : t -> int
     hashtable key: [addr lsl 6 lor len]. *)
 
 val of_key : int -> t
+(** The inverse of {!to_key} on its image. Other integers give some
+    prefix without complaint; check untrusted keys with {!is_key}. *)
+
+val is_key : int -> bool
+(** [is_key k] iff [k = to_key p] for some prefix [p]: [k >= 0], a
+    length of at most 32, an address below 2{^32} and no host bits. *)
 
 (** {2 Key arithmetic}
 

@@ -79,61 +79,85 @@ let fingerprint (c : Config.t) =
    Mirroring the in-memory representation (Bgp.Route), a route entry is
    only a (block id, prefix, path id) head; the heavy path-attribute
    blocks live in their own table, each distinct block encoded exactly
-   once — as the attribute section of a single-NLRI RFC 4271 UPDATE
-   through the existing wire codec. Decoding rebuilds the sharing:
-   every route referencing block [i] points at the same interned
-   record. *)
-type enc = {
-  buf : Buffer.t;
-  route_ids : (R.t, int) Hashtbl.t;
-  mutable routes_rev : R.t list;
-  mutable n_routes : int;
-  attr_ids : (R.attrs, int) Hashtbl.t;
-  mutable attrs_rev : R.attrs list;
-  mutable n_attrs : int;
+   once — as the bytes of a single-NLRI RFC 4271 UPDATE, written and
+   read in place by Bgp.Wire. Decoding rebuilds the sharing: every
+   route referencing block [i] points at the same interned record. *)
+
+(* First-use ids over an open-addressed table: [slots] holds id + 1 (0 is
+   free) and stays at most half full. Blocks are keyed on their
+   precomputed hash and [Route.attrs_equal] (a pointer comparison,
+   structural only across domains); heads on (block, prefix, path id). *)
+type 'a ids = {
+  hash : 'a -> int;
+  equal : 'a -> 'a -> bool;
+  mutable keys : 'a array;  (* by id *)
+  mutable count : int;
+  mutable slots : int array;
 }
 
-let route_id e r =
-  match Hashtbl.find_opt e.route_ids r with
-  | Some i -> i
-  | None ->
-    let i = e.n_routes in
-    e.n_routes <- i + 1;
-    Hashtbl.add e.route_ids r i;
-    e.routes_rev <- r :: e.routes_rev;
-    i
+let ids_create ~hash ~equal dummy =
+  { hash; equal; keys = Array.make 1024 dummy; count = 0; slots = Array.make 2048 0 }
 
-let attr_id e a =
-  match Hashtbl.find_opt e.attr_ids a with
-  | Some i -> i
-  | None ->
-    let i = e.n_attrs in
-    e.n_attrs <- i + 1;
-    Hashtbl.add e.attr_ids a i;
-    e.attrs_rev <- a :: e.attrs_rev;
-    i
+let rec probe t x mask i =
+  let s = Array.unsafe_get t.slots i in
+  if s = 0 || t.equal t.keys.(s - 1) x then i else probe t x mask ((i + 1) land mask)
 
-(* An attribute block rides the wire codec as a single-NLRI UPDATE for
-   a throwaway default-prefix head: only the attribute section varies
-   between entries. *)
-let attrs_bytes a =
-  Bgp.Wire.encode ~add_paths:true
-    (Bgp.Msg.Update
-       { withdrawn = []; announced = [ R.of_attrs ~prefix:Netaddr.Prefix.default a ] })
-  |> List.map Bytes.to_string
-  |> String.concat ""
+let slot t x =
+  let mask = Array.length t.slots - 1 in
+  probe t x mask (t.hash x land mask)
 
-let attrs_of_bytes s =
-  match Bgp.Wire.decode_all ~add_paths:true (Bytes.of_string s) with
-  | Ok [ Bgp.Msg.Update { withdrawn = []; announced = [ r ] } ] -> R.attrs r
-  | Ok _ -> C.bad "attribute table entry is not a single-route UPDATE"
-  | Error err ->
-    C.bad "attribute table entry: %s"
-      (Format.asprintf "%a" Bgp.Wire.pp_error err)
+let grow t =
+  let n = 2 * Array.length t.slots in
+  t.slots <- Array.make n 0;
+  for id = 0 to t.count - 1 do
+    t.slots.(slot t t.keys.(id)) <- id + 1
+  done
 
-let wroute e b r = C.w32 b (route_id e r)
+let id_of t x =
+  let i = slot t x in
+  let s = t.slots.(i) in
+  if s > 0 then s - 1
+  else begin
+    let id = t.count in
+    if id = Array.length t.keys then begin
+      let keys = Array.make (2 * id) t.keys.(0) in
+      Array.blit t.keys 0 keys 0 id;
+      t.keys <- keys
+    end;
+    t.keys.(id) <- x;
+    t.count <- id + 1;
+    if 2 * t.count <= Array.length t.slots then t.slots.(i) <- id + 1 else grow t;
+    id
+  end
 
-type dec = { rd : C.reader; route_tbl : R.t array }
+let route_ids () =
+  ids_create
+    ~hash:(fun (r : R.t) ->
+      (R.attrs_hash r.R.attrs * 31 + Netaddr.Prefix.to_key r.R.prefix) * 31
+      + r.R.path_id)
+    ~equal:(fun (a : R.t) b ->
+      a.R.path_id = b.R.path_id
+      && Netaddr.Prefix.equal a.R.prefix b.R.prefix
+      && R.attrs_equal a.R.attrs b.R.attrs)
+    (R.of_attrs ~prefix:Netaddr.Prefix.default R.dummy_attrs)
+
+let block_ids () = ids_create ~hash:R.attrs_hash ~equal:R.attrs_equal R.dummy_attrs
+
+let wroute (e : R.t ids) b r = C.w32 b (id_of e r)
+
+(* Route lists are the bulk of a body: written and read by direct
+   recursion, with no closure per list. *)
+let rec wroute_items e b = function
+  | [] -> ()
+  | r :: rest ->
+    wroute e b r;
+    wroute_items e b rest
+
+let wroutes e b routes =
+  C.w32 b (List.length routes);
+  wroute_items e b routes
+
+type dec = { rd : C.reader; route_tbl : R.t array; n_routers : int }
 
 let rroute d =
   let i = C.r32 d.rd in
@@ -141,22 +165,54 @@ let rroute d =
     C.bad "route id %d out of table range %d" i (Array.length d.route_tbl);
   d.route_tbl.(i)
 
+let[@tail_mod_cons] rec rroute_items d n =
+  if n = 0 then []
+  else
+    let r = rroute d in
+    r :: rroute_items d (n - 1)
+
+let rroutes d =
+  let n = C.r32 d.rd in
+  C.need d.rd n;
+  rroute_items d n
+
 (* ------------------------------------------------------------------ *)
 (* Protocol pieces                                                     *)
 
 let wprefix b p = C.wint b (Netaddr.Prefix.to_key p)
-let rprefix d = Netaddr.Prefix.of_key (C.rint d.rd)
+
+(* Keys and addresses are checked, not masked: a value no encoder writes
+   is corruption the CRC missed, or a forged file. *)
+let rkey rd =
+  let k = C.rint rd in
+  if not (Netaddr.Prefix.is_key k) then C.bad "invalid prefix key %#x" k;
+  k
+
+let rprefix d = Netaddr.Prefix.of_key (rkey d.rd)
+
+(* A router index, as events, inputs and sessions name a router or a
+   peer: one outside the network would fail only once the run reaches
+   it. *)
+let rrouter d =
+  let i = C.rint d.rd in
+  if i < 0 || i >= d.n_routers then
+    C.bad "router index %d outside the network's %d routers" i d.n_routers;
+  i
 let wipv4 b a = C.wint b (Netaddr.Ipv4.to_int a)
-let ripv4 d = Netaddr.Ipv4.of_int (C.rint d.rd)
+
+let ripv4 d =
+  let a = C.rint d.rd in
+  if a < 0 || a > 0xFFFF_FFFF then C.bad "invalid IPv4 address word %#x" a;
+  Netaddr.Ipv4.of_int a
 
 let wdelta e b (d : Proto.delta) =
   wprefix b d.Proto.prefix;
-  C.wlist b (wroute e) d.Proto.routes;
+  wroutes e b d.Proto.routes;
   C.wlist b C.wint d.Proto.withdrawn_ids
 
 let rdelta d =
   let prefix = rprefix d in
-  let routes = C.rlist d.rd (fun _ -> rroute d) in
+  let routes = rroutes d in
   let withdrawn_ids = C.rlist d.rd C.rint in
   { Proto.prefix; routes; withdrawn_ids }
 
@@ -199,7 +255,7 @@ let winput e b (i : Router.input) =
 let rinput d : Router.input =
   match C.r8 d.rd with
   | 0 ->
-    let src = C.rint d.rd in
+    let src = rrouter d in
     let items = C.rlist d.rd (fun _ -> ritem d) in
     Router.In_items { src; items }
   | 1 ->
@@ -251,27 +307,27 @@ let wop e b (op : Network.op) =
 let rop d : Network.op =
   match C.r8 d.rd with
   | 0 ->
-    let router = C.rint d.rd in
+    let router = rrouter d in
     let neighbor = ripv4 d in
     let route = rroute d in
     Network.Inject { router; neighbor; route }
   | 1 ->
-    let router = C.rint d.rd in
+    let router = rrouter d in
     let neighbor = ripv4 d in
     let prefix = rprefix d in
     let path_id = C.rint d.rd in
     Network.Withdraw { router; neighbor; prefix; path_id }
   | 2 ->
-    let router = C.rint d.rd in
+    let router = rrouter d in
     let route = rroute d in
     Network.Originate { router; route }
   | 3 ->
-    let router = C.rint d.rd in
+    let router = rrouter d in
     let prefix = rprefix d in
     let path_id = C.rint d.rd in
     Network.Withdraw_local { router; prefix; path_id }
-  | 4 -> Network.Fail (C.rint d.rd)
-  | 5 -> Network.Recover (C.rint d.rd)
+  | 4 -> Network.Fail (rrouter d)
+  | 5 -> Network.Recover (rrouter d)
   | t -> C.bad "unknown op tag %d" t
 
 let wpayload e b (p : Network.payload) =
@@ -309,24 +365,24 @@ let wpayload e b (p : Network.payload) =
 let rpayload d : Network.payload =
   match C.r8 d.rd with
   | 0 ->
-    let src = C.rint d.rd in
-    let dst = C.rint d.rd in
+    let src = rrouter d in
+    let dst = rrouter d in
     let bytes = C.rint d.rd in
     let msgs = C.rint d.rd in
     let items = C.rlist d.rd (fun _ -> ritem d) in
     Network.Deliver { src; dst; bytes; msgs; items }
-  | 1 -> Network.Process (C.rint d.rd)
+  | 1 -> Network.Process (rrouter d)
   | 2 ->
-    let router = C.rint d.rd in
-    let peer = C.rint d.rd in
+    let router = rrouter d in
+    let peer = rrouter d in
     Network.Mrai_flush { router; peer }
   | 3 ->
-    let router = C.rint d.rd in
-    let peer = C.rint d.rd in
+    let router = rrouter d in
+    let peer = rrouter d in
     Network.Purge { router; peer }
   | 4 ->
-    let router = C.rint d.rd in
-    let peer = C.rint d.rd in
+    let router = rrouter d in
+    let peer = rrouter d in
     Network.Establish { router; peer }
   | 5 -> Network.Op (rop d)
   | t -> C.bad "unknown payload tag %d" t
@@ -351,18 +407,28 @@ let revent d : Network.payload Sim.event =
 (* ------------------------------------------------------------------ *)
 (* Router state                                                        *)
 
+let rec wrib_entries e b = function
+  | [] -> ()
+  | (p, routes) :: rest ->
+    wprefix b p;
+    wroutes e b routes;
+    wrib_entries e b rest
+
 let wrib_dump e b (rd : Router.rib_dump) =
-  C.wlist b
-    (fun b (p, routes) ->
-      wprefix b p;
-      C.wlist b (wroute e) routes)
-    rd
+  C.w32 b (List.length rd);
+  wrib_entries e b rd
+
+let[@tail_mod_cons] rec rrib_entries d n =
+  if n = 0 then []
+  else
+    let p = rprefix d in
+    let routes = rroutes d in
+    (p, routes) :: rrib_entries d (n - 1)
 
 let rrib_dump d : Router.rib_dump =
-  C.rlist d.rd (fun _ ->
-      let p = rprefix d in
-      let routes = C.rlist d.rd (fun _ -> rroute d) in
-      (p, routes))
+  let n = C.r32 d.rd in
+  C.need d.rd n;
+  rrib_entries d n
 
 let wcounters b (c : Counters.t) =
   C.wint b c.Counters.updates_received;
@@ -425,7 +491,7 @@ let wstate e b (st : Router.state) =
       C.wlist b
         (fun b (key, routes, next) ->
           C.wint b key;
-          C.wlist b (wroute e) routes;
+          wroutes e b routes;
           C.wint b next)
         pid)
     st.Router.st_path_ids;
@@ -467,7 +533,7 @@ let rstate d : Router.state =
   let st_peer_tables =
     C.rarray d.rd (fun _ ->
         C.rlist d.rd (fun _ ->
-            let src = C.rint d.rd in
+            let src = rrouter d in
             let rd' = rrib_dump d in
             (src, rd')))
   in
@@ -475,13 +541,13 @@ let rstate d : Router.state =
     C.rarray d.rd (fun _ ->
         C.rlist d.rd (fun _ ->
             let key = C.rint d.rd in
-            let routes = C.rlist d.rd (fun _ -> rroute d) in
+            let routes = rroutes d in
             let next = C.rint d.rd in
             (key, routes, next)))
   in
   let st_ebgp_neighbors =
     C.rlist d.rd (fun _ ->
-        let k1 = C.rint d.rd in
+        let k1 = rkey d.rd in
         let k2 = C.rint d.rd in
         let addr = ripv4 d in
         ((k1, k2), addr))
@@ -493,7 +559,7 @@ let rstate d : Router.state =
   | n -> C.bad "router outgoing queue holds %d entries; it is always empty" n);
   let st_sessions =
     C.rlist d.rd (fun _ ->
-        let ss_peer = C.rint d.rd in
+        let ss_peer = rrouter d in
         let ss_mrai_until = C.rint d.rd in
         let ss_pending = C.rlist d.rd (fun _ -> ritem d) in
         let ss_flush_scheduled = C.rbool d.rd in
@@ -501,7 +567,7 @@ let rstate d : Router.state =
   in
   let st_damping =
     C.rlist d.rd (fun _ ->
-        let k1 = C.rint d.rd in
+        let k1 = rkey d.rd in
         let k2 = C.rint d.rd in
         let ds_penalty = Int64.float_of_bits (C.r64 d.rd) in
         let ds_stamp = C.rint d.rd in
@@ -584,71 +650,124 @@ let acceptance_values net =
          accept)
   | _ -> []
 
+(* Written into the config directly: the routers are loaded already, and
+   [Network.set_acceptance] would queue a re-decision on each of them. *)
 let restore_acceptance net vals =
-  let expected = List.length (acceptance_values net) in
-  if List.length vals <> expected then
+  let accept =
+    match (Network.config net).Config.scheme with
+    | Config.Dual { accept; _ } -> accept
+    | _ -> [||]
+  in
+  if List.length vals <> Array.length accept then
     C.bad "acceptance list length %d does not match scheme (%d)"
-      (List.length vals) expected;
+      (List.length vals) (Array.length accept);
   List.iteri
     (fun ap v ->
-      let mode =
-        match v with
+      accept.(ap) <-
+        (match v with
         | 0 -> Config.Accept_tbrr
         | 1 -> Config.Accept_abrr
-        | _ -> C.bad "bad acceptance value %d for AP %d" v ap
-      in
-      (* Before Network.load: the redecide side-effects this triggers are
-         wiped when load restores inboxes and the event queue. *)
-      Network.set_acceptance net ~ap mode)
+        | _ -> C.bad "bad acceptance value %d for AP %d" v ap))
     vals
+
+(* {2 Encoding: two passes}
+
+   Pass 1 walks the network one router at a time ([Router.dump_state]
+   of one router is garbage before the next is taken) and writes the
+   body into fixed-size chunks, numbering routes as the body first uses
+   them. Blocks are then numbered in route-id order. Pass 2 writes the
+   header, the attribute table, the route table and the body chunks to
+   a sink whose size is known in advance. *)
+
+let chunk_size = 65536
+
+type pass1 = {
+  routes : R.t ids;
+  blocks : R.attrs ids;
+  route_block : int array;  (* block id of each route id *)
+  chunks : (Bytes.t * int) list;  (* the body, in order *)
+  size : int;  (* of the whole snapshot, CRC included *)
+}
+
+let header_size fp = String.length magic + 2 + 4 + String.length fp
+
+let pass1 net ~fp =
+  let routes = route_ids () in
+  let chunks = ref [] in
+  let b =
+    C.out (Bytes.create chunk_size) ~spill:(fun o ->
+        chunks := (C.buffer o, C.length o) :: !chunks;
+        C.set_buffer o (Bytes.create chunk_size))
+  in
+  let d = Network.dump_sim net in
+  C.wint b d.Network.d_clock;
+  C.wint b d.Network.d_next_seq;
+  C.wint b d.Network.d_processed;
+  C.w64 b d.Network.d_rng;
+  C.wlist b (wevent routes) d.Network.d_events;
+  C.wint b d.Network.d_best_changes;
+  let n = Network.router_count net in
+  C.w32 b n;
+  for i = 0 to n - 1 do
+    wstate routes b (Router.dump_state (Network.router net i))
+  done;
+  C.wopt b wsink d.Network.d_sink;
+  C.wlist b C.w8 (acceptance_values net);
+  let chunks = List.rev ((C.buffer b, C.length b) :: !chunks) in
+  let blocks = block_ids () in
+  let route_block = Array.make routes.count 0 in
+  let size = ref (header_size fp + 4 + 4 + (20 * routes.count) + 4) in
+  for id = 0 to routes.count - 1 do
+    let a = R.attrs routes.keys.(id) in
+    let before = blocks.count in
+    let bid = id_of blocks a in
+    route_block.(id) <- bid;
+    if blocks.count > before then begin
+      let n = Bgp.Wire.attrs_entry_size a in
+      if n > Bgp.Wire.max_message_size then
+        C.bad "an attribute block needs %d bytes, more than one UPDATE holds" n;
+      size := !size + 4 + n
+    end
+  done;
+  List.iter (fun (_, n) -> size := !size + n) chunks;
+  { routes; blocks; route_block; chunks; size = !size }
+
+let pass2 o ~fp p =
+  C.wsub o magic 0 (String.length magic);
+  C.w16 o format_version;
+  C.wstr o fp;
+  C.w32 o p.blocks.count;
+  for bid = 0 to p.blocks.count - 1 do
+    let a = p.blocks.keys.(bid) in
+    let n = Bgp.Wire.attrs_entry_size a in
+    C.w32 o n;
+    let pos = C.reserve o n in
+    Bgp.Wire.write_attrs_entry a (C.buffer o) pos
+  done;
+  C.w32 o p.routes.count;
+  for id = 0 to p.routes.count - 1 do
+    let r = p.routes.keys.(id) in
+    C.w32 o p.route_block.(id);
+    C.wint o (Netaddr.Prefix.to_key r.R.prefix);
+    C.wint o r.R.path_id
+  done;
+  List.iter (fun (c, n) -> C.wsub o (Bytes.unsafe_to_string c) 0 n) p.chunks
+
+let put_crc b pos crc =
+  Bytes.set_uint16_be b pos (crc lsr 16);
+  Bytes.set_uint16_be b (pos + 2) (crc land 0xFFFF)
 
 let encode net =
   try
-    let d = Network.dump net in
-    let e =
-      {
-        buf = Buffer.create 65536;
-        route_ids = Hashtbl.create 1024;
-        routes_rev = [];
-        n_routes = 0;
-        attr_ids = Hashtbl.create 1024;
-        attrs_rev = [];
-        n_attrs = 0;
-      }
+    let fp = fingerprint (Network.config net) in
+    let p = pass1 net ~fp in
+    let b = Bytes.create p.size in
+    let o =
+      C.out b ~spill:(fun _ -> invalid_arg "Snapshot.encode: size miscounted")
     in
-    let b = e.buf in
-    C.wint b d.Network.d_clock;
-    C.wint b d.Network.d_next_seq;
-    C.wint b d.Network.d_processed;
-    C.w64 b d.Network.d_rng;
-    C.wlist b (wevent e) d.Network.d_events;
-    C.wint b d.Network.d_best_changes;
-    C.warray b (wstate e) d.Network.d_routers;
-    C.wopt b wsink d.Network.d_sink;
-    C.wlist b C.w8 (acceptance_values net);
-    let body = Buffer.contents b in
-    let out = Buffer.create (String.length body + 4096) in
-    Buffer.add_string out magic;
-    C.w16 out format_version;
-    C.wstr out (fingerprint (Network.config net));
-    (* Block ids are assigned in route-id order, so the attribute table
-       is as canonical as the route table it backs. *)
-    let routes = List.rev e.routes_rev in
-    List.iter (fun r -> ignore (attr_id e (R.attrs r))) routes;
-    C.w32 out e.n_attrs;
-    List.iter (fun a -> C.wstr out (attrs_bytes a)) (List.rev e.attrs_rev);
-    C.w32 out e.n_routes;
-    List.iter
-      (fun r ->
-        C.w32 out (attr_id e (R.attrs r));
-        C.wint out (Netaddr.Prefix.to_key r.R.prefix);
-        C.wint out r.R.path_id)
-      routes;
-    Buffer.add_string out body;
-    let prefix = Buffer.contents out in
-    let crc = Buffer.create 4 in
-    C.w32 crc (C.crc32 prefix);
-    Ok (prefix ^ Buffer.contents crc)
+    pass2 o ~fp p;
+    put_crc b (p.size - 4) (C.crc32 ~len:(p.size - 4) (Bytes.unsafe_to_string b));
+    Ok (Bytes.unsafe_to_string b)
   with C.Bad msg -> Error msg
 
 let decode net s =
@@ -677,7 +796,17 @@ let decode net s =
        a count beyond the remaining input is a lying length field. *)
     if n_attrs * 4 > n - C.pos rd then
       C.bad "attribute table count %d exceeds remaining input" n_attrs;
-    let attrs_tbl = Array.init n_attrs (fun _ -> attrs_of_bytes (C.rstr rd)) in
+    let attrs_tbl = Array.make n_attrs R.dummy_attrs in
+    for i = 0 to n_attrs - 1 do
+      let len = C.r32 rd in
+      C.need rd len;
+      (match Bgp.Wire.read_attrs_entry s ~pos:(C.pos rd) ~len with
+      | Ok a -> attrs_tbl.(i) <- a
+      | Error err ->
+        C.bad "attribute table entry %d: %s" i
+          (Format.asprintf "%a" Bgp.Wire.pp_error err));
+      C.skip rd len
+    done;
     let n_routes = C.r32 rd in
     if n_routes * 4 > n - C.pos rd then
       C.bad "route table count %d exceeds remaining input" n_routes;
@@ -686,53 +815,74 @@ let decode net s =
           let ai = C.r32 rd in
           if ai >= n_attrs then
             C.bad "attribute id %d out of table range %d" ai n_attrs;
-          let prefix = Netaddr.Prefix.of_key (C.rint rd) in
+          let prefix = Netaddr.Prefix.of_key (rkey rd) in
           let path_id = C.rint rd in
           R.of_attrs ~path_id ~prefix attrs_tbl.(ai))
     in
-    let d = { rd; route_tbl } in
+    let d = { rd; route_tbl; n_routers = Network.router_count net } in
     let d_clock = C.rint rd in
     let d_next_seq = C.rint rd in
     let d_processed = C.rint rd in
     let d_rng = C.r64 rd in
     let d_events = C.rlist rd (fun _ -> revent d) in
     let d_best_changes = C.rint rd in
-    let d_routers = C.rarray rd (fun _ -> rstate d) in
+    (* Routers load as they are read: from here on a failure leaves the
+       network partly restored, and the caller discards it. *)
+    let n_routers = C.r32 rd in
+    if n_routers <> Network.router_count net then
+      C.bad "snapshot holds %d routers, the network %d" n_routers
+        (Network.router_count net);
+    for i = 0 to n_routers - 1 do
+      match Router.load_state (Network.router net i) (rstate d) with
+      | () -> ()
+      | exception Invalid_argument msg -> C.bad "restore rejected: %s" msg
+    done;
     let d_sink = C.ropt rd (fun _ -> rsink d) in
     let acceptance = C.rlist rd C.r8 in
     if C.pos rd <> n - 4 then
       C.bad "%d trailing bytes after snapshot body" (n - 4 - C.pos rd);
     restore_acceptance net acceptance;
-    let dump =
-      {
-        Network.d_clock;
-        d_next_seq;
-        d_processed;
-        d_rng;
-        d_events;
-        d_best_changes;
-        d_routers;
-        d_sink;
-      }
-    in
-    (match Network.load net dump with
+    (match
+       Network.restore_sim net
+         { Network.d_clock; d_next_seq; d_processed; d_rng; d_events;
+           d_best_changes; d_sink }
+     with
     | () -> ()
     | exception Invalid_argument msg -> C.bad "restore rejected: %s" msg);
     Ok ()
   with C.Bad msg -> Error msg
 
+(* Streamed through one chunk-sized buffer, with the CRC kept running. *)
 let save net ~path =
-  match encode net with
-  | Error _ as e -> e
-  | Ok data -> (
-    try
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      output_string oc data;
-      close_out oc;
-      Sys.rename tmp path;
-      Ok ()
-    with Sys_error msg -> Error msg)
+  let tmp = path ^ ".tmp" in
+  match
+    let fp = fingerprint (Network.config net) in
+    let p = pass1 net ~fp in
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        let crc = ref 0 in
+        let spill o =
+          let b = C.buffer o in
+          crc := C.crc32 ~crc:!crc ~len:(C.length o) (Bytes.unsafe_to_string b);
+          output oc b 0 (C.length o);
+          C.set_buffer o b
+        in
+        let o = C.out (Bytes.create chunk_size) ~spill in
+        pass2 o ~fp p;
+        spill o;
+        let trailer = Bytes.create 4 in
+        put_crc trailer 0 !crc;
+        output_bytes oc trailer;
+        close_out oc);
+    Sys.rename tmp path
+  with
+  | () -> Ok ()
+  | exception C.Bad msg -> Error msg
+  | exception Sys_error msg ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Error msg
 
 let load net ~path =
   try

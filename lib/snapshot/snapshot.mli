@@ -11,8 +11,8 @@
     {v
     "ABRRSNAP" | u16 version | config fingerprint (length-prefixed)
     | attribute table: u32 count, then each distinct interned block
-      encoded once, as the attribute section of a single-NLRI RFC 4271
-      UPDATE (via Bgp.Wire, add-paths)
+      encoded once, length-prefixed, as a single-NLRI add-paths RFC 4271
+      UPDATE (Bgp.Wire.write_attrs_entry / read_attrs_entry)
     | route table: u32 count, then each route as a small head —
       u32 attribute id | prefix key | path id — mirroring the
       in-memory head/block split; routes elsewhere are u32 ids into
@@ -24,6 +24,14 @@
 
     Decoding rebuilds the physical sharing: every route head holding
     attribute id [i] points at the same interned block.
+
+    Cost follows the bytes. The encoder makes two passes: the first
+    dumps one router at a time into fixed-size body chunks, numbering
+    routes by first use and then blocks by route id; the second writes
+    the header, both tables and the chunks to a sink of known size,
+    with a running CRC. The decoder checks the CRC of the whole input
+    before trusting any length, parses attribute blocks in place and
+    loads each router as soon as it is read.
 
     The encoding is {e canonical}: hash tables are dumped sorted by key
     and the route table is in first-use order of the (sorted) body, so
@@ -57,16 +65,23 @@ val decode : Abrr_core.Network.t -> string -> (unit, string) result
 (** Restore state captured by {!encode} into a network freshly created
     from the same config (and scheme) the snapshot was taken under.
     Never raises on malformed input: truncation, bad magic/version,
-    length-field lies, garbage attribute bytes and CRC mismatches all
-    return [Error _]. *)
+    length-field lies, garbage attribute bytes, prefix keys, IPv4
+    words and router indices no encoder writes, and CRC mismatches all
+    return [Error _].
+
+    Routers are loaded as they are read, so on [Error _] the network
+    may be partly restored: discard it. A CRC, header or table error
+    is found before any router is touched. *)
 
 val save : Abrr_core.Network.t -> path:string -> (unit, string) result
-(** {!encode} to a file, atomically (write to [path ^ ".tmp"], then
-    rename): a crash mid-checkpoint leaves the previous snapshot
-    intact. *)
+(** The bytes of {!encode}, streamed to a file through one chunk-sized
+    buffer instead of built in memory, atomically (write to
+    [path ^ ".tmp"], then rename): a crash mid-checkpoint leaves the
+    previous snapshot intact. *)
 
 val load : Abrr_core.Network.t -> path:string -> (unit, string) result
-(** Read a file and {!decode} it. I/O errors are [Error _] too. *)
+(** Read a file and {!decode} it, with the same [Error] contract. I/O
+    errors are [Error _] too. *)
 
 val digest : Abrr_core.Network.t -> (string, string) result
 (** Hex MD5 of the canonical {!encode} bytes — a cheap state

@@ -55,8 +55,18 @@ let test_key_roundtrip () =
   List.iter
     (fun s ->
       let q = p s in
-      check_bool s true (Prefix.equal q (Prefix.of_key (Prefix.to_key q))))
-    [ "0.0.0.0/0"; "10.0.0.0/8"; "255.255.255.255/32"; "128.0.0.0/1" ]
+      check_bool s true (Prefix.equal q (Prefix.of_key (Prefix.to_key q)));
+      check_bool (s ^ " is a key") true (Prefix.is_key (Prefix.to_key q)))
+    [ "0.0.0.0/0"; "10.0.0.0/8"; "255.255.255.255/32"; "128.0.0.0/1" ];
+  (* integers that are no prefix's key *)
+  let host_bit = (Ipv4.to_int (Ipv4.of_string "10.0.0.1") lsl 6) lor 8 in
+  List.iter
+    (fun (name, k) -> check_bool name false (Prefix.is_key k))
+    [
+      ("length 33", 33); ("length 63", 63); ("negative", -1);
+      ("address of 2^32", 1 lsl 38); ("host bits", host_bit);
+      ("min_int", min_int); ("max_int", max_int);
+    ]
 
 let test_compare_order () =
   let sorted =

@@ -337,6 +337,215 @@ let test_corrupt_never_raises () =
         Alcotest.failf "byte %d: decode raised %s" i (Printexc.to_string e)
   done
 
+
+(* Byte offsets into a snapshot, from the layout in snapshot.mli. *)
+let u32_at s off =
+  (Char.code s.[off] lsl 24) lor (Char.code s.[off + 1] lsl 16)
+  lor (Char.code s.[off + 2] lsl 8) lor Char.code s.[off + 3]
+
+let attr_table_off cfg = 10 + 4 + String.length (S.fingerprint cfg)
+
+(* The route table's count field: past the attribute table's entries,
+   each a u32 length and its bytes. *)
+let route_table_off cfg s =
+  let off = attr_table_off cfg in
+  let n = u32_at s off in
+  let rec skip off k = if k = 0 then off else skip (off + 4 + u32_at s off) (k - 1) in
+  skip (off + 4) n
+
+let body_off cfg s = route_table_off cfg s + 4 + (20 * u32_at s (route_table_off cfg s))
+
+let rejects_sealed ~what cfg s =
+  match S.decode (N.create cfg) (reseal s) with
+  | Error _ -> ()
+  | Ok () -> Alcotest.failf "%s: accepted" what
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+(* Prefix keys and IPv4 words are checked, not masked: a key whose
+   length is above 32, whose address has host bits or is 2^32 or more,
+   and an address word of 2^32 or more are refused even under a valid
+   CRC. *)
+let test_invalid_keys_rejected () =
+  let cfg = Helpers.full_mesh_config 4 in
+  let ops = mk_ops ~n:4 ~seed:5 ~count:16 in
+  let net = prepare cfg ops in
+  ignore (N.run ~max_events:25 net);
+  let good = match S.encode net with Ok b -> b | Error e -> Alcotest.fail e in
+  (match S.decode (N.create cfg) (reseal good) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "resealed pristine bytes: %s" e);
+  let routes = route_table_off cfg good in
+  check_bool "route table not empty" true (u32_at good routes > 0);
+  (* first route: u32 block id, then the 8-byte prefix key *)
+  let key = routes + 4 + 4 in
+  rejects_sealed ~what:"prefix length 63" cfg (patch good (key + 7) '\x3F');
+  rejects_sealed ~what:"prefix length 33" cfg (patch good (key + 7) '\x21');
+  rejects_sealed ~what:"address of 2^32 or more" cfg (patch good (key + 2) '\x01');
+  rejects_sealed ~what:"negative key" cfg (patch good key '\x80');
+  (* a /8 key with a host bit: address 20.0.0.1 *)
+  let host_bit =
+    let k = (Netaddr.Ipv4.to_int (Netaddr.Ipv4.of_string "20.0.0.1") lsl 6) lor 8 in
+    let b = Bytes.of_string good in
+    Bytes.set_int64_be b key (Int64.of_int k);
+    Bytes.to_string b
+  in
+  rejects_sealed ~what:"host bits" cfg host_bit;
+  (* The body's first pending event is an op: injection or withdrawal,
+     both [u8 tag; router; neighbor]. Its neighbor word gets bit 32. *)
+  let fresh = prepare cfg ops in
+  let s = match S.encode fresh with Ok b -> b | Error e -> Alcotest.fail e in
+  let ev = body_off cfg s + (4 * 8) + 4 in
+  let payload = ev + (5 * 8) in
+  check_int "first event is an op" 5 (Char.code s.[payload]);
+  check_bool "inject or withdraw" true (Char.code s.[payload + 1] <= 1);
+  let neighbor = payload + 2 + 8 in
+  rejects_sealed ~what:"IPv4 word of 2^32 or more" cfg (patch s (neighbor + 3) '\x01')
+
+(* Every byte set to each of 00, 01, 80 and FF, the CRC recomputed so
+   the parse goes past the trailer: each decode returns, accepting or
+   rejecting, and none raises. An accepted state also runs: every
+   router index it names is inside the network. *)
+let test_resealed_sweep_never_raises () =
+  let cfg = Helpers.full_mesh_config 4 in
+  let ops = mk_ops ~n:4 ~seed:6 ~count:8 in
+  let net = prepare cfg ops in
+  ignore (N.run ~max_events:15 net);
+  let good = match S.encode net with Ok b -> b | Error e -> Alcotest.fail e in
+  let accepted = ref 0 and rejected = ref 0 in
+  for i = 0 to String.length good - 5 do
+    List.iter
+      (fun c ->
+        if good.[i] <> c then
+          let fresh = N.create cfg in
+          match S.decode fresh (reseal (patch good i c)) with
+          | Ok () -> (
+            incr accepted;
+            match N.run ~max_events:10_000 fresh with
+            | _ -> ()
+            | exception e ->
+              Alcotest.failf "byte %d := %02x: the restored run raised %s" i
+                (Char.code c) (Printexc.to_string e))
+          | Error _ -> incr rejected
+          | exception e ->
+            Alcotest.failf "byte %d := %02x: decode raised %s" i (Char.code c)
+              (Printexc.to_string e))
+      [ '\x00'; '\x01'; '\x80'; '\xFF' ]
+  done;
+  check_bool "some mutations rejected" true (!rejected > 0);
+  check_bool "some mutations accepted" true (!accepted > 0)
+
+(* §2.4 Dual, checkpointed mid-transition: AP 0 is flipped to ABRR and
+   an update injected, the run paused with the re-decisions and updates
+   in flight, and the snapshot restored into a network whose config
+   still accepts TBRR everywhere. The acceptance values come from the
+   snapshot, and the resumed run ends in the uninterrupted run's state. *)
+let dual_config () =
+  let tbrr =
+    {
+      C.clusters =
+        [
+          { C.trrs = [ 0; 1 ]; clients = [ 4; 5 ] };
+          { C.trrs = [ 2; 3 ]; clients = [ 6; 7 ] };
+        ];
+      multipath = false;
+      best_external = false;
+    }
+  in
+  let abrr =
+    {
+      C.partition = Abrr_core.Partition.uniform 2;
+      arrs = [| [ 1 ]; [ 3 ] |];
+      loop_prevention = C.Reflected_bit;
+    }
+  in
+  C.make ~n_routers:8 ~igp:(Helpers.flat_igp 8)
+    ~scheme:(C.Dual { tbrr; abrr; accept = Array.make 2 C.Accept_tbrr })
+    ()
+
+let dual_transition () =
+  let net = N.create (dual_config ()) in
+  let low = Helpers.pfx "20.0.0.0/16" and high = Helpers.pfx "200.0.0.0/16" in
+  Helpers.inject net ~router:4 (Helpers.route ~med:10 ~prefix:low 4);
+  Helpers.inject net ~router:6 (Helpers.route ~prefix:high 6);
+  run_to_quiescence net;
+  N.set_acceptance net ~ap:0 C.Accept_abrr;
+  Helpers.inject net ~router:5 (Helpers.route ~med:5 ~prefix:low 5);
+  Helpers.inject net ~router:7 (Helpers.route ~asn:7001 ~prefix:high 7);
+  net
+
+let test_dual_midtransition_resume () =
+  let plain = dual_transition () in
+  run_to_quiescence plain;
+  let final = ok_digest plain in
+  List.iter
+    (fun k ->
+      let paused = dual_transition () in
+      (match N.run ~max_events:k paused with
+      | Sim.Event_limit -> ()
+      | o -> Alcotest.failf "pause at %d: %a" k Sim.pp_outcome o);
+      check_bool "updates in flight" true (Sim.pending (N.sim paused) > 0);
+      let bytes = match S.encode paused with Ok b -> b | Error e -> Alcotest.fail e in
+      let resumed = N.create (dual_config ()) in
+      (match S.decode resumed bytes with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "decode at %d: %s" k e);
+      check_bool "AP 0 accepts ABRR" true (N.acceptance resumed 0 = C.Accept_abrr);
+      check_bool "AP 1 accepts TBRR" true (N.acceptance resumed 1 = C.Accept_tbrr);
+      check_string (Printf.sprintf "paused digest equal at %d" k) (ok_digest paused)
+        (ok_digest resumed);
+      run_to_quiescence resumed;
+      check_string (Printf.sprintf "resumed at %d = uninterrupted" k) final
+        (ok_digest resumed))
+    [ 1; 2; 5; 10; 20 ]
+
+(* Encoding costs what it writes: on a 104-router network whose snapshot
+   exceeds 1 MB, [encode] allocates at most one word per output byte.
+   [save] streams the same bytes, and [digest] is their MD5. *)
+let test_encode_alloc_bounded () =
+  let module T = Topo.Isp_topo in
+  let module RG = Topo.Route_gen in
+  let topo =
+    T.generate
+      (T.spec ~pops:13 ~routers_per_pop:8 ~peer_ases:25 ~peering_points_per_as:8
+         ~seed:8 ())
+  in
+  let table = RG.generate topo (RG.spec ~n_prefixes:60 ~seed:9 ()) in
+  let net =
+    N.create
+      (T.config ~med_mode:Bgp.Decision.Always_compare
+         ~scheme:(T.abrr_scheme ~aps:8 ~arrs_per_ap:2 topo)
+         topo)
+  in
+  RG.inject_all table net;
+  run_to_quiescence net;
+  let words () =
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  ignore (S.encode net);
+  let w0 = words () in
+  let bytes = match S.encode net with Ok b -> b | Error e -> Alcotest.fail e in
+  let allocated = words () -. w0 in
+  let n = String.length bytes in
+  check_bool (Printf.sprintf "snapshot of %d bytes is at least 1 MB" n) true
+    (n >= 1 lsl 20);
+  if allocated > float_of_int n then
+    Alcotest.failf "encode allocated %.0f words for %d bytes (%.2f per byte)"
+      allocated n (allocated /. float_of_int n);
+  let path = Filename.temp_file "abrr_snap" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      (match S.save net ~path with Ok () -> () | Error e -> Alcotest.fail e);
+      let ic = open_in_bin path in
+      let saved = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      check_bool "save = encode" true (saved = bytes);
+      check_bool "no temporary left" false (Sys.file_exists (path ^ ".tmp")));
+  check_string "digest = MD5 of encode" (Digest.to_hex (Digest.string bytes))
+    (ok_digest net)
+
 (* ------------------------------------------------------------------ *)
 (* Save/load *)
 
@@ -505,6 +714,14 @@ let suite =
       Alcotest.test_case "corruption rejected" `Quick test_corrupt_rejected;
       Alcotest.test_case "corruption never raises" `Quick test_corrupt_never_raises;
       Alcotest.test_case "queued output rejected" `Quick test_outgoing_slot_rejected;
+      Alcotest.test_case "invalid keys and addresses rejected" `Quick
+        test_invalid_keys_rejected;
+      Alcotest.test_case "resealed mutation sweep never raises" `Quick
+        test_resealed_sweep_never_raises;
+      Alcotest.test_case "dual mid-transition resume" `Quick
+        test_dual_midtransition_resume;
+      Alcotest.test_case "encode allocation bounded by output" `Quick
+        test_encode_alloc_bounded;
       Alcotest.test_case "save/load" `Quick test_save_load;
       Alcotest.test_case "segment files" `Quick test_segments;
       Alcotest.test_case "sharded pause <-> serial resume" `Quick

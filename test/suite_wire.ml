@@ -332,6 +332,219 @@ let test_wire_len_matches_encode () =
     - Route.wire_len (Route.attrs base)
     - (4 * 68))
 
+(* --- single-route entries ------------------------------------------- *)
+
+(* The attribute encoder as it was written before the in-place writer:
+   one [Buffer] per attribute payload. The reference the writer must
+   reproduce byte for byte. *)
+let reference_attrs (a : Route.attrs) =
+  let buf = Buffer.create 64 in
+  let w8 b v = Buffer.add_char b (Char.chr (v land 0xFF)) in
+  let w16 b v = w8 b (v lsr 8); w8 b v in
+  let w32 b v = w16 b (v lsr 16); w16 b (v land 0xFFFF) in
+  let attr ~flags ~typ fill =
+    let payload = Buffer.create 16 in
+    fill payload;
+    let n = Buffer.length payload in
+    if n > 0xFF then (w8 buf (flags lor 0x10); w8 buf typ; w16 buf n)
+    else (w8 buf flags; w8 buf typ; w8 buf n);
+    Buffer.add_buffer buf payload
+  in
+  attr ~flags:0x40 ~typ:1 (fun b -> w8 b (Origin.to_code a.Route.origin));
+  attr ~flags:0x40 ~typ:2 (fun b ->
+      List.iter
+        (fun (s : As_path.segment) ->
+          let code, asns =
+            match s with
+            | As_path.Set l -> (1, l)
+            | As_path.Seq l -> (2, l)
+            | As_path.Confed_seq l -> (3, l)
+            | As_path.Confed_set l -> (4, l)
+          in
+          w8 b code;
+          w8 b (List.length asns);
+          List.iter (fun x -> w32 b (Asn.to_int x)) asns)
+        (As_path.segments a.Route.as_path));
+  attr ~flags:0x40 ~typ:3 (fun b -> w32 b (Ipv4.to_int a.Route.next_hop));
+  Option.iter (fun m -> attr ~flags:0x80 ~typ:4 (fun b -> w32 b m)) a.Route.med;
+  attr ~flags:0x40 ~typ:5 (fun b -> w32 b a.Route.local_pref);
+  if a.Route.communities <> [] then
+    attr ~flags:0xC0 ~typ:8 (fun b ->
+        List.iter (fun c -> w32 b (Community.to_int c)) a.Route.communities);
+  Option.iter
+    (fun id -> attr ~flags:0x80 ~typ:9 (fun b -> w32 b (Ipv4.to_int id)))
+    a.Route.originator_id;
+  if a.Route.cluster_list <> [] then
+    attr ~flags:0x80 ~typ:10 (fun b ->
+        List.iter (fun id -> w32 b (Ipv4.to_int id)) a.Route.cluster_list);
+  if a.Route.ext_communities <> [] then
+    attr ~flags:0xC0 ~typ:16 (fun b ->
+        List.iter
+          (fun e ->
+            w8 b (Ext_community.typ e);
+            w8 b (Ext_community.subtyp e);
+            let v = Ext_community.value e in
+            w16 b (v lsr 32);
+            w32 b (v land 0xFFFF_FFFF))
+          a.Route.ext_communities);
+  Buffer.contents buf
+
+(* Blocks over every attribute: empty and multi-segment AS paths of all
+   four segment types, every optional attribute present or absent, and
+   long lists that cross the 255-byte extended-length threshold. *)
+let gen_block =
+  let open QCheck.Gen in
+  let* origin = oneofl [ Origin.Igp; Origin.Egp; Origin.Incomplete ] in
+  let* long = int_range 0 5 in
+  let* segs =
+    list_size (int_range 0 3)
+      (let* kind = int_range 0 3 in
+       let* n = if long = 0 then int_range 60 80 else int_range 0 5 in
+       let* asns = list_size (return n) (int_range 1 400_000) in
+       let asns = List.map Asn.of_int asns in
+       return
+         (match kind with
+         | 0 -> As_path.Seq asns
+         | 1 -> As_path.Set asns
+         | 2 -> As_path.Confed_seq asns
+         | _ -> As_path.Confed_set asns))
+  in
+  let* nh = int_range 0 0xFFFF_FFFF in
+  let* med = opt (int_range 0 0xFFFF_FFFF) in
+  let* lp = int_range 0 0xFFFF_FFFF in
+  let* orig = opt (int_range 0 0xFFFF_FFFF) in
+  let* cls = list_size (if long = 1 then int_range 64 90 else int_range 0 3) (int_range 0 0xFFFF_FFFF) in
+  let* comms = list_size (if long = 2 then int_range 64 90 else int_range 0 3) (int_range 0 0xFFFF_FFFF) in
+  let* ecs =
+    list_size (if long = 3 then int_range 32 40 else int_range 0 2)
+      (triple (int_range 0 255) (int_range 0 255) (int_range 0 0xFFFF_FFFF_FFFF))
+  in
+  return
+    (Route.make_attrs ~origin ~as_path:(As_path.of_segments segs) ~med ~local_pref:lp
+       ~originator_id:(Option.map Ipv4.of_int orig)
+       ~cluster_list:(List.map Ipv4.of_int cls)
+       ~communities:(List.map Community.of_int32_bits comms)
+       ~ext_communities:
+         (List.map (fun (typ, subtyp, value) -> Ext_community.make ~typ ~subtyp ~value) ecs)
+       ~next_hop:(Ipv4.of_int nh) ())
+
+let print_block a = Format.asprintf "%a" Route.pp (Route.of_attrs ~prefix:Prefix.default a)
+let arb_block = QCheck.make ~print:print_block gen_block
+
+let entry_bytes a =
+  let b = Bytes.create (Wire.attrs_entry_size a) in
+  Wire.write_attrs_entry a b 0;
+  Bytes.to_string b
+
+let prop_entry_writer =
+  QCheck.Test.make ~name:"entry writer = encode of the one-route UPDATE" ~count:300
+    arb_block (fun a ->
+      let w = Bytes.create (Route.wire_len a + 3) in
+      let stop = Wire.write_attrs a w 3 in
+      stop = 3 + Route.wire_len a
+      && Bytes.sub_string w 3 (Route.wire_len a) = reference_attrs a
+      && entry_bytes a
+         = Bytes.to_string
+             (concat
+                (Wire.encode ~add_paths:true
+                   (Msg.Update
+                      { withdrawn = []; announced = [ Route.of_attrs ~prefix:Prefix.default a ] }))))
+
+(* [Grow] appends bytes and adds their count to the header's length
+   field: with an add-paths NLRI, a second route in the same message. *)
+type mutation = Set of int * int | Truncate of int | Extend of string | Grow of string
+
+let gen_nlri =
+  let open QCheck.Gen in
+  let* path_id = string_size (return 4) in
+  let* len = int_range 0 32 in
+  let* addr = string_size (return ((len + 7) / 8)) in
+  return (path_id ^ String.make 1 (Char.chr len) ^ addr)
+
+let gen_mutation =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map2 (fun i v -> Set (i, v)) nat (int_range 0 255));
+      (1, map (fun k -> Truncate k) (int_range 1 12));
+      (1, map (fun s -> Extend s) (string_size (int_range 1 12)));
+      (1, map (fun s -> Grow s) gen_nlri);
+    ]
+
+let mutate s = function
+  | Set (i, v) ->
+    let b = Bytes.of_string s in
+    Bytes.set b (i mod String.length s) (Char.chr v);
+    Bytes.to_string b
+  | Truncate k -> String.sub s 0 (max 0 (String.length s - k))
+  | Extend junk -> s ^ junk
+  | Grow more when String.length s >= Wire.header_size ->
+    let b = Bytes.of_string (s ^ more) in
+    Bytes.set_uint16_be b 16 ((Bytes.get_uint16_be b 16 + String.length more) land 0xFFFF);
+    Bytes.to_string b
+  | Grow more -> s ^ more
+
+(* What the snapshot decoder accepted before the in-place reader: the
+   entry decodes as exactly one UPDATE announcing one route. *)
+let old_path entry =
+  match Wire.decode_all ~add_paths:true (Bytes.of_string entry) with
+  | Ok [ Msg.Update { withdrawn = []; announced = [ r ] } ] -> Some (Route.attrs r)
+  | Ok _ | Error _ -> None
+
+let prop_entry_reader =
+  QCheck.Test.make ~name:"entry reader = decode_all, also on mutated entries"
+    ~count:600
+    QCheck.(
+      triple arb_block
+        (make (QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) gen_mutation))
+        (pair (string_of_size (Gen.int_range 0 5)) (string_of_size (Gen.int_range 0 5))))
+    (fun (a, muts, (before, after)) ->
+      let entry = List.fold_left mutate (entry_bytes a) muts in
+      let s = before ^ entry ^ after in
+      let got =
+        match
+          Wire.read_attrs_entry s ~pos:(String.length before) ~len:(String.length entry)
+        with
+        | Ok b -> Some b
+        | Error _ -> None
+      in
+      match (old_path entry, got) with
+      | None, None -> true
+      | Some x, Some y -> x == y && (muts <> [] || x == a)
+      | _ -> false)
+
+(* [encode] of a fixed set of updates, pinned: the attribute writer,
+   grouping and chunking produce exactly the bytes they did before the
+   writer worked in place. *)
+let test_encode_pinned () =
+  let long_path = As_path.of_asns (List.init 70 (fun i -> Asn.of_int (i + 1))) in
+  let base =
+    route ~med:(Some 7) ~comms:[ Community.make 65_000 1 ] ~ecs:[ Ext_community.reflected ]
+      ~orig:(Some (Ipv4.of_string "10.0.0.3"))
+      ~clusters:[ Ipv4.of_string "10.9.9.9"; Ipv4.of_string "10.9.9.8" ]
+      "20.0.0.0/16"
+  in
+  let announced =
+    [
+      base;
+      route ~path_id:3 "20.1.0.0/16";
+      Route.update ~as_path:long_path (route ~path_id:4 "20.2.0.0/24");
+      Route.with_prefix (Prefix.of_string "20.3.0.0/17") base;
+    ]
+    @ List.init 600 (fun i ->
+          route ~path_id:i (Printf.sprintf "30.%d.%d.0/24" (i / 256) (i mod 256)))
+  in
+  let withdrawn =
+    List.init 500 (fun i ->
+        { Msg.prefix = Prefix.make (Ipv4.of_octets 40 (i / 256) (i mod 256) 0) 24; path_id = i })
+  in
+  let digest add_paths =
+    Digest.to_hex
+      (Digest.bytes (concat (Wire.encode ~add_paths (Msg.Update { withdrawn; announced }))))
+  in
+  Alcotest.(check string) "add-paths" "ddf5177fc781ac79a4027068d1949512" (digest true);
+  Alcotest.(check string) "plain" "49eb863c039f95a983550c49961cd9f1" (digest false)
+
 let suite =
   ( "wire",
     [
@@ -351,4 +564,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_measure_matches_encode;
       QCheck_alcotest.to_alcotest prop_fuzz_no_crash;
       QCheck_alcotest.to_alcotest prop_bitflip_no_crash;
+      Alcotest.test_case "encode output pinned" `Quick test_encode_pinned;
+      QCheck_alcotest.to_alcotest prop_entry_writer;
+      QCheck_alcotest.to_alcotest prop_entry_reader;
     ] )
