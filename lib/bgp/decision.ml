@@ -375,15 +375,3 @@ let tie_break_step ~med_mode cands =
       | f :: fs' -> ( match f cs with [ _ ] -> i | cs' -> go (i + 1) fs' cs')
     in
     go 1 (Naive.all_steps ~med_mode) cands
-
-let describe_step = function
-  | 0 -> "single candidate"
-  | 1 -> "highest local preference"
-  | 2 -> "shortest AS path"
-  | 3 -> "lowest origin type"
-  | 4 -> "lowest MED"
-  | 5 -> "eBGP over iBGP"
-  | 6 -> "lowest IGP metric"
-  | 7 -> "lowest router ID"
-  | 8 -> "lowest peer address"
-  | n -> Printf.sprintf "unknown step %d" n

@@ -138,8 +138,6 @@ val tie_break_step : med_mode:med_mode -> candidate list -> int
 (** Which decision step (1-8) discriminated the winner, or 0 when only a
     single candidate was supplied. Diagnostic aid. *)
 
-val describe_step : int -> string
-
 val neighbor_as_int : Route.t -> int
 (** The route's neighbouring AS as an int, [-1] when it has none: the
     group key of per-neighbour-AS MED. Allocates nothing. *)

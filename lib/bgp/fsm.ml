@@ -57,16 +57,6 @@ let peer t =
   | Some asn, Some id -> Some (asn, id)
   | _, _ -> None
 
-let pp_state fmt s =
-  Format.pp_print_string fmt
-    (match s with
-    | Idle -> "Idle"
-    | Connect -> "Connect"
-    | Active -> "Active"
-    | Open_sent -> "OpenSent"
-    | Open_confirm -> "OpenConfirm"
-    | Established -> "Established")
-
 let open_message t =
   Msg.Open
     {

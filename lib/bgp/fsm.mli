@@ -61,5 +61,3 @@ val handle : t -> event -> action list
 (** Feed one event; returns the actions to perform, in order. The FSM
     never raises on unexpected events — protocol errors produce
     [Send (Notification _)] plus [Session_down] and a reset to Idle. *)
-
-val pp_state : Format.formatter -> state -> unit

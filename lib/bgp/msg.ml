@@ -19,8 +19,6 @@ type t =
   | Notification of notification
 
 let update ?(withdrawn = []) announced = Update { withdrawn; announced }
-let empty_update = { withdrawn = []; announced = [] }
-let update_is_empty u = u.withdrawn = [] && u.announced = []
 let withdrawal ?(path_id = 0) prefix = { prefix; path_id }
 
 let pp fmt = function

@@ -27,7 +27,5 @@ type t =
   | Notification of notification
 
 val update : ?withdrawn:withdrawal list -> Route.t list -> t
-val empty_update : update
-val update_is_empty : update -> bool
 val withdrawal : ?path_id:int -> Prefix.t -> withdrawal
 val pp : Format.formatter -> t -> unit

@@ -27,7 +27,7 @@ type t = {
   mutable changed : bool;  (* scratch: result cell for upsert/drop *)
 }
 
-let create ?size_hint:_ () = { root = nil; entries = 0; prefs = 0; changed = false }
+let create () = { root = nil; entries = 0; prefs = 0; changed = false }
 let newnode pfx routes = { pfx; routes; l = nil; r = nil }
 
 (* Direction of [q] below [pfx]: false = left (bit 0), true = right. *)
@@ -225,7 +225,7 @@ let longest_match t addr = lm_node t.root addr None
 module Dirty = struct
   type 'a t = (int, Prefix.t * 'a) Hashtbl.t
 
-  let create ?(size = 32) () : 'a t = Hashtbl.create size
+  let create () : 'a t = Hashtbl.create 32
 
   let mark t p fresh =
     let k = Prefix.to_key p in

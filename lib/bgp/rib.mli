@@ -19,9 +19,7 @@ open Netaddr
 
 type t
 
-val create : ?size_hint:int -> unit -> t
-(** [size_hint] is accepted for compatibility and ignored: tries grow
-    one node at a time. *)
+val create : unit -> t
 
 val get : t -> Prefix.t -> Route.t list
 (** All routes stored for a prefix (possibly []), in insertion order of
@@ -73,7 +71,7 @@ val longest_match : t -> Ipv4.t -> (Prefix.t * Route.t list) option
 module Dirty : sig
   type 'a t
 
-  val create : ?size:int -> unit -> 'a t
+  val create : unit -> 'a t
 
   val mark : 'a t -> Prefix.t -> (unit -> 'a) -> 'a
   (** [mark t p fresh]: the payload already tracked for [p], or [fresh ()]

@@ -264,8 +264,6 @@ let compare_attr_blocks a b =
                     List.compare Ext_community.compare a.ext_communities
                       b.ext_communities
 
-let attrs_compare = compare_attr_blocks
-
 let compare_attrs a b =
   if a == b then 0
   else

@@ -150,9 +150,6 @@ val attrs_equal : attrs -> attrs -> bool
     fires across domains, where blocks live in different intern
     tables). *)
 
-val attrs_compare : attrs -> attrs -> int
-(** Same order as the attribute part of {!compare_attrs}. *)
-
 val attrs_hash : attrs -> int
 (** The precomputed structural hash ([ahash]). *)
 

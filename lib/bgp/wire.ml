@@ -433,9 +433,6 @@ let encode ~add_paths = function
   | Msg.Notification n -> [ encode_notification n ]
   | Msg.Update u -> encode_update ~add_paths u
 
-let encoded_size ~add_paths msg =
-  List.fold_left (fun n b -> n + Bytes.length b) 0 (encode ~add_paths msg)
-
 (* --- readers ------------------------------------------------------- *)
 
 exception Decode_error of error

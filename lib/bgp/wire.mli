@@ -28,9 +28,6 @@ val encode : add_paths:bool -> Msg.t -> bytes list
     wire message; UPDATE may yield several (attribute grouping and the
     4096-byte ceiling). *)
 
-val encoded_size : add_paths:bool -> Msg.t -> int
-(** Total bytes over all wire messages produced by [encode]. *)
-
 (** {1 Analytical sizing} *)
 
 (** The bytes and messages [encode] would produce for one UPDATE,

@@ -25,7 +25,7 @@ let to_update deltas =
 
 (* Analytical: sizes what [Bgp.Wire.encode] would emit for [to_update]
    without building the update — this runs on every transmission
-   (Router.transmit_now). Withdrawals and announcements each keep their
+   (Outbox.transmit_now). Withdrawals and announcements each keep their
    [to_update] order, which is all the sizer depends on. *)
 let rec size_withdrawn sizer prefix = function
   | [] -> ()
@@ -63,21 +63,6 @@ let channel_tag = function
   | From_arr -> 4
   | To_rcp -> 6
   | From_rcp -> 7
-
-let pp_channel fmt = function
-  | Mesh -> Format.pp_print_string fmt "mesh"
-  | Confed -> Format.pp_print_string fmt "confed"
-  | To_trr -> Format.pp_print_string fmt "to-trr"
-  | To_arr -> Format.pp_print_string fmt "to-arr"
-  | From_trr -> Format.pp_print_string fmt "from-trr"
-  | From_arr -> Format.pp_print_string fmt "from-arr"
-  | To_rcp -> Format.pp_print_string fmt "to-rcp"
-  | From_rcp -> Format.pp_print_string fmt "from-rcp"
-
-let pp_delta fmt d =
-  Format.fprintf fmt "%a: %d routes, %d withdrawn" Prefix.pp d.prefix
-    (List.length d.routes)
-    (List.length d.withdrawn_ids)
 
 let channel_of_tag = function
   | 0 -> Mesh

@@ -54,9 +54,6 @@ val channel_of_tag : int -> channel
 (** Inverse of {!channel_tag} — the checkpoint codec stores channels by
     tag. @raise Invalid_argument on an unknown tag. *)
 
-val pp_channel : Format.formatter -> channel -> unit
-val pp_delta : Format.formatter -> delta -> unit
-
 val coalesce : item list -> item list
 (** Collapse same-prefix churn within one delivery: of several items
     sharing a (channel, prefix) key, only the last survives. Sound

@@ -4,7 +4,6 @@ module D = Bgp.Decision
 module R = Bgp.Route
 module Rib = Bgp.Rib
 module As_path = Bgp.As_path
-module Damping = Bgp.Damping
 
 type env = {
   id : int;
@@ -26,292 +25,117 @@ type input =
   | In_local_withdraw of { prefix : Prefix.t; path_id : int }
   | In_redecide_all
 
-type session = {
-  mutable mrai_until : Time.t;
-  pending : (int * int, Proto.item) Hashtbl.t;  (* (channel tag, prefix key) *)
-  mutable flush_scheduled : bool;
-}
+(* ------------------------------------------------------------------ *)
+(* The table registry                                                  *)
 
-type roles = {
-  is_trr : bool;
-  is_client : bool;
-  my_cluster_ids : Ipv4.t list;
-  my_trrs : int list;
-  my_trr_clients : int list;
-  trr_mesh : int list;
-  tbrr_multipath : bool;
-  tbrr_best_external : bool;
-  arr_aps : int list;
-  abrr_arrs : int list array;  (* the configuration's ARR table, shared *)
-  partition : Partition.t option;
-  abrr_loop : Config.loop_prevention;
-  mesh_peers : int list;
-  confed_links : int list;  (* confed-eBGP neighbours (RFC 5065) *)
-  my_member_asn : Bgp.Asn.t option;
-  is_rcp : bool;
-  rcps : int list;  (* the control-plane nodes every client reports to *)
-  rcp_clients : int list;
-}
+(* Every route table of a router lives in one of three arrays, indexed
+   by the slot names below. The slot order is the snapshot's (changing
+   it is a format change), and a slot's class names the entry count it
+   adds to. Creation, the wipe, the prefix walk, the counts and the
+   snapshot all take the arrays whole. *)
+type table_class =
+  | Ebgp_in
+  | Local_in
+  | Loc
+  | Client_out  (* the client function's advertisements into iBGP *)
+  | Reflector_out  (* reflector peer-group Adj-RIB-Outs *)
+  | Managed_in  (* learned in a reflector role, from clients *)
+  | Unmanaged_in  (* learned in the client role *)
 
-(* Route-flap damping state per (prefix key, path id) — i.e. per eBGP
-   session route, matching the [ebgp_neighbors] keying. Only populated
-   when [config.damping] is [Some _]. A suppressed route is pulled out
-   of [ebgp_rib] and parked in [dp_held] until decay brings the penalty
-   under the reuse threshold. *)
-type damp_entry = {
-  mutable dp_penalty : float;
-  mutable dp_stamp : Time.t;  (* time the penalty was last brought current *)
-  mutable dp_held : R.t option;  (* the suppressed route awaiting reuse *)
-  mutable dp_neighbor : Ipv4.t;
-  mutable dp_wake : Time.t;  (* latest reuse wake-up already scheduled *)
-}
+(* [ribs]: one route set per prefix. *)
+let ebgp_rib = 0 and local_rib = 1 and loc_rib = 2
+let adv_mesh = 3 and adv_confed = 4 and adv_rcp = 5 and adv_trr = 6 and adv_arr = 7
+let out_mesh = 8 and out_clients = 9 and out_arr = 10
 
-(* One dirty prefix's churn record for the incremental decision
-   ("Incremental decision" below). *)
-type churn = {
-  mutable ch_full : bool;  (* structural event: always recompute *)
-  mutable ch_planes : int;
-  mutable ch_routes : R.t list;  (* routes added to / removed from tables *)
-}
+let rib_classes =
+  [ Ebgp_in; Local_in; Loc; Client_out; Client_out; Client_out; Client_out;
+    Client_out; Reflector_out; Reflector_out; Reflector_out ]
+
+(* [planes]: one route set per prefix and source. [rcp_out], an RCP
+   node's Adj-RIB-Out, has one source per client. *)
+let managed_trr = 0 and managed_arr = 1 and mesh_in = 2 and confed_in = 3
+let managed_rcp = 4 and from_rcp = 5 and rcp_out = 6 and from_trr = 7
+let from_arr = 8
+
+let plane_classes =
+  [ Managed_in; Managed_in; Unmanaged_in; Unmanaged_in; Managed_in;
+    Unmanaged_in; Reflector_out; Unmanaged_in; Unmanaged_in ]
+
+(* [ids]: the add-paths id allocators. *)
+let ids_mesh = 0 and ids_clients = 1 and ids_arr = 2 and ids_adv_trr = 3
+let ids_adv_arr = 4
+let n_ids = 5
 
 type t = {
   env : env;
   self : Ipv4.t;
-  mutable roles : roles;
-  ebgp_rib : Rib.t;
+  mutable roles : Roles.t;
+  ribs : Rib.t array;
+  planes : Adj_in.t array;
+  ids : Path_id.t array;
   ebgp_neighbors : (int * int, Ipv4.t) Hashtbl.t;
-  local_rib : Rib.t;
-  managed_trr : Adj_in.t;
-  managed_arr : Adj_in.t;
-  mesh_in : Adj_in.t;
-  confed_in : Adj_in.t;
-  managed_rcp : Adj_in.t;  (* RCP node: routes per client *)
-  from_rcp : Adj_in.t;
-  rcp_out : (int, Rib.t) Hashtbl.t;  (* RCP node: per-client Adj-RIB-Out *)
-  from_trr : Adj_in.t;
-  from_arr : Adj_in.t;
-  loc_rib : Rib.t;
-  adv_mesh : Rib.t;
-  adv_confed : Rib.t;
-  adv_rcp : Rib.t;
-  adv_trr : Rib.t;
-  adv_arr : Rib.t;
-  out_mesh : Rib.t;
-  out_clients : Rib.t;
-  out_arr : Rib.t;
-  ids_mesh : Path_id.t;
-  ids_clients : Path_id.t;
-  ids_arr : Path_id.t;
-  ids_adv_trr : Path_id.t;
-  ids_adv_arr : Path_id.t;
   inbox : input Queue.t;
   mutable process_scheduled : bool;
-  uid : int;  (* process-wide serial number: the outbox's owner tag *)
-  sessions : (int, session) Hashtbl.t;
-  damping : (int * int, damp_entry) Hashtbl.t;
-  dirty : churn Rib.Dirty.t;  (* [process_now]'s batch, empty between batches *)
+  out : Outbox.t;
+  damping : Damping_table.t;
+  dirty : Churn.batch;  (* [process_now]'s batch, empty between batches *)
   counters : Counters.t;
   mutable rejected_loops : int;
   mutable up : bool;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Role derivation                                                     *)
-
-let no_roles =
-  {
-    is_trr = false;
-    is_client = true;
-    my_cluster_ids = [];
-    my_trrs = [];
-    my_trr_clients = [];
-    trr_mesh = [];
-    tbrr_multipath = false;
-    tbrr_best_external = false;
-    arr_aps = [];
-    abrr_arrs = [||];
-    partition = None;
-    abrr_loop = Config.Reflected_bit;
-    mesh_peers = [];
-    confed_links = [];
-    my_member_asn = None;
-    is_rcp = false;
-    rcps = [];
-    rcp_clients = [];
-  }
-
-let dedup_ints l = List.sort_uniq Int.compare l
-
-let tbrr_roles (config : Config.t) id (s : Config.tbrr_spec) roles =
-  let my_clusters =
-    List.mapi (fun i c -> (i, c)) s.clusters
-    |> List.filter (fun (_, (c : Config.cluster)) -> List.mem id c.trrs)
-  in
-  let is_trr = my_clusters <> [] in
-  let my_cluster_ids = List.map (fun (i, _) -> Config.cluster_id i) my_clusters in
-  let my_trrs =
-    dedup_ints
-      (List.concat_map
-         (fun (c : Config.cluster) -> if List.mem id c.clients then c.trrs else [])
-         s.clusters)
-  in
-  let my_trr_clients =
-    dedup_ints (List.concat_map (fun (_, (c : Config.cluster)) -> c.clients) my_clusters)
-  in
-  let all_trrs =
-    dedup_ints (List.concat_map (fun (c : Config.cluster) -> c.trrs) s.clusters)
-  in
-  let trr_mesh = List.filter (fun x -> x <> id) all_trrs in
-  let is_client = roles.is_client && not (config.control_plane_rrs && is_trr) in
-  {
-    roles with
-    is_trr;
-    is_client;
-    my_cluster_ids;
-    my_trrs;
-    my_trr_clients;
-    trr_mesh = (if is_trr then trr_mesh else []);
-    tbrr_multipath = s.multipath;
-    tbrr_best_external = s.best_external;
-  }
-
-(* Reflect targets (§2.1). An ARR of AP [ap] reflects to every client
-   router that is not itself an ARR of [ap]; under [control_plane_rrs]
-   no ARR is a client. The answer depends only on the configuration and
-   its ARR table, so it is read off that shared table on demand: a list
-   stored per router and AP would cost O(routers² × APs). *)
-
-let rec mem_int (r : int) = function [] -> false | x :: l -> x = r || mem_int r l
-
-let rec serves_any (arrs : int list array) r i =
-  i < Array.length arrs && (mem_int r arrs.(i) || serves_any arrs r (i + 1))
-
-let is_client_router (config : Config.t) arrs r =
-  not (config.control_plane_rrs && serves_any arrs r 0)
-
-let reflects_to config arrs ~ap r =
-  (not (mem_int r arrs.(ap))) && is_client_router config arrs r
-
-let rec reflects_any config arrs aps r =
-  match aps with
-  | [] -> false
-  | ap :: aps -> reflects_to config arrs ~ap r || reflects_any config arrs aps r
-
-let iter_reflect_targets (config : Config.t) arrs ~aps f =
-  for r = 0 to config.n_routers - 1 do
-    if reflects_any config arrs aps r then f r
-  done
-
-let reflect_targets config arrs ~aps =
-  let acc = ref [] in
-  iter_reflect_targets config arrs ~aps (fun r -> acc := r :: !acc);
-  List.rev !acc
-
-let abrr_roles (config : Config.t) id (s : Config.abrr_spec) roles =
-  let k = Partition.count s.partition in
-  let arr_aps =
-    List.filter (fun ap -> List.mem id s.arrs.(ap)) (List.init k Fun.id)
-  in
-  let is_client = roles.is_client && is_client_router config s.arrs id in
-  {
-    roles with
-    is_client;
-    arr_aps;
-    abrr_arrs = s.arrs;
-    partition = Some s.partition;
-    abrr_loop = s.loop_prevention;
-  }
-
-let derive_roles (config : Config.t) id =
-  match config.scheme with
-  | Config.Full_mesh ->
-    let mesh_peers =
-      List.filter (fun x -> x <> id) (List.init config.n_routers Fun.id)
-    in
-    { no_roles with mesh_peers }
-  | Config.Tbrr s -> tbrr_roles config id s no_roles
-  | Config.Abrr s -> abrr_roles config id s no_roles
-  | Config.Confed s ->
-    let my_sub = s.Config.sub_as_of.(id) in
-    let mesh_peers =
-      List.filter
-        (fun x -> x <> id && s.Config.sub_as_of.(x) = my_sub)
-        (List.init config.n_routers Fun.id)
-    in
-    let confed_links =
-      List.filter_map
-        (fun (a, b) ->
-          if a = id then Some b else if b = id then Some a else None)
-        s.Config.confed_links
-      |> dedup_ints
-    in
-    { no_roles with mesh_peers; confed_links;
-      my_member_asn = Some (Config.member_asn my_sub) }
-  | Config.Rcp { rcps } ->
-    let is_rcp = List.mem id rcps in
-    let rcp_clients =
-      if is_rcp then
-        List.filter (fun x -> x <> id) (List.init config.n_routers Fun.id)
-      else []
-    in
-    { no_roles with is_rcp; rcps = List.filter (fun x -> x <> id) rcps;
-      rcp_clients; is_client = not is_rcp }
-  | Config.Dual { tbrr; abrr; accept = _ } ->
-    abrr_roles config id abrr (tbrr_roles config id tbrr no_roles)
-
-(* ------------------------------------------------------------------ *)
-
-(* Router ids repeat across networks, so the outbox tells routers apart
-   by this serial number instead. *)
-let next_uid = Atomic.make 0
-
 let create env =
+  let counters = Counters.create () in
   {
     env;
     self = Config.loopback env.id;
-    roles = derive_roles env.config env.id;
-    ebgp_rib = Rib.create ();
+    roles = Roles.derive env.config env.id;
+    ribs = Array.init (List.length rib_classes) (fun _ -> Rib.create ());
+    planes = Array.init (List.length plane_classes) (fun _ -> Adj_in.create ());
+    ids = Array.init n_ids (fun _ -> Path_id.create ());
     ebgp_neighbors = Hashtbl.create 16;
-    local_rib = Rib.create ();
-    managed_trr = Adj_in.create ();
-    managed_arr = Adj_in.create ();
-    mesh_in = Adj_in.create ();
-    confed_in = Adj_in.create ();
-    managed_rcp = Adj_in.create ();
-    from_rcp = Adj_in.create ();
-    rcp_out = Hashtbl.create 8;
-    from_trr = Adj_in.create ();
-    from_arr = Adj_in.create ();
-    loc_rib = Rib.create ();
-    adv_mesh = Rib.create ();
-    adv_confed = Rib.create ();
-    adv_rcp = Rib.create ();
-    adv_trr = Rib.create ();
-    adv_arr = Rib.create ();
-    out_mesh = Rib.create ();
-    out_clients = Rib.create ();
-    out_arr = Rib.create ();
-    ids_mesh = Path_id.create ();
-    ids_clients = Path_id.create ();
-    ids_arr = Path_id.create ();
-    ids_adv_trr = Path_id.create ();
-    ids_adv_arr = Path_id.create ();
     inbox = Queue.create ();
     process_scheduled = false;
-    uid = Atomic.fetch_and_add next_uid 1;
-    sessions = Hashtbl.create 16;
-    damping = Hashtbl.create 16;
-    dirty = Rib.Dirty.create ();
-    counters = Counters.create ();
+    out =
+      Outbox.create ~id:env.id ~config:env.config ~counters ~now:env.now
+        ~schedule_flush:env.schedule_flush ~transmit:env.transmit;
+    damping = Damping_table.create ();
+    dirty = Churn.create_batch ();
+    counters;
     rejected_loops = 0;
     up = true;
   }
 
-(* The eight Adj-RIB-In planes, in snapshot slot order ([rcp_out], an
-   Adj-RIB-Out, sits between [from_rcp] and [from_trr] there). *)
-let adj_in_planes t =
-  [ t.managed_trr; t.managed_arr; t.mesh_in; t.confed_in; t.managed_rcp;
-    t.from_rcp; t.from_trr; t.from_arr ]
+(* Every prefix with state in any table, once per table holding it. *)
+let iter_tables t f =
+  Array.iter (Rib.iter (fun p _ -> f p)) t.ribs;
+  Array.iter (Adj_in.iter_prefixes f) t.planes
+
+(* The prefixes [iter] visits, ascending, each once. *)
+let sorted_unique iter =
+  let d = Rib.Dirty.create () in
+  iter (fun p -> Rib.Dirty.mark d p ignore);
+  List.map fst (Rib.Dirty.drain d)
+
+let entries t cls =
+  let n = ref 0 in
+  List.iteri
+    (fun i c -> if c = cls then n := !n + Rib.entry_count t.ribs.(i))
+    rib_classes;
+  List.iteri
+    (fun i c -> if c = cls then n := !n + Adj_in.entry_count t.planes.(i))
+    plane_classes;
+  !n
+
+(* Cold start: all BGP state is lost. *)
+let wipe t =
+  Array.iter Rib.clear t.ribs;
+  Array.iter Adj_in.clear t.planes;
+  Array.iter Path_id.clear t.ids;
+  Hashtbl.reset t.ebgp_neighbors;
+  Queue.clear t.inbox;
+  Outbox.clear t.out;
+  Damping_table.clear t.damping
 
 let id t = t.env.id
 let loopback t = t.self
@@ -328,16 +152,7 @@ let rib_set t rib p routes =
   t.counters.rib_touches <- t.counters.rib_touches + 1;
   Rib.set rib p routes
 
-let best t p = match Rib.get t.loc_rib p with [] -> None | r :: _ -> Some r
-
-(* An RCP node's Adj-RIB-Out toward [client], created on first use. *)
-let rcp_out_rib t client =
-  match Hashtbl.find t.rcp_out client with
-  | rib -> rib
-  | exception Not_found ->
-    let rib = Rib.create () in
-    Hashtbl.add t.rcp_out client rib;
-    rib
+let best t p = match Rib.get t.ribs.(loc_rib) p with [] -> None | r :: _ -> Some r
 
 (* ------------------------------------------------------------------ *)
 (* Candidate loading                                                   *)
@@ -378,8 +193,8 @@ let rec push_ibgp_rev t s ~learned ~tag src = function
     push_ibgp t s ~learned ~tag src r
 
 (* One descent into the plane, then its sources from the highest. *)
-let push_table t s ~learned ~tag tbl p =
-  let n = Adj_in.node tbl p in
+let push_table t s ~learned ~tag plane p =
+  let n = Adj_in.node t.planes.(plane) p in
   for i = Adj_in.width n - 1 downto 0 do
     push_ibgp_rev t s ~learned ~tag (Adj_in.src n i) (Adj_in.routes n i)
   done
@@ -406,8 +221,8 @@ let rec push_local_rev t s = function
 
 (* The routes every decision plane sees, pushed last: local, then eBGP. *)
 let push_own_routes t s p =
-  push_local_rev t s (Rib.get t.local_rib p);
-  push_ebgp_rev t s (Prefix.to_key p) (Rib.get t.ebgp_rib p)
+  push_local_rev t s (Rib.get t.ribs.(local_rib) p);
+  push_ebgp_rev t s (Prefix.to_key p) (Rib.get t.ribs.(ebgp_rib) p)
 
 (* An ARR's client function reads its own reflected set directly (the
    internal role passing of §2.1), skipping routes it injected itself. *)
@@ -418,30 +233,21 @@ let rec push_own_arr_rev t s = function
     if not (originated_by t.self route) then
       push_ibgp t s ~learned:D.Ibgp ~tag:tag_other t.env.id route
 
-let rec in_any_ap partition p = function
-  | [] -> false
-  | ap :: aps -> Partition.prefix_in_ap partition ap p || in_any_ap partition p aps
-
-let serves_with roles p =
-  match roles.partition with
-  | None -> false
-  | Some partition -> in_any_ap partition p roles.arr_aps
-
-let serves_prefix t p = serves_with t.roles p
+let serves_prefix t p = Roles.serves t.roles p
 
 (* ABRR plane: the own reflected set, then routes from ARRs for other
    APs. *)
 let push_abrr t s p =
-  if serves_prefix t p then push_own_arr_rev t s (Rib.get t.out_arr p);
-  push_table t s ~learned:D.Ibgp ~tag:tag_other t.from_arr p
+  if serves_prefix t p then push_own_arr_rev t s (Rib.get t.ribs.(out_arr) p);
+  push_table t s ~learned:D.Ibgp ~tag:tag_other from_arr p
 
 (* TRR-plane candidates, depending on role. *)
 let push_tbrr t s p =
   if t.roles.my_trrs <> [] then
-    push_table t s ~learned:D.Ibgp ~tag:tag_other t.from_trr p;
+    push_table t s ~learned:D.Ibgp ~tag:tag_other from_trr p;
   if t.roles.is_trr then begin
-    push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p;
-    push_table t s ~learned:D.Ibgp ~tag:tag_clientside t.managed_trr p
+    push_table t s ~learned:D.Ibgp ~tag:tag_other mesh_in p;
+    push_table t s ~learned:D.Ibgp ~tag:tag_clientside managed_trr p
   end
 
 (* The client function's candidate set: everything this router may
@@ -449,11 +255,11 @@ let push_tbrr t s p =
 let load_client t s p =
   S.clear s;
   (match t.env.config.scheme with
-  | Config.Full_mesh -> push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p
+  | Config.Full_mesh -> push_table t s ~learned:D.Ibgp ~tag:tag_other mesh_in p
   | Config.Confed _ ->
-    push_table t s ~learned:D.Confed_ebgp ~tag:tag_other t.confed_in p;
-    push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p
-  | Config.Rcp _ -> push_table t s ~learned:D.Ibgp ~tag:tag_other t.from_rcp p
+    push_table t s ~learned:D.Confed_ebgp ~tag:tag_other confed_in p;
+    push_table t s ~learned:D.Ibgp ~tag:tag_other mesh_in p
+  | Config.Rcp _ -> push_table t s ~learned:D.Ibgp ~tag:tag_other from_rcp p
   | Config.Tbrr _ -> push_tbrr t s p
   | Config.Abrr _ -> push_abrr t s p
   | Config.Dual { abrr; accept; _ } -> (
@@ -467,200 +273,9 @@ let load_client t s p =
    clientside sources. *)
 let load_trr t s p ~with_mesh =
   S.clear s;
-  if with_mesh then push_table t s ~learned:D.Ibgp ~tag:tag_other t.mesh_in p;
-  push_table t s ~learned:D.Ibgp ~tag:tag_clientside t.managed_trr p;
+  if with_mesh then push_table t s ~learned:D.Ibgp ~tag:tag_other mesh_in p;
+  push_table t s ~learned:D.Ibgp ~tag:tag_clientside managed_trr p;
   push_own_routes t s p
-
-(* ------------------------------------------------------------------ *)
-(* Output plumbing                                                     *)
-
-(* The domain's outbox (DESIGN.md, "Fan-out"). Between an entry point's
-   first [enqueue] and its closing [flush_outgoing] one router fills it,
-   so it is empty at every event boundary. Each destination's items are
-   consed onto its list, newest first; a destination's first item also
-   pushes it on the [touched] stack. [owner] is the [uid] of the router
-   filling it: entries an exception left behind are dropped when another
-   router claims the outbox, never sent under that router's id. Like
-   [Decision.Scratch] and [Wire.Sizer] it lives in domain-local storage. *)
-module Outbox = struct
-  type t = {
-    mutable owner : int;  (* uid of the filling router, -1: none *)
-    mutable lists : Proto.item list array;  (* by destination, newest first *)
-    mutable touched : int array;  (* as long as [lists] *)
-    mutable n_touched : int;
-  }
-
-  let key =
-    Domain.DLS.new_key (fun () ->
-        {
-          owner = -1;
-          lists = [||];
-          touched = [||];
-          n_touched = 0;
-        })
-
-  let get () = Domain.DLS.get key
-
-  let clear ob =
-    for k = 0 to ob.n_touched - 1 do
-      ob.lists.(ob.touched.(k)) <- []
-    done;
-    ob.n_touched <- 0;
-    ob.owner <- -1
-
-  let grow ob dst =
-    let n = max (dst + 1) (2 * Array.length ob.lists) in
-    let lists = Array.make n [] in
-    Array.blit ob.lists 0 lists 0 (Array.length ob.lists);
-    let touched = Array.make n 0 in
-    Array.blit ob.touched 0 touched 0 ob.n_touched;
-    ob.lists <- lists;
-    ob.touched <- touched
-
-  (* Insertion sort: reflect targets are enqueued in ascending id order,
-     so the stack is nearly sorted already. *)
-  let sort_touched ob =
-    let a = ob.touched in
-    for i = 1 to ob.n_touched - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-end
-
-let enqueue t dst item =
-  let ob = Outbox.get () in
-  if ob.owner <> t.uid then begin
-    Outbox.clear ob;
-    ob.owner <- t.uid
-  end;
-  if dst >= Array.length ob.lists then Outbox.grow ob dst;
-  match ob.lists.(dst) with
-  | [] ->
-    ob.touched.(ob.n_touched) <- dst;
-    ob.n_touched <- ob.n_touched + 1;
-    ob.lists.(dst) <- [ item ]
-  | items -> ob.lists.(dst) <- item :: items
-
-let session t dst =
-  match Hashtbl.find t.sessions dst with
-  | s -> s
-  | exception Not_found ->
-    let s = { mrai_until = Time.zero; pending = Hashtbl.create 8; flush_scheduled = false } in
-    Hashtbl.add t.sessions dst s;
-    s
-
-let sort_items = function
-  | ([] | [ _ ]) as items -> items  (* [List.sort] would build its closures *)
-  | items ->
-    List.sort
-      (fun ((c1, d1) : Proto.item) (c2, d2) ->
-        match Int.compare (Proto.channel_tag c1) (Proto.channel_tag c2) with
-        | 0 -> Prefix.compare d1.Proto.prefix d2.Proto.prefix
-        | c -> c)
-      items
-
-(* Count and size the items in one pass: the sizer sees exactly the
-   deltas of [Proto.wire_size (List.map snd items)]. *)
-let rec count_and_size (c : Counters.t) sizer = function
-  | [] -> ()
-  | ((_, d) : Proto.item) :: items ->
-    c.updates_transmitted <- c.updates_transmitted + 1;
-    if Proto.is_withdraw d then
-      c.withdrawals_transmitted <- c.withdrawals_transmitted + 1;
-    Proto.size_delta sizer d;
-    count_and_size c sizer items
-
-let transmit_now t dst (s : session) items =
-  let items = sort_items items in
-  let sizer = Bgp.Wire.Sizer.create ~add_paths:(Config.add_paths t.env.config) in
-  count_and_size t.counters sizer items;
-  Bgp.Wire.Sizer.finish sizer;
-  let bytes = Bgp.Wire.Sizer.bytes sizer and msgs = Bgp.Wire.Sizer.msgs sizer in
-  t.counters.bytes_transmitted <- t.counters.bytes_transmitted + bytes;
-  t.counters.messages_transmitted <- t.counters.messages_transmitted + msgs;
-  s.mrai_until <- t.env.now () + t.env.config.mrai;
-  t.env.transmit ~dst ~bytes ~msgs items
-
-let merge_pending (s : session) ((channel, delta) : Proto.item) =
-  let key = (Proto.channel_tag channel, Prefix.to_key delta.Proto.prefix) in
-  let merged =
-    match Hashtbl.find_opt s.pending key with
-    | None -> delta
-    | Some (_, old) ->
-      let new_ids =
-        List.map (fun (r : R.t) -> r.R.path_id) delta.Proto.routes
-      in
-      let carried =
-        List.filter (fun i -> not (List.mem i new_ids)) old.Proto.withdrawn_ids
-      in
-      {
-        delta with
-        Proto.withdrawn_ids =
-          dedup_ints (carried @ delta.Proto.withdrawn_ids);
-      }
-  in
-  Hashtbl.replace s.pending key (channel, merged)
-
-let send t dst items =
-  if dst = t.env.id then t.env.transmit ~dst ~bytes:0 ~msgs:0 items
-  else
-    let s = session t dst in
-    let now = t.env.now () in
-    if t.env.config.mrai = Time.zero || now >= s.mrai_until then
-      transmit_now t dst s items
-    else begin
-      t.counters.updates_suppressed <-
-        t.counters.updates_suppressed + List.length items;
-      List.iter (merge_pending s) items;
-      if not s.flush_scheduled then begin
-        s.flush_scheduled <- true;
-        t.env.schedule_flush ~peer:dst (s.mrai_until - now)
-      end
-    end
-
-let flush_peer t ~peer =
-  (* The Mrai_flush timer cannot be cancelled once scheduled, so it can
-     fire after this router went down, or after the session it was armed
-     for was purged by a peer failure.  Both are stale: a down router
-     must not transmit, and [session t peer] would silently re-create a
-     ghost entry for a purged peer. *)
-  if t.up then
-    match Hashtbl.find_opt t.sessions peer with
-    | None -> ()
-    | Some s ->
-      s.flush_scheduled <- false;
-      let items = Hashtbl.fold (fun _ item acc -> item :: acc) s.pending [] in
-      Hashtbl.reset s.pending;
-      if items <> [] then transmit_now t peer s items
-
-(* Hand each destination its items: destinations in ascending id
-   order, each one's items in enqueue order ([transmit_now] then sorts
-   them with [sort_items]). *)
-let send_touched t (ob : Outbox.t) =
-  for k = 0 to ob.n_touched - 1 do
-    let dst = ob.touched.(k) in
-    let items = ob.lists.(dst) in
-    ob.lists.(dst) <- [];
-    send t dst (match items with [ _ ] -> items | _ -> List.rev items)
-  done
-
-let flush_outgoing t =
-  let ob = Outbox.get () in
-  if ob.owner = t.uid then begin
-    Outbox.sort_touched ob;
-    (match send_touched t ob with
-    | () -> ()
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Outbox.clear ob;
-      Printexc.raise_with_backtrace e bt);
-    Outbox.clear ob
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Route derivation                                                    *)
@@ -736,33 +351,36 @@ let same_single old_routes desired =
 (* ------------------------------------------------------------------ *)
 (* Adj-RIB-Out writer                                                  *)
 
-(* Every per-plane Adj-RIB-Out change goes through here (DESIGN.md,
-   "Implementation decisions" 5): store the new route set, count one
-   generated update and enqueue the change toward each target, in the
-   order [targets] iterates them. The delta is built once and shared
-   (deltas are immutable), and so is its item: every target that gets
-   the shared delta gets the same physical item. [per_target]
-   substitutes a copy only for a target that must see something else. *)
-let write_out t ~rib ~channel ~targets ~per_target p routes withdrawn_ids =
-  rib_set t rib p routes;
+(* Every per-plane Adj-RIB-Out change is stored and then goes through
+   here (DESIGN.md, "Implementation decisions" 5): count one generated
+   update and enqueue the change toward each target, in the order
+   [targets] iterates them. The delta is built once and shared (deltas
+   are immutable), and so is its item: every target that gets the
+   shared delta gets the same physical item. [per_target] substitutes a
+   copy only for a target that must see something else. *)
+let emit t ~channel ~targets ~per_target p routes withdrawn_ids =
   t.counters.updates_generated <- t.counters.updates_generated + 1;
   let delta = { Proto.prefix = p; routes; withdrawn_ids } in
   let item = (channel, delta) in
   targets (fun dst ->
       let d = per_target dst delta in
-      enqueue t dst (if d == delta then item else (channel, d)))
+      Outbox.enqueue t.out dst (if d == delta then item else (channel, d)))
+
+let write_out t ~rib ~channel ~targets ~per_target p routes withdrawn_ids =
+  rib_set t rib p routes;
+  emit t ~channel ~targets ~per_target p routes withdrawn_ids
 
 let to_each dsts f = List.iter f dsts
+let keep _ d = d
 
 (* Single-path planes: one route under path id 0, replaced in place.
    Split horizon by withdrawal: the [sender] of the advertised route
-   gets a withdrawal of whatever it was sent before, never its own route
-   back. *)
-let export_single ?(sender = -1) t ~rib ~channel ~targets p desired =
+   ([-1]: none) gets a withdrawal of whatever it was sent before, never
+   its own route back. *)
+let export_single t ~rib ~channel ~targets ~sender p desired =
   if not (same_single (Rib.get rib p) desired) then
     match desired with
-    | None ->
-      write_out t ~rib ~channel ~targets ~per_target:(fun _ d -> d) p [] [ 0 ]
+    | None -> write_out t ~rib ~channel ~targets ~per_target:keep p [] [ 0 ]
     | Some r ->
       write_out t ~rib ~channel ~targets p [ r ] []
         ~per_target:(fun dst d ->
@@ -815,20 +433,14 @@ let rec reflected_set t s ~reachable k =
       d :: reflected_set t s ~reachable (k + 1)
     else reflected_set t s ~reachable (k + 1)
 
-let rec aps_serving partition p = function
-  | [] -> []
-  | ap :: aps ->
-    if Partition.prefix_in_ap partition ap p then ap :: aps_serving partition p aps
-    else aps_serving partition p aps
-
 let recompute_arr t p =
   match t.roles.partition with
   | None -> ()
   | Some partition ->
-    if in_any_ap partition p t.roles.arr_aps then begin
+    if serves_prefix t p then begin
       let s = S.get () in
       S.clear s;
-      let n = Adj_in.node t.managed_arr p in
+      let n = Adj_in.node t.planes.(managed_arr) p in
       for i = Adj_in.width n - 1 downto 0 do
         push_managed_rev t s (Adj_in.src n i) (Adj_in.routes n i)
       done;
@@ -840,10 +452,11 @@ let recompute_arr t p =
         let reachable = reflected_set t s ~reachable:1 0 in
         reflected_set t s ~reachable:0 0 @ reachable
       in
-      export_set t ~rib:t.out_arr ~ids:t.ids_arr ~channel:Proto.From_arr
+      export_set t ~rib:t.ribs.(out_arr) ~ids:t.ids.(ids_arr)
+        ~channel:Proto.From_arr
         ~targets:(fun f ->
-          iter_reflect_targets t.env.config t.roles.abrr_arrs
-            ~aps:(aps_serving partition p t.roles.arr_aps) f)
+          Roles.iter_reflect_targets t.env.config t.roles.abrr_arrs
+            ~aps:(Roles.aps_holding partition p t.roles.arr_aps) f)
         p derived
     end
 
@@ -863,7 +476,7 @@ let recompute_trr_single t p =
   let best_clientside = w >= 0 && S.tag s w = tag_clientside in
   let derived, sender = reflect_winner t s in
   (* To clients: the best route, never back to the client it came from. *)
-  export_single t ~rib:t.out_clients ~channel:Proto.From_trr
+  export_single t ~rib:t.ribs.(out_clients) ~channel:Proto.From_trr
     ~targets:(to_each t.roles.my_trr_clients) ~sender p derived;
   (* To the TRR mesh: only routes from clients / eBGP / local (Table 1).
      With best-external, the best client-side route is advertised even
@@ -877,7 +490,7 @@ let recompute_trr_single t p =
     end
     else (None, -1)
   in
-  export_single t ~rib:t.out_mesh ~channel:Proto.Mesh
+  export_single t ~rib:t.ribs.(out_mesh) ~channel:Proto.Mesh
     ~targets:(to_each t.roles.trr_mesh) ~sender:mesh_sender p mesh_desired
 
 let recompute_trr_multi t p =
@@ -885,26 +498,16 @@ let recompute_trr_multi t p =
   let export ~with_mesh ~rib ~ids ~channel ~targets =
     load_trr t s p ~with_mesh;
     S.run ~med_mode:(med_mode t) s;
-    export_set t ~rib ~ids ~channel ~targets:(to_each targets) p
-      (reflected_survivors t s 0)
+    export_set t ~rib:t.ribs.(rib) ~ids:t.ids.(ids) ~channel
+      ~targets:(to_each targets) p (reflected_survivors t s 0)
   in
-  export ~with_mesh:true ~rib:t.out_clients ~ids:t.ids_clients
+  export ~with_mesh:true ~rib:out_clients ~ids:ids_clients
     ~channel:Proto.From_trr ~targets:t.roles.my_trr_clients;
-  export ~with_mesh:false ~rib:t.out_mesh ~ids:t.ids_mesh ~channel:Proto.Mesh
+  export ~with_mesh:false ~rib:out_mesh ~ids:ids_mesh ~channel:Proto.Mesh
     ~targets:t.roles.trr_mesh
 
 (* ------------------------------------------------------------------ *)
 (* Client function: decision + export                                  *)
-
-let tbrr_active t =
-  match t.env.config.scheme with
-  | Config.Tbrr _ | Config.Dual _ -> true
-  | Config.Full_mesh | Config.Abrr _ | Config.Confed _ | Config.Rcp _ -> false
-
-let abrr_active t =
-  match t.env.config.scheme with
-  | Config.Abrr _ | Config.Dual _ -> true
-  | Config.Full_mesh | Config.Tbrr _ | Config.Confed _ | Config.Rcp _ -> false
 
 (* Table 1 reads "best routes" (plural): on add-paths planes the client
    advertises every other-learned route that ties at AS level — exactly
@@ -932,33 +535,31 @@ let own_winner t s =
     | D.Ibgp | D.Confed_ebgp -> None
 
 let arr_targets t partition p f =
-  let aps = Partition.aps_of_prefix partition p in
-  to_each (dedup_ints (List.concat_map (fun ap -> t.roles.abrr_arrs.(ap)) aps)) f
+  to_each (Roles.arrs_of t.roles.abrr_arrs partition p) f
 
 let client_export t s p =
   if t.roles.is_client then begin
     (match t.env.config.scheme with
     | Config.Full_mesh ->
-      export_single t ~rib:t.adv_mesh ~channel:Proto.Mesh
-        ~targets:(to_each t.roles.mesh_peers) p (own_winner t s)
+      export_single t ~rib:t.ribs.(adv_mesh) ~channel:Proto.Mesh
+        ~targets:(to_each t.roles.mesh_peers) ~sender:(-1) p (own_winner t s)
     | Config.Tbrr _ | Config.Abrr _ | Config.Confed _ | Config.Rcp _
     | Config.Dual _ -> ());
-    if tbrr_active t && t.roles.my_trrs <> [] then begin
+    if t.roles.my_trrs <> [] then begin
       let targets = to_each t.roles.my_trrs in
       if t.roles.tbrr_multipath then
-        export_set t ~rib:t.adv_trr ~ids:t.ids_adv_trr ~channel:Proto.To_trr
-          ~targets p (own_survivors t s 0)
+        export_set t ~rib:t.ribs.(adv_trr) ~ids:t.ids.(ids_adv_trr)
+          ~channel:Proto.To_trr ~targets p (own_survivors t s 0)
       else
-        export_single t ~rib:t.adv_trr ~channel:Proto.To_trr ~targets p
-          (own_winner t s)
+        export_single t ~rib:t.ribs.(adv_trr) ~channel:Proto.To_trr ~targets
+          ~sender:(-1) p (own_winner t s)
     end;
-    if abrr_active t then begin
-      match t.roles.partition with
-      | None -> ()
-      | Some partition ->
-        export_set t ~rib:t.adv_arr ~ids:t.ids_adv_arr ~channel:Proto.To_arr
-          ~targets:(arr_targets t partition p) p (own_survivors t s 0)
-    end
+    match t.roles.partition with
+    | None -> ()
+    | Some partition ->
+      export_set t ~rib:t.ribs.(adv_arr) ~ids:t.ids.(ids_adv_arr)
+        ~channel:Proto.To_arr ~targets:(arr_targets t partition p) p
+        (own_survivors t s 0)
   end
 
 (* Load and run the client decision, and store its winner in the
@@ -968,14 +569,15 @@ let run_decision t s p =
   load_client t s p;
   S.run ~med_mode:(med_mode t) s;
   let w = S.winner s in
+  let loc = t.ribs.(loc_rib) in
   let changed =
-    match Rib.get t.loc_rib p with
+    match Rib.get loc p with
     | [] -> w >= 0
     | [ old ] -> w < 0 || not (R.same_path old (S.route s w))
     | _ :: _ :: _ -> true
   in
   if changed then begin
-    rib_set t t.loc_rib p (if w < 0 then [] else [ S.route s w ]);
+    rib_set t loc p (if w < 0 then [] else [ S.route s w ]);
     t.counters.last_change <- t.env.now ()
   end;
   changed
@@ -1000,8 +602,8 @@ let confed_export t s p =
   let mesh_desired =
     if w >= 0 && S.learned s w <> D.Ibgp then Some (base ()) else None
   in
-  export_single t ~rib:t.adv_mesh ~channel:Proto.Mesh
-    ~targets:(to_each t.roles.mesh_peers) p mesh_desired;
+  export_single t ~rib:t.ribs.(adv_mesh) ~channel:Proto.Mesh
+    ~targets:(to_each t.roles.mesh_peers) ~sender:(-1) p mesh_desired;
   let confed_desired =
     if w < 0 then None
     else
@@ -1009,22 +611,8 @@ let confed_export t s p =
       Some (R.update ~as_path:(As_path.prepend_confed my_asn (R.as_path r)) r)
   in
   let sender = if w < 0 then -1 else S.src s w in
-  export_single t ~rib:t.adv_confed ~channel:Proto.Confed
+  export_single t ~rib:t.ribs.(adv_confed) ~channel:Proto.Confed
     ~targets:(to_each t.roles.confed_links) ~sender p confed_desired
-
-let confed_active t =
-  match t.env.config.scheme with
-  | Config.Confed _ -> true
-  | Config.Full_mesh | Config.Tbrr _ | Config.Abrr _ | Config.Rcp _
-  | Config.Dual _ ->
-    false
-
-let rcp_active t =
-  match t.env.config.scheme with
-  | Config.Rcp _ -> true
-  | Config.Full_mesh | Config.Tbrr _ | Config.Abrr _ | Config.Confed _
-  | Config.Dual _ ->
-    false
 
 (* RCP node (related work §5): compute each client's best path from that
    client's own IGP vantage over the platform's complete visibility, and
@@ -1042,7 +630,8 @@ let rec push_rcp_rev t s client src = function
     end
 
 let recompute_rcp t p =
-  let n = Adj_in.node t.managed_rcp p in
+  let n = Adj_in.node t.planes.(managed_rcp) p in
+  let out = t.planes.(rcp_out) in
   let s = S.get () in
   List.iter
     (fun client ->
@@ -1060,29 +649,41 @@ let recompute_rcp t p =
                (S.route s w))
         else None (* the client's own route: nothing to teach *)
       in
-      export_single t ~rib:(rcp_out_rib t client) ~channel:Proto.From_rcp
-        ~targets:(fun f -> f client) p desired)
+      if not (same_single (Adj_in.get out p client) desired) then begin
+        let routes, withdrawn =
+          match desired with None -> ([], [ 0 ]) | Some r -> ([ r ], [])
+        in
+        t.counters.rib_touches <- t.counters.rib_touches + 1;
+        ignore (Adj_in.exchange out p client routes);
+        emit t ~channel:Proto.From_rcp ~targets:(fun f -> f client)
+          ~per_target:keep p routes withdrawn
+      end)
     t.roles.rcp_clients
 
 let rcp_client_export t s p =
   if t.roles.is_client then
-    export_set t ~rib:t.adv_rcp ~ids:t.ids_adv_arr ~channel:Proto.To_rcp
-      ~targets:(to_each t.roles.rcps) p (own_survivors t s 0)
+    export_set t ~rib:t.ribs.(adv_rcp) ~ids:t.ids.(ids_adv_arr)
+      ~channel:Proto.To_rcp ~targets:(to_each t.roles.rcps) p
+      (own_survivors t s 0)
 
 (* ARR reflection, then the client decision and the exports that read
    its result, then the TRR planes: each loads the scratch afresh, so
    the client's result is read out before the TRR planes (or a
-   best-change hook) run. *)
+   best-change hook) run. A router runs only the reflector functions
+   its roles give it: ARR ones under ABRR and Dual, TRR ones under
+   TBRR and Dual. *)
 let recompute t p =
-  if abrr_active t then recompute_arr t p;
+  recompute_arr t p;
   if t.roles.is_rcp then recompute_rcp t p;
   let s = S.get () in
   let changed = run_decision t s p in
-  if confed_active t then confed_export t s p
-  else if rcp_active t then rcp_client_export t s p
-  else client_export t s p;
+  (match t.env.config.scheme with
+  | Config.Confed _ -> confed_export t s p
+  | Config.Rcp _ -> rcp_client_export t s p
+  | Config.Full_mesh | Config.Tbrr _ | Config.Abrr _ | Config.Dual _ ->
+    client_export t s p);
   if changed then t.env.on_best_change p (best t p);
-  if t.roles.is_trr && tbrr_active t then
+  if t.roles.is_trr then
     if t.roles.tbrr_multipath then recompute_trr_multi t p
     else recompute_trr_single t p
 
@@ -1175,114 +776,73 @@ let best_of_set t src routes =
     | D.Always_compare -> pick_group t src all_ases routes
     | D.Per_neighbor_as -> per_as_picks t src routes 0 routes)
 
-(* Every prefix with state anywhere in this router: all Adj-RIB-Ins
-   (plain and per-peer) plus the Loc-RIB and derived advert tables,
-   each distinct prefix visited once. This replaces the retired [seen]
-   table — a prefix absent from every RIB has no candidates, so
-   recomputing it is a no-op and forgetting it is outcome-identical;
-   meanwhile a per-router forever-grown prefix set is exactly what a
-   paper-scale run cannot afford. *)
-let iter_known t f =
-  let visited = Hashtbl.create 256 in
-  let visit p =
-    let k = Prefix.to_key p in
-    if not (Hashtbl.mem visited k) then begin
-      Hashtbl.add visited k ();
-      f p
+let store t src channel p routes dirty plane ~best_only =
+  let routes =
+    if best_only && not t.env.config.store_full_sets then best_of_set t src routes
+    else routes
+  in
+  t.counters.rib_touches <- t.counters.rib_touches + 1;
+  Churn.note_store dirty p channel (Adj_in.exchange t.planes.(plane) p src routes)
+    routes
+
+let apply_item t src ((channel, delta) : Proto.item) dirty =
+  let p = delta.Proto.prefix in
+  let keep =
+    let routes = delta.Proto.routes in
+    if all_accepted t channel routes then routes
+    else begin
+      reject_loop t;
+      List.filter (filter_incoming t channel) routes
     end
   in
-  let rib r = Rib.iter (fun p _ -> visit p) r in
-  List.iter rib
-    [ t.ebgp_rib; t.local_rib; t.loc_rib; t.adv_mesh; t.adv_confed; t.adv_rcp;
-      t.adv_trr; t.adv_arr; t.out_mesh; t.out_clients; t.out_arr ];
-  Hashtbl.iter (fun _ r -> rib r) t.rcp_out;
-  List.iter (Adj_in.iter_prefixes visit) (adj_in_planes t)
+  match channel with
+  | Proto.Mesh -> store t src channel p keep dirty mesh_in ~best_only:false
+  | Proto.Confed -> store t src channel p keep dirty confed_in ~best_only:false
+  | Proto.To_rcp ->
+    if t.roles.is_rcp then store t src channel p keep dirty managed_rcp ~best_only:false
+    else reject_loop t
+  | Proto.From_rcp -> store t src channel p keep dirty from_rcp ~best_only:false
+  | Proto.To_trr ->
+    if t.roles.is_trr then store t src channel p keep dirty managed_trr ~best_only:false
+    else reject_loop t
+  | Proto.To_arr ->
+    if t.roles.arr_aps <> [] && serves_prefix t p then
+      store t src channel p keep dirty managed_arr ~best_only:false
+    else reject_loop t
+  | Proto.From_trr -> store t src channel p keep dirty from_trr ~best_only:true
+  | Proto.From_arr -> store t src channel p keep dirty from_arr ~best_only:true
+
+let rec apply_items t src dirty = function
+  | [] -> ()
+  | item :: items ->
+    apply_item t src item dirty;
+    apply_items t src dirty items
 
 (* ------------------------------------------------------------------ *)
-(* Incremental decision (DESIGN.md, "Incremental decision").
-   Input application accumulates one churn record per dirty prefix:
-   which decision planes the batch's events can influence, and the
-   routes that entered or left a stored table. At batch end each dirty
-   prefix is classified once against the cached per-plane incumbents —
-   the heads of the RIBs the previous computation wrote — and the full
-   recomputation runs only when a churned route is not provably
-   irrelevant ([Decision.intrinsic_loses]). Under [Config.Naive] the
-   classification still runs (the counters must match exactly) but
-   every dirty prefix recomputes, which is the differential oracle. *)
+(* Incremental decision (DESIGN.md, "Incremental decision"). Under
+   [Config.Naive] the classification still runs (the counters must
+   match exactly) but every dirty prefix recomputes, which is the
+   differential oracle. *)
 
-(* Which cached incumbents an event stored via a given channel can
-   challenge. The Loc-RIB plane covers every output derived from the
-   full candidate set (client/confed/RCP-client exports are functions of
-   the winner and the step-1-4 survivors); the TRR planes cover the
-   reflector outputs computed over the clientside/mesh candidate subset;
-   the ARR plane covers the reflected best-AS-level set over the managed
-   RIB. *)
-let plane_loc = 1
-let plane_trr = 2   (* out_clients: reflected best over the TRR subset *)
-let plane_mesh = 4  (* out_mesh: clientside best/survivors toward the mesh *)
-let plane_arr = 8   (* out_arr: best-AS-level set over managed_arr *)
+(* The planes this router computes for [p] whose incumbents [c] can
+   challenge. *)
+let guarded t p c =
+  let trr = t.roles.is_trr in
+  Churn.plane_loc
+  lor (if trr then Churn.plane_trr else 0)
+  lor (if trr && (t.roles.tbrr_multipath || t.roles.tbrr_best_external) then
+         Churn.plane_mesh
+       else 0)
+  lor (if Churn.needs c Churn.plane_arr && serves_prefix t p then
+         Churn.plane_arr
+       else 0)
 
-let planes_of_channel = function
-  | Proto.Mesh -> plane_loc lor plane_trr
-  | Proto.Confed -> plane_loc
-  | Proto.To_rcp -> 0 (* RCP nodes always recompute in full *)
-  | Proto.From_rcp -> plane_loc
-  | Proto.To_trr -> plane_loc lor plane_trr lor plane_mesh
-  | Proto.To_arr -> plane_arr
-  | Proto.From_trr -> plane_loc
-  | Proto.From_arr -> plane_loc
-
-let planes_clientside = plane_loc lor plane_trr lor plane_mesh
-
-let new_churn () = { ch_full = false; ch_planes = 0; ch_routes = [] }
-let churn_of dirty p = Rib.Dirty.mark dirty p new_churn
-let mark_full dirty p = (churn_of dirty p).ch_full <- true
-let mark_noop dirty p = ignore (churn_of dirty p)
-
-let mark_delta dirty p planes routes =
-  let c = churn_of dirty p in
-  c.ch_planes <- c.ch_planes lor planes;
-  c.ch_routes <-
-    (match c.ch_routes with [] -> routes | rs -> List.rev_append routes rs)
-
-let rec all_lose med_mode incumbent = function
-  | [] -> true
-  | r :: rs ->
-    D.intrinsic_loses ~med_mode ~incumbent r && all_lose med_mode incumbent rs
-
-(* Does every churned route strictly lose to the head of [rib]? *)
-let loses_to t p (c : churn) rib =
-  match Rib.get rib p with
-  | [] -> false
-  | incumbent :: _ -> all_lose (med_mode t) incumbent c.ch_routes
-
-let needs (c : churn) plane = c.ch_planes land plane <> 0
-
-(* Classify one dirty prefix: [`Noop] when the batch left every stored
-   table unchanged, [`Delta] when every churned route strictly loses to
-   the head of each plane it could challenge (arrivals are eliminated in
-   steps 1-4 and withdrawals were never survivors, so no output can
-   change), [`Full] otherwise. An empty flagged incumbent means the
-   challenger would win by default — Full. Plane flags outside the
-   router's roles are ignored: the planes they would guard are never
-   computed here. *)
-let classify t p (c : churn) =
-  if c.ch_full || t.roles.is_rcp then `Full
-  else if c.ch_routes = [] then `Noop
-  else begin
-    let trr = t.roles.is_trr && tbrr_active t in
-    if
-      (not (needs c plane_loc) || loses_to t p c t.loc_rib)
-      && ((not trr) || not (needs c plane_trr) || loses_to t p c t.out_clients)
-      && ((not trr)
-         || not (t.roles.tbrr_multipath || t.roles.tbrr_best_external)
-         || not (needs c plane_mesh)
-         || loses_to t p c t.out_mesh)
-      && (not (abrr_active t && needs c plane_arr && serves_prefix t p)
-         || loses_to t p c t.out_arr)
-    then `Delta
-    else `Full
-  end
+let classify t p c =
+  if t.roles.is_rcp then Churn.Full
+  else
+    Churn.classify c p ~med_mode:(med_mode t) ~guarded:(guarded t p c)
+      ~loc:t.ribs.(loc_rib) ~trr:t.ribs.(out_clients) ~mesh:t.ribs.(out_mesh)
+      ~arr:t.ribs.(out_arr)
 
 (* Decide every dirty prefix exactly once, in prefix order. The counters
    are incremented identically under both engines; only whether the sound
@@ -1292,13 +852,13 @@ let classify t p (c : churn) =
 let decide t ~incremental p c =
   t.counters.decisions_run <- t.counters.decisions_run + 1;
   match classify t p c with
-  | `Full ->
+  | Churn.Full ->
     t.counters.decisions_full <- t.counters.decisions_full + 1;
     recompute t p
-  | `Delta ->
+  | Churn.Delta ->
     t.counters.decisions_delta <- t.counters.decisions_delta + 1;
     if not incremental then recompute t p
-  | `Noop ->
+  | Churn.Noop ->
     t.counters.decisions_skipped <- t.counters.decisions_skipped + 1;
     if not incremental then recompute t p
 
@@ -1313,209 +873,8 @@ let run_batch t dirty =
     ~incremental:(t.env.config.decision = Config.Incremental)
     (Rib.Dirty.drain dirty)
 
-(* Mark how one stored route set changed from [old] to [routes]. *)
-let note_store dirty p channel old routes =
-  if List.equal R.equal old routes then mark_noop dirty p
-  else
-    let planes = planes_of_channel channel in
-    match (old, routes) with
-    (* one-route fast paths: best-only stores are nearly always one route *)
-    | [], _ -> mark_delta dirty p planes routes
-    | _, [] -> mark_delta dirty p planes old
-    | [ _ ], [ r ] -> mark_delta dirty p planes (r :: old)
-    | _ ->
-      let adds =
-        List.filter (fun r -> not (List.exists (R.equal r) old)) routes
-      in
-      let rems =
-        List.filter (fun r -> not (List.exists (R.equal r) routes)) old
-      in
-      (* Routes common to both sets must keep their relative order: the
-         stored order feeds candidate loading and hence derived-set
-         path-id assignment, so a reorder is not a pure add/remove. *)
-      let common_old = List.filter (fun r -> List.exists (R.equal r) routes) old in
-      let common_new = List.filter (fun r -> List.exists (R.equal r) old) routes in
-      if adds = [] && rems = [] then mark_full dirty p
-      else if List.equal R.equal common_old common_new then
-        mark_delta dirty p planes (adds @ rems)
-      else mark_full dirty p
-
-let store t src channel p routes dirty tbl ~best_only =
-  let routes =
-    if best_only && not t.env.config.store_full_sets then best_of_set t src routes
-    else routes
-  in
-  t.counters.rib_touches <- t.counters.rib_touches + 1;
-  note_store dirty p channel (Adj_in.exchange tbl p src routes) routes
-
-let apply_item t src ((channel, delta) : Proto.item) dirty =
-  let p = delta.Proto.prefix in
-  let keep =
-    let routes = delta.Proto.routes in
-    if all_accepted t channel routes then routes
-    else begin
-      reject_loop t;
-      List.filter (filter_incoming t channel) routes
-    end
-  in
-  match channel with
-  | Proto.Mesh -> store t src channel p keep dirty t.mesh_in ~best_only:false
-  | Proto.Confed -> store t src channel p keep dirty t.confed_in ~best_only:false
-  | Proto.To_rcp ->
-    if t.roles.is_rcp then
-      store t src channel p keep dirty t.managed_rcp ~best_only:false
-    else reject_loop t
-  | Proto.From_rcp -> store t src channel p keep dirty t.from_rcp ~best_only:false
-  | Proto.To_trr ->
-    if t.roles.is_trr then
-      store t src channel p keep dirty t.managed_trr ~best_only:false
-    else reject_loop t
-  | Proto.To_arr ->
-    if t.roles.arr_aps <> [] && serves_prefix t p then
-      store t src channel p keep dirty t.managed_arr ~best_only:false
-    else reject_loop t
-  | Proto.From_trr -> store t src channel p keep dirty t.from_trr ~best_only:true
-  | Proto.From_arr -> store t src channel p keep dirty t.from_arr ~best_only:true
-
-let rec apply_items t src dirty = function
-  | [] -> ()
-  | item :: items ->
-    apply_item t src item dirty;
-    apply_items t src dirty items
-
 (* ------------------------------------------------------------------ *)
-(* Route-flap damping (RFC 2439 style, Bgp.Damping arithmetic). Hooks
-   sit on the eBGP announce/withdraw paths only — iBGP-learned state is
-   never damped. A suppressed route leaves [ebgp_rib] entirely, so the
-   decision process, invariant checks and snapshots all agree the route
-   is (temporarily) not a candidate. *)
-
-let damp_entry_fresh now neighbor =
-  { dp_penalty = 0.; dp_stamp = now; dp_held = None; dp_neighbor = neighbor;
-    dp_wake = Time.zero }
-
-let damp_bring_current params e now =
-  e.dp_penalty <- Damping.decay params ~penalty:e.dp_penalty ~dt:(now - e.dp_stamp);
-  e.dp_stamp <- now
-
-(* Arm a Process wake-up for when the penalty will have decayed under
-   the reuse threshold (+1 ms of slack against float rounding). The
-   [dp_wake] stamp keeps repeated suppressions from flooding the event
-   queue with redundant timers. *)
-let damp_schedule_reuse t params e now =
-  let delay = Damping.reuse_delay params ~penalty:e.dp_penalty + Time.ms 1 in
-  if now + delay > e.dp_wake then begin
-    e.dp_wake <- now + delay;
-    t.env.schedule_process delay
-  end
-
-(* Returns [true] when the announcement was absorbed (the route is, or
-   just became, suppressed) — the caller then skips the normal install. *)
-let damp_announce t params ~neighbor (route : R.t) dirty =
-  let p = route.R.prefix in
-  let key = (Prefix.to_key p, route.R.path_id) in
-  let now = t.env.now () in
-  match Hashtbl.find_opt t.damping key with
-  | Some e when e.dp_held <> None ->
-    (* Still suppressed: remember the freshest offer, nothing else. *)
-    damp_bring_current params e now;
-    e.dp_held <- Some route;
-    e.dp_neighbor <- neighbor;
-    mark_noop dirty p;
-    true
-  | entry_opt ->
-    let prev =
-      List.find_opt
-        (fun (r : R.t) -> r.R.path_id = route.R.path_id)
-        (Rib.get t.ebgp_rib p)
-    in
-    let attr_changed =
-      match prev with Some old -> not (R.same_path old route) | None -> false
-    in
-    (match entry_opt with
-    | Some e -> damp_bring_current params e now
-    | None -> ());
-    let entry_opt =
-      if attr_changed then begin
-        let e =
-          match entry_opt with
-          | Some e -> e
-          | None ->
-            let e = damp_entry_fresh now neighbor in
-            Hashtbl.add t.damping key e;
-            e
-        in
-        e.dp_penalty <-
-          Damping.penalize params ~penalty:e.dp_penalty ~dt:Time.zero
-            Damping.Attr_change;
-        Some e
-      end
-      else entry_opt
-    in
-    (match entry_opt with
-    | Some e when Damping.suppresses params e.dp_penalty ->
-      (match prev with
-      | Some pr ->
-        ignore (Rib.drop t.ebgp_rib p ~path_id:pr.R.path_id);
-        Hashtbl.remove t.ebgp_neighbors key;
-        mark_delta dirty p planes_clientside [ pr ]
-      | None -> mark_noop dirty p);
-      e.dp_held <- Some route;
-      e.dp_neighbor <- neighbor;
-      t.counters.routes_damped <- t.counters.routes_damped + 1;
-      damp_schedule_reuse t params e now;
-      true
-    | Some _ | None -> false)
-
-let damp_withdraw t params ~neighbor ~prefix ~path_id =
-  let key = (Prefix.to_key prefix, path_id) in
-  let now = t.env.now () in
-  let e =
-    match Hashtbl.find_opt t.damping key with
-    | Some e -> e
-    | None ->
-      let e = damp_entry_fresh now neighbor in
-      Hashtbl.add t.damping key e;
-      e
-  in
-  e.dp_penalty <-
-    Damping.penalize params ~penalty:e.dp_penalty ~dt:(now - e.dp_stamp)
-      Damping.Withdrawal;
-  e.dp_stamp <- now;
-  (* Withdrawing a suppressed route: nothing is on offer any more, so
-     there is nothing left to reinstate. The penalty stays. *)
-  if e.dp_held <> None then e.dp_held <- None
-
-(* The per-batch maturation pass: reinstate held routes whose penalty
-   decayed under the reuse threshold, re-arm wake-ups for those still
-   suppressed, and drop fully-decayed idle entries. Deterministic order
-   (sorted keys) — reinstatements feed the same decision batch. *)
-let damping_pass t dirty =
-  match t.env.config.Config.damping with
-  | None -> ()
-  | Some params ->
-    if Hashtbl.length t.damping > 0 then begin
-      let now = t.env.now () in
-      let entries =
-        Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.damping []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      List.iter
-        (fun ((key, e) : (int * int) * damp_entry) ->
-          damp_bring_current params e now;
-          match e.dp_held with
-          | Some r when Damping.reusable params e.dp_penalty ->
-            e.dp_held <- None;
-            ignore (Rib.upsert t.ebgp_rib r);
-            Hashtbl.replace t.ebgp_neighbors key e.dp_neighbor;
-            mark_delta dirty r.R.prefix planes_clientside [ r ]
-          | Some _ -> damp_schedule_reuse t params e now
-          | None ->
-            (* A decayed-out entry with no held route carries no
-               information any more. *)
-            if e.dp_penalty < 1. then Hashtbl.remove t.damping key)
-        entries
-    end
+(* eBGP and local inputs                                               *)
 
 (* [prev :: tail] for the route [prev] of [routes] carrying [path_id],
    [tail] when there is none. *)
@@ -1524,6 +883,63 @@ let rec cons_path_id path_id routes tail =
   | [] -> tail
   | (r : R.t) :: rs ->
     if r.R.path_id = path_id then r :: tail else cons_path_id path_id rs tail
+
+(* Route-flap damping sits on the eBGP announce path: [true] when the
+   table absorbed the announcement, which is then not installed. *)
+let damp_announce t params ~neighbor (route : R.t) dirty =
+  let p = route.R.prefix in
+  let ebgp = t.ribs.(ebgp_rib) in
+  let prev =
+    List.find_opt (fun (r : R.t) -> r.R.path_id = route.R.path_id) (Rib.get ebgp p)
+  in
+  match
+    Damping_table.announce t.damping params ~now:(t.env.now ())
+      ~schedule:t.env.schedule_process ~neighbor ~prev route
+  with
+  | Damping_table.Install -> false
+  | Damping_table.Absorbed ->
+    Churn.mark_noop dirty p;
+    true
+  | Damping_table.Suppressed ->
+    (match prev with
+    | Some pr ->
+      ignore (Rib.drop ebgp p ~path_id:pr.R.path_id);
+      Hashtbl.remove t.ebgp_neighbors (Prefix.to_key p, route.R.path_id);
+      Churn.mark_delta dirty p Churn.planes_clientside [ pr ]
+    | None -> Churn.mark_noop dirty p);
+    t.counters.routes_damped <- t.counters.routes_damped + 1;
+    true
+
+(* Reinstate the held routes whose penalty decayed, into the batch. *)
+let damping_pass t dirty =
+  match t.env.config.Config.damping with
+  | None -> ()
+  | Some params ->
+    List.iter
+      (fun ((r : R.t), neighbor) ->
+        ignore (Rib.upsert t.ribs.(ebgp_rib) r);
+        Hashtbl.replace t.ebgp_neighbors (Prefix.to_key r.R.prefix, r.R.path_id)
+          neighbor;
+        Churn.mark_delta dirty r.R.prefix Churn.planes_clientside [ r ])
+      (Damping_table.mature t.damping params ~now:(t.env.now ())
+         ~schedule:t.env.schedule_process)
+
+(* Store or drop one eBGP or local route: a change challenges the
+   client-side planes with the routes that entered and left. *)
+let upsert_own t slot dirty (route : R.t) =
+  let p = route.R.prefix in
+  let old = Rib.get t.ribs.(slot) p in
+  if Rib.upsert t.ribs.(slot) route then
+    Churn.mark_delta dirty p Churn.planes_clientside
+      (route :: cons_path_id route.R.path_id old [])
+  else Churn.mark_noop dirty p
+
+let drop_own t slot dirty prefix path_id =
+  let old = Rib.get t.ribs.(slot) prefix in
+  let dropped = Rib.drop t.ribs.(slot) prefix ~path_id in
+  if dropped then
+    Churn.mark_delta dirty prefix Churn.planes_clientside (cons_path_id path_id old []);
+  dropped
 
 let apply_input t input dirty =
   match input with
@@ -1535,46 +951,27 @@ let apply_input t input dirty =
       | None -> false
     in
     if not absorbed then begin
-      let p = route.R.prefix in
-      let key = (Prefix.to_key p, route.R.path_id) in
-      let old = Rib.get t.ebgp_rib p in
-      let changed = Rib.upsert t.ebgp_rib route in
-      let neighbor_changed =
-        match Hashtbl.find t.ebgp_neighbors key with
-        | n -> not (Ipv4.equal n neighbor)
-        | exception Not_found -> false
-      in
-      Hashtbl.replace t.ebgp_neighbors key neighbor;
-      (* Re-announcing the stored route verbatim is a decision no-op; a
-         neighbour change with identical attributes still shifts the
-         candidate's peer identity (steps 7-8), so it recomputes in full. *)
-      if neighbor_changed then mark_full dirty p
-      else if not changed then mark_noop dirty p
-      else
-        mark_delta dirty p planes_clientside
-          (route :: cons_path_id route.R.path_id old [])
+      let key = (Prefix.to_key route.R.prefix, route.R.path_id) in
+      upsert_own t ebgp_rib dirty route;
+      (* A neighbour change with identical attributes still shifts the
+         candidate's peer identity (steps 7-8): recompute in full. *)
+      (match Hashtbl.find t.ebgp_neighbors key with
+      | n -> if not (Ipv4.equal n neighbor) then Churn.mark_full dirty route.R.prefix
+      | exception Not_found -> ());
+      Hashtbl.replace t.ebgp_neighbors key neighbor
     end
   | In_ebgp_withdraw { neighbor; prefix; path_id } ->
     (match t.env.config.Config.damping with
-    | Some params -> damp_withdraw t params ~neighbor ~prefix ~path_id
+    | Some params ->
+      Damping_table.withdraw t.damping params ~now:(t.env.now ()) ~neighbor
+        ~prefix ~path_id
     | None -> ());
-    let old = Rib.get t.ebgp_rib prefix in
-    if Rib.drop t.ebgp_rib prefix ~path_id then begin
-      Hashtbl.remove t.ebgp_neighbors (Prefix.to_key prefix, path_id);
-      mark_delta dirty prefix planes_clientside (cons_path_id path_id old [])
-    end
-  | In_local route ->
-    let p = route.R.prefix in
-    let old = Rib.get t.local_rib p in
-    if Rib.upsert t.local_rib route then
-      mark_delta dirty p planes_clientside
-        (route :: cons_path_id route.R.path_id old [])
-    else mark_noop dirty p
+    if drop_own t ebgp_rib dirty prefix path_id then
+      Hashtbl.remove t.ebgp_neighbors (Prefix.to_key prefix, path_id)
+  | In_local route -> upsert_own t local_rib dirty route
   | In_local_withdraw { prefix; path_id } ->
-    let old = Rib.get t.local_rib prefix in
-    if Rib.drop t.local_rib prefix ~path_id then
-      mark_delta dirty prefix planes_clientside (cons_path_id path_id old [])
-  | In_redecide_all -> iter_known t (fun p -> mark_full dirty p)
+    ignore (drop_own t local_rib dirty prefix path_id)
+  | In_redecide_all -> iter_tables t (fun p -> Churn.mark_full dirty p)
 
 let rec drain_inbox t dirty =
   if not (Queue.is_empty t.inbox) then begin
@@ -1589,7 +986,7 @@ let process_now t =
     drain_inbox t t.dirty;
     damping_pass t t.dirty;
     run_batch t t.dirty;
-    flush_outgoing t
+    Outbox.flush t.out
   end
 
 let ensure_process t =
@@ -1632,21 +1029,29 @@ let withdraw_local t prefix ~path_id = push t (In_local_withdraw { prefix; path_
 let redecide_all t = push t In_redecide_all
 let is_up t = t.up
 
+(* The MRAI flush timer cannot be cancelled once scheduled, so it can
+   fire after this router went down, or after the session it was armed
+   for was purged by a peer failure. Both are stale: a down router must
+   not transmit, and the outbox ignores a purged session. *)
+let flush_peer t ~peer = if t.up then Outbox.flush_peer t.out ~peer
+
 (* Session teardown towards a failed peer: forget everything learned
-   from it and stop holding pending output for it. *)
+   from it (its Adj-RIB-Outs stay) and stop holding pending output for
+   it. *)
 let purge_peer t ~peer =
   if t.up then begin
-    let dirty =
-      List.concat_map (fun tbl -> Adj_in.drop_source tbl peer) (adj_in_planes t)
-    in
-    Hashtbl.remove t.sessions peer;
-    if dirty <> [] then begin
-      (* Wholesale table drops invalidate plane incumbents structurally:
-         every affected prefix recomputes in full. *)
-      let d = Rib.Dirty.create () in
-      List.iter (fun p -> mark_full d p) dirty;
-      run_batch t d;
-      flush_outgoing t
+    let dirty = Churn.create_batch () in
+    (* Wholesale table drops invalidate plane incumbents structurally:
+       every affected prefix recomputes in full. *)
+    List.iteri
+      (fun i c ->
+        if c = Managed_in || c = Unmanaged_in then
+          List.iter (Churn.mark_full dirty) (Adj_in.drop_source t.planes.(i) peer))
+      plane_classes;
+    Outbox.drop_session t.out peer;
+    if not (Rib.Dirty.is_empty dirty) then begin
+      run_batch t dirty;
+      Outbox.flush t.out
     end
   end
 
@@ -1655,52 +1060,46 @@ let purge_peer t ~peer =
    exchange). *)
 let refresh_to t ~peer =
   if t.up then begin
-    let replay rib channel entitled =
-      Rib.iter
-        (fun p routes ->
-          if entitled p then
-            enqueue t peer
-              (channel, { Proto.prefix = p; routes; withdrawn_ids = [] }))
-        rib
+    let announce channel p routes =
+      Outbox.enqueue t.out peer
+        (channel, { Proto.prefix = p; routes; withdrawn_ids = [] })
+    in
+    let replay slot channel entitled =
+      Rib.iter (fun p routes -> if entitled p then announce channel p routes) t.ribs.(slot)
     in
     let always _ = true in
-    if List.mem peer t.roles.mesh_peers then replay t.adv_mesh Proto.Mesh always;
-    if List.mem peer t.roles.confed_links then
-      replay t.adv_confed Proto.Confed always;
-    if List.mem peer t.roles.rcps then replay t.adv_rcp Proto.To_rcp always;
-    if t.roles.is_rcp then (
-      match Hashtbl.find_opt t.rcp_out peer with
-      | Some rib -> replay rib Proto.From_rcp always
-      | None -> ());
-    if List.mem peer t.roles.my_trrs then begin
-      replay t.adv_trr Proto.To_trr always
+    let roles = t.roles in
+    if List.mem peer roles.mesh_peers then replay adv_mesh Proto.Mesh always;
+    if List.mem peer roles.confed_links then replay adv_confed Proto.Confed always;
+    if List.mem peer roles.rcps then replay adv_rcp Proto.To_rcp always;
+    if roles.is_rcp then begin
+      let out = t.planes.(rcp_out) in
+      Adj_in.iter_prefixes
+        (fun p ->
+          match Adj_in.get out p peer with
+          | [] -> ()
+          | routes -> announce Proto.From_rcp p routes)
+        out
     end;
-    (match t.roles.partition with
+    if List.mem peer roles.my_trrs then replay adv_trr Proto.To_trr always;
+    (match roles.partition with
     | Some partition ->
-      let arr_of p =
-        List.exists
-          (fun ap -> List.mem peer t.roles.abrr_arrs.(ap))
-          (Partition.aps_of_prefix partition p)
-      in
-      replay t.adv_arr Proto.To_arr arr_of
+      replay adv_arr Proto.To_arr (fun p ->
+          List.mem peer (Roles.arrs_of roles.abrr_arrs partition p))
     | None -> ());
-    if t.roles.is_trr then begin
-      if List.mem peer t.roles.my_trr_clients then
-        replay t.out_clients Proto.From_trr always;
-      if List.mem peer t.roles.trr_mesh then replay t.out_mesh Proto.Mesh always
+    if roles.is_trr then begin
+      if List.mem peer roles.my_trr_clients then
+        replay out_clients Proto.From_trr always;
+      if List.mem peer roles.trr_mesh then replay out_mesh Proto.Mesh always
     end;
-    (match t.roles.partition with
+    (match roles.partition with
     | Some partition ->
-      let target_of p =
-        List.exists
-          (fun ap ->
-            Partition.prefix_in_ap partition ap p
-            && reflects_to t.env.config t.roles.abrr_arrs ~ap peer)
-          t.roles.arr_aps
-      in
-      replay t.out_arr Proto.From_arr target_of
+      replay out_arr Proto.From_arr (fun p ->
+          List.exists
+            (fun ap -> Roles.reflects_to t.env.config roles.abrr_arrs ~ap peer)
+            (Roles.aps_holding partition p roles.arr_aps))
     | None -> ());
-    flush_outgoing t
+    Outbox.flush t.out
   end
 
 (* Live repartition (scenario drill): the caller has already mutated the
@@ -1721,105 +1120,79 @@ let refresh_to t ~peer =
    partition delta range generate any traffic at all. *)
 let apply_repartition t =
   let old_roles = t.roles in
-  t.roles <- derive_roles t.env.config t.env.id;
+  t.roles <- Roles.derive t.env.config t.env.id;
   let new_roles = t.roles in
   if t.up then begin
-    let dirty = Rib.Dirty.create () in
-    (* ARR side: retire prefixes no longer in our APs. *)
-    let retired = Hashtbl.create 16 in
-    let note p =
-      if serves_with old_roles p && not (serves_with new_roles p) then
-        Hashtbl.replace retired (Prefix.to_key p) p
-    in
-    Rib.iter (fun p _ -> note p) t.out_arr;
-    Adj_in.iter_prefixes note t.managed_arr;
+    let dirty = Churn.create_batch () in
+    (* ARR side: retire prefixes no longer in our APs (only [out_arr]
+       and [managed_arr] can hold one that an old AP served). *)
     let retired =
-      Hashtbl.fold (fun _ p acc -> p :: acc) retired []
-      |> List.sort Prefix.compare
+      sorted_unique (fun f ->
+          let note p =
+            if Roles.serves old_roles p && not (Roles.serves new_roles p) then f p
+          in
+          Rib.iter (fun p _ -> note p) t.ribs.(out_arr);
+          Adj_in.iter_prefixes note t.planes.(managed_arr))
     in
     List.iter
       (fun p ->
-        let withdrawn = Path_id.drop_prefix t.ids_arr p in
+        let withdrawn = Path_id.drop_prefix t.ids.(ids_arr) p in
         if withdrawn <> [] then begin
           let old_aps =
             match old_roles.partition with
-            | Some part ->
-              List.filter
-                (fun ap -> Partition.prefix_in_ap part ap p)
-                old_roles.arr_aps
+            | Some part -> Roles.aps_holding part p old_roles.arr_aps
             | None -> []
           in
-          iter_reflect_targets t.env.config old_roles.abrr_arrs ~aps:old_aps
+          Roles.iter_reflect_targets t.env.config old_roles.abrr_arrs ~aps:old_aps
             (fun dst ->
-              enqueue t dst
+              Outbox.enqueue t.out dst
                 (Proto.From_arr,
                  { Proto.prefix = p; routes = []; withdrawn_ids = withdrawn }))
         end;
-        if Rib.get t.out_arr p <> [] then rib_set t t.out_arr p [];
+        if Rib.get t.ribs.(out_arr) p <> [] then rib_set t t.ribs.(out_arr) p [];
         (* one RIB touch per source cleared *)
         t.counters.rib_touches <-
-          t.counters.rib_touches + Adj_in.clear_prefix t.managed_arr p;
-        mark_full dirty p)
+          t.counters.rib_touches + Adj_in.clear_prefix t.planes.(managed_arr) p;
+        Churn.mark_full dirty p)
       retired;
     t.counters.Counters.prefixes_moved_on_repartition <-
       t.counters.Counters.prefixes_moved_on_repartition + List.length retired;
     (* Client side: feed newly-responsible ARRs our exported set. *)
     (match (old_roles.partition, new_roles.partition) with
     | Some oldp, Some newp ->
-      let arrs_of part (arrs : int list array) p =
-        dedup_ints
-          (List.concat_map
-             (fun ap -> arrs.(ap))
-             (Partition.aps_of_prefix part p))
-      in
       Rib.iter
         (fun p routes ->
           if routes <> [] then begin
-            let old_arrs = arrs_of oldp old_roles.abrr_arrs p in
-            let new_arrs = arrs_of newp new_roles.abrr_arrs p in
-            let added =
-              List.filter (fun a -> not (List.mem a old_arrs)) new_arrs
-            in
+            let old_arrs = Roles.arrs_of old_roles.abrr_arrs oldp p in
             List.iter
               (fun dst ->
-                enqueue t dst
-                  (Proto.To_arr, { Proto.prefix = p; routes; withdrawn_ids = [] }))
-              added
+                if not (List.mem dst old_arrs) then
+                  Outbox.enqueue t.out dst
+                    (Proto.To_arr, { Proto.prefix = p; routes; withdrawn_ids = [] }))
+              (Roles.arrs_of new_roles.abrr_arrs newp p)
           end)
-        t.adv_arr
+        t.ribs.(adv_arr)
     | _ -> ());
     run_batch t dirty;
-    flush_outgoing t
+    Outbox.flush t.out
   end
 
 let set_down t =
   t.up <- false;
   Queue.clear t.inbox
 
-(* Cold start: all BGP state is lost (eBGP feeds must be re-injected by
-   the caller, as a rebooted router would re-learn them). *)
+(* Cold start: eBGP feeds must be re-injected by the caller, as a
+   rebooted router would re-learn them. *)
 let set_up_cold t =
   t.up <- true;
-  Rib.clear t.ebgp_rib;
-  Hashtbl.reset t.ebgp_neighbors;
-  Rib.clear t.local_rib;
-  List.iter Adj_in.clear (adj_in_planes t);
-  Hashtbl.reset t.rcp_out;
-  List.iter Rib.clear
-    [ t.loc_rib; t.adv_mesh; t.adv_confed; t.adv_trr; t.adv_arr; t.adv_rcp;
-      t.out_mesh; t.out_clients; t.out_arr ];
-  List.iter Path_id.clear
-    [ t.ids_mesh; t.ids_clients; t.ids_arr; t.ids_adv_trr; t.ids_adv_arr ];
-  Hashtbl.reset t.sessions;
-  Hashtbl.reset t.damping;
-  Queue.clear t.inbox
+  wipe t
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
 (* LPM straight off the Loc-RIB trie — no separate FIB copy. *)
 let lookup t addr =
-  match Rib.longest_match t.loc_rib addr with
+  match Rib.longest_match t.ribs.(loc_rib) addr with
   | Some (p, r :: _) -> Some (p, r)
   | Some (_, []) | None -> None
 
@@ -1837,63 +1210,30 @@ let best_exit t p =
   | None -> None
   | Some r -> Config.router_of_loopback t.env.config (R.next_hop r)
 
-let sum_tbl tbls = List.fold_left (fun acc tbl -> acc + Adj_in.entry_count tbl) 0 tbls
-let rib_in_managed t = sum_tbl [ t.managed_trr; t.managed_arr; t.managed_rcp ]
-
-let rib_in_unmanaged t =
-  sum_tbl [ t.mesh_in; t.confed_in; t.from_trr; t.from_arr; t.from_rcp ]
-
+let rib_in_managed t = entries t Managed_in
+let rib_in_unmanaged t = entries t Unmanaged_in
 let rib_in_entries t = rib_in_managed t + rib_in_unmanaged t
-
-let rib_out_entries t =
-  Rib.entry_count t.out_mesh + Rib.entry_count t.out_clients
-  + Rib.entry_count t.out_arr
-  + Hashtbl.fold (fun _ rib acc -> acc + Rib.entry_count rib) t.rcp_out 0
-
-let rib_out_client_entries t =
-  Rib.entry_count t.adv_mesh + Rib.entry_count t.adv_confed
-  + Rib.entry_count t.adv_trr + Rib.entry_count t.adv_arr
-  + Rib.entry_count t.adv_rcp
-
-let loc_rib_entries t = Rib.entry_count t.loc_rib
-let ebgp_entries t = Rib.entry_count t.ebgp_rib
+let rib_out_entries t = entries t Reflector_out
+let rib_out_client_entries t = entries t Client_out
+let loc_rib_entries t = entries t Loc
+let ebgp_entries t = entries t Ebgp_in
 
 let received_set t ~from p =
-  let get tbl = Adj_in.get tbl p from in
-  get t.from_arr @ get t.from_trr @ get t.mesh_in @ get t.confed_in
-  @ get t.from_rcp
+  let get plane = Adj_in.get t.planes.(plane) p from in
+  get from_arr @ get from_trr @ get mesh_in @ get confed_in @ get from_rcp
 
-let reflector_set t p = Rib.get t.out_arr p
+let reflector_set t p = Rib.get t.ribs.(out_arr) p
+
 let advertised_route t p =
-  match Rib.get t.adv_arr p @ Rib.get t.adv_trr p @ Rib.get t.adv_mesh p with
-  | [] -> None
-  | r :: _ -> Some r
+  let get slot = Rib.get t.ribs.(slot) p in
+  match get adv_arr @ get adv_trr @ get adv_mesh with [] -> None | r :: _ -> Some r
 
-let known_prefixes t =
-  let acc = ref [] in
-  iter_known t (fun p -> acc := p :: !acc);
-  List.sort Prefix.compare !acc
+let known_prefixes t = sorted_unique (iter_tables t)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support                                                  *)
 
 type rib_dump = (Prefix.t * R.t list) list
-
-type session_state = {
-  ss_peer : int;
-  ss_mrai_until : Time.t;
-  ss_pending : Proto.item list;
-  ss_flush_scheduled : bool;
-}
-
-type damp_state = {
-  ds_key : int * int;  (* (prefix key, path id) *)
-  ds_penalty : float;
-  ds_stamp : Time.t;
-  ds_held : R.t option;
-  ds_neighbor : Ipv4.t;
-  ds_wake : Time.t;
-}
 
 type state = {
   st_ribs : rib_dump array;
@@ -1902,157 +1242,58 @@ type state = {
   st_ebgp_neighbors : ((int * int) * Ipv4.t) list;
   st_inbox : input list;
   st_process_scheduled : bool;
-  st_sessions : session_state list;
-  st_damping : damp_state list;
+  st_sessions : Outbox.session_state list;
+  st_damping : Damping_table.entry_state list;
   st_counters : Counters.t;
   st_rejected_loops : int;
   st_up : bool;
 }
 
-(* Fixed slot orders — the codec stores these arrays positionally, so
-   the orders are part of the snapshot format (bump the format version
-   when changing them). *)
-let rib_slots t =
-  [| t.ebgp_rib; t.local_rib; t.loc_rib; t.adv_mesh; t.adv_confed; t.adv_rcp;
-     t.adv_trr; t.adv_arr; t.out_mesh; t.out_clients; t.out_arr |]
-
-(* [st_peer_tables]: the [adj_in_planes] with [rcp_out] at this slot. *)
-let rcp_out_slot = 6
-let peer_table_count = 9
-
-let path_id_slots t =
-  [| t.ids_mesh; t.ids_clients; t.ids_arr; t.ids_adv_trr; t.ids_adv_arr |]
-
 (* [Rib.fold] runs in ascending prefix order already. *)
 let dump_rib rib = List.rev (Rib.fold (fun p rs acc -> (p, rs) :: acc) rib [])
 
-(* Clients ascending; a client with nothing advertised is left out, as
-   an Adj-RIB-In plane leaves out a source with no routes. *)
-let dump_rcp_out t =
-  Hashtbl.fold
-    (fun client rib acc ->
-      if Rib.entry_count rib = 0 then acc else (client, dump_rib rib) :: acc)
-    t.rcp_out []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let dump_peer_tables t =
-  let planes = Array.of_list (List.map Adj_in.dump (adj_in_planes t)) in
-  Array.init peer_table_count (fun i ->
-      if i < rcp_out_slot then planes.(i)
-      else if i = rcp_out_slot then dump_rcp_out t
-      else planes.(i - 1))
-
 let dump_state t =
   {
-    st_ribs = Array.map dump_rib (rib_slots t);
-    st_peer_tables = dump_peer_tables t;
-    st_path_ids = Array.map Path_id.dump (path_id_slots t);
+    st_ribs = Array.map dump_rib t.ribs;
+    st_peer_tables = Array.map Adj_in.dump t.planes;
+    st_path_ids = Array.map Path_id.dump t.ids;
     st_ebgp_neighbors =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ebgp_neighbors []
       |> List.sort (fun (a, _) (b, _) -> compare a b);
     st_inbox = List.of_seq (Queue.to_seq t.inbox);
     st_process_scheduled = t.process_scheduled;
-    st_sessions =
-      Hashtbl.fold
-        (fun peer (s : session) acc ->
-          {
-            ss_peer = peer;
-            ss_mrai_until = s.mrai_until;
-            ss_pending =
-              sort_items (Hashtbl.fold (fun _ it acc -> it :: acc) s.pending []);
-            ss_flush_scheduled = s.flush_scheduled;
-          }
-          :: acc)
-        t.sessions []
-      |> List.sort (fun a b -> Int.compare a.ss_peer b.ss_peer);
-    st_damping =
-      Hashtbl.fold
-        (fun key (e : damp_entry) acc ->
-          {
-            ds_key = key;
-            ds_penalty = e.dp_penalty;
-            ds_stamp = e.dp_stamp;
-            ds_held = e.dp_held;
-            ds_neighbor = e.dp_neighbor;
-            ds_wake = e.dp_wake;
-          }
-          :: acc)
-        t.damping []
-      |> List.sort (fun a b -> compare a.ds_key b.ds_key);
+    st_sessions = Outbox.dump t.out;
+    st_damping = Damping_table.dump t.damping;
     st_counters = Counters.copy t.counters;
     st_rejected_loops = t.rejected_loops;
     st_up = t.up;
   }
 
 let load_state t st =
-  let ribs = rib_slots t in
-  let planes = Array.of_list (adj_in_planes t) in
-  let ids = path_id_slots t in
   if
-    Array.length st.st_ribs <> Array.length ribs
-    || Array.length st.st_peer_tables <> peer_table_count
-    || Array.length st.st_path_ids <> Array.length ids
+    Array.length st.st_ribs <> Array.length t.ribs
+    || Array.length st.st_peer_tables <> Array.length t.planes
+    || Array.length st.st_path_ids <> Array.length t.ids
   then invalid_arg "Router.load_state: slot count mismatch";
-  (* Wipe everything, as a cold start would, then refill from the dump. *)
-  Array.iter Rib.clear ribs;
-  Array.iter Adj_in.clear planes;
-  Hashtbl.reset t.rcp_out;
-  Array.iter Path_id.clear ids;
-  Hashtbl.reset t.ebgp_neighbors;
-  Queue.clear t.inbox;
-  Hashtbl.reset t.sessions;
-  Hashtbl.reset t.damping;
+  wipe t;
   Array.iteri
-    (fun i d -> List.iter (fun (p, rs) -> Rib.set ribs.(i) p rs) d)
+    (fun i d -> List.iter (fun (p, rs) -> Rib.set t.ribs.(i) p rs) d)
     st.st_ribs;
   Array.iteri
     (fun i d ->
       List.iter
         (fun (src, rd) ->
-          if i = rcp_out_slot then begin
-            if rd <> [] then
-              let rib = rcp_out_rib t src in
-              List.iter (fun (p, rs) -> Rib.set rib p rs) rd
-          end
-          else
-            let plane = planes.(if i < rcp_out_slot then i else i - 1) in
-            List.iter (fun (p, rs) -> ignore (Adj_in.exchange plane p src rs)) rd)
+          List.iter (fun (p, rs) -> ignore (Adj_in.exchange t.planes.(i) p src rs)) rd)
         d)
     st.st_peer_tables;
-  Array.iteri (fun i d -> Path_id.load ids.(i) d) st.st_path_ids;
+  Array.iteri (fun i d -> Path_id.load t.ids.(i) d) st.st_path_ids;
   List.iter
     (fun (k, v) -> Hashtbl.replace t.ebgp_neighbors k v)
     st.st_ebgp_neighbors;
   List.iter (fun input -> Queue.add input t.inbox) st.st_inbox;
   t.process_scheduled <- st.st_process_scheduled;
-  List.iter
-    (fun ss ->
-      let s =
-        {
-          mrai_until = ss.ss_mrai_until;
-          pending = Hashtbl.create 8;
-          flush_scheduled = ss.ss_flush_scheduled;
-        }
-      in
-      List.iter
-        (fun (((c, d) : Proto.item) as item) ->
-          Hashtbl.replace s.pending
-            (Proto.channel_tag c, Prefix.to_key d.Proto.prefix)
-            item)
-        ss.ss_pending;
-      Hashtbl.add t.sessions ss.ss_peer s)
-    st.st_sessions;
-  List.iter
-    (fun ds ->
-      Hashtbl.replace t.damping ds.ds_key
-        {
-          dp_penalty = ds.ds_penalty;
-          dp_stamp = ds.ds_stamp;
-          dp_held = ds.ds_held;
-          dp_neighbor = ds.ds_neighbor;
-          dp_wake = ds.ds_wake;
-        })
-    st.st_damping;
+  Outbox.load t.out st.st_sessions;
+  Damping_table.load t.damping st.st_damping;
   Counters.reset t.counters;
   Counters.add t.counters st.st_counters;
   t.rejected_loops <- st.st_rejected_loops;

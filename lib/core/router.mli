@@ -41,52 +41,6 @@ type env = {
 val create : env -> t
 val id : t -> int
 
-(** {1 Roles}
-
-    The per-router role record derived purely from the configuration:
-    which reflector functions the router runs, whom it serves, whom it
-    peers with. Exposed so static analyses ({!Verify.Propagation}) can
-    mirror the simulator's signaling graph exactly without instantiating
-    routers. *)
-
-type roles = {
-  is_trr : bool;
-  is_client : bool;
-  my_cluster_ids : Ipv4.t list;
-  my_trrs : int list;  (** reflectors this router is a client of *)
-  my_trr_clients : int list;  (** clients of the clusters it serves *)
-  trr_mesh : int list;  (** the other TRRs (empty unless a TRR) *)
-  tbrr_multipath : bool;
-  tbrr_best_external : bool;
-  arr_aps : int list;  (** APs this router serves as an ARR *)
-  abrr_arrs : int list array;
-      (** ARRs per AP: the configuration's table, shared by all routers *)
-  partition : Partition.t option;
-  abrr_loop : Config.loop_prevention;
-  mesh_peers : int list;  (** full-mesh / confed sub-AS iBGP peers *)
-  confed_links : int list;  (** confed-eBGP neighbours (RFC 5065) *)
-  my_member_asn : Bgp.Asn.t option;
-  is_rcp : bool;
-  rcps : int list;  (** the control-plane nodes every client reports to *)
-  rcp_clients : int list;
-}
-
-val derive_roles : Config.t -> int -> roles
-(** The roles of router [i] under a configuration — the same derivation
-    {!create} performs internally. *)
-
-val iter_reflect_targets :
-  Config.t -> int list array -> aps:int list -> (int -> unit) -> unit
-(** [iter_reflect_targets config arrs ~aps f] calls [f] on every router
-    an ARR serving the APs [aps] reflects to, once each, in ascending
-    id order: the client routers that are not ARRs of at least one AP
-    in [aps] under the ARR table [arrs]. Under
-    [config.control_plane_rrs] no router in [arrs] is a client. Scans
-    the router ids and allocates nothing; no target list is stored. *)
-
-val reflect_targets : Config.t -> int list array -> aps:int list -> int list
-(** {!iter_reflect_targets} as an ascending list. *)
-
 val process_now : t -> unit
 (** Run the processing batch the [schedule_process] timer armed: drain
     the inbox, re-run the decision process on dirty prefixes, flush
@@ -201,7 +155,7 @@ val apply_repartition : t -> unit
     its eBGP-learned prefixes to newly responsible ARRs. Only prefixes
     inside the partitions' {!Partition.delta_range} generate messages. *)
 
-val lookup : t -> Netaddr.Ipv4.t -> (Netaddr.Prefix.t * Bgp.Route.t) option
+val lookup : t -> Ipv4.t -> (Prefix.t * Bgp.Route.t) option
 (** Longest-prefix-match forwarding lookup, answered directly by the
     Loc-RIB's trie (what the FIB would do for a data packet — there is
     no separate FIB copy). *)
@@ -221,49 +175,27 @@ val lookup : t -> Netaddr.Ipv4.t -> (Netaddr.Prefix.t * Bgp.Route.t) option
     mid-batch inbox round-trips through the codec. *)
 type input =
   | In_items of { src : int; items : Proto.item list }
-  | In_ebgp of { neighbor : Netaddr.Ipv4.t; route : Bgp.Route.t }
-  | In_ebgp_withdraw of {
-      neighbor : Netaddr.Ipv4.t;
-      prefix : Netaddr.Prefix.t;
-      path_id : int;
-    }
+  | In_ebgp of { neighbor : Ipv4.t; route : Bgp.Route.t }
+  | In_ebgp_withdraw of { neighbor : Ipv4.t; prefix : Prefix.t; path_id : int }
   | In_local of Bgp.Route.t
-  | In_local_withdraw of { prefix : Netaddr.Prefix.t; path_id : int }
+  | In_local_withdraw of { prefix : Prefix.t; path_id : int }
   | In_redecide_all
 
-type rib_dump = (Netaddr.Prefix.t * Bgp.Route.t list) list
+type rib_dump = (Prefix.t * Bgp.Route.t list) list
 (** Per-prefix route sets, sorted by prefix; route-list order is the
     RIB's stored (path-id insertion) order and is preserved exactly. *)
 
-type session_state = {
-  ss_peer : int;
-  ss_mrai_until : Time.t;
-  ss_pending : Proto.item list;  (** MRAI-suppressed merged deltas *)
-  ss_flush_scheduled : bool;
-}
-
-type damp_state = {
-  ds_key : int * int;  (** (prefix key, path_id) — the eBGP session slot *)
-  ds_penalty : float;
-  ds_stamp : Time.t;  (** time the penalty was last brought current *)
-  ds_held : Bgp.Route.t option;  (** suppressed announcement, if any *)
-  ds_neighbor : Netaddr.Ipv4.t;
-  ds_wake : Time.t;  (** latest scheduled reuse-evaluation time *)
-}
-(** Route-flap-damping state of one eBGP session slot ({!Bgp.Damping});
-    present only when [config.damping] is set. *)
-
 type state = {
-  st_ribs : rib_dump array;  (** fixed slot order — see router.ml *)
+  st_ribs : rib_dump array;  (** fixed slot order: router.ml's table registry *)
   st_peer_tables : (int * rib_dump) list array;
       (** per-source Adj-RIB-Ins and the RCP per-client Adj-RIB-Out,
           sources ascending, none with an empty dump *)
   st_path_ids : Path_id.dump array;  (** add-paths id allocators *)
-  st_ebgp_neighbors : ((int * int) * Netaddr.Ipv4.t) list;
+  st_ebgp_neighbors : ((int * int) * Ipv4.t) list;
   st_inbox : input list;  (** FIFO order *)
   st_process_scheduled : bool;
-  st_sessions : session_state list;
-  st_damping : damp_state list;  (** sorted by [ds_key] *)
+  st_sessions : Outbox.session_state list;
+  st_damping : Damping_table.entry_state list;  (** sorted by [ds_key] *)
   st_counters : Counters.t;
   st_rejected_loops : int;
   st_up : bool;

@@ -1,6 +1,7 @@
 open Netaddr
 module N = Abrr_core.Network
 module Router = Abrr_core.Router
+module Outbox = Abrr_core.Outbox
 module Sim = Eventsim.Sim
 module Time = Eventsim.Time
 
@@ -98,11 +99,11 @@ let norm_router mrai_off (st : Router.state) =
   in
   let sessions =
     List.filter_map
-      (fun (ss : Router.session_state) ->
+      (fun (ss : Outbox.session_state) ->
         let ss =
-          if mrai_off then { ss with Router.ss_mrai_until = Time.zero } else ss
+          if mrai_off then { ss with Outbox.ss_mrai_until = Time.zero } else ss
         in
-        if mrai_off && ss.Router.ss_pending = [] && not ss.Router.ss_flush_scheduled
+        if mrai_off && ss.Outbox.ss_pending = [] && not ss.Outbox.ss_flush_scheduled
         then None
         else Some ss)
       st.Router.st_sessions
@@ -168,10 +169,10 @@ let terminal_digest net =
           st_path_ids = [||];
           st_sessions =
             List.filter_map
-              (fun (ss : Router.session_state) ->
-                if ss.Router.ss_pending = [] && not ss.Router.ss_flush_scheduled
+              (fun (ss : Outbox.session_state) ->
+                if ss.Outbox.ss_pending = [] && not ss.Outbox.ss_flush_scheduled
                 then None
-                else Some { ss with Router.ss_mrai_until = Time.zero })
+                else Some { ss with Outbox.ss_mrai_until = Time.zero })
               st.Router.st_sessions;
         })
       routers

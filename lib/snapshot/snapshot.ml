@@ -15,7 +15,7 @@ let magic = "ABRRSNAP"
    deliberately NOT in the config fingerprint: both engines are proven
    state-identical, so a snapshot taken under either restores under
    either.
-   v4: per-router route-flap-damping state (Router.damp_state list —
+   v4: per-router route-flap-damping state (Damping_table.entry_state list —
    empty when damping is off) and four scenario counters
    (routes_damped/hijacks_injected/takeovers/prefixes_moved_on_repartition);
    the fingerprint gains a damping on/off marker, since restoring
@@ -507,22 +507,22 @@ let wstate e b (st : Router.state) =
      router's output is flushed before its event ends. *)
   C.w32 b 0;
   C.wlist b
-    (fun b (ss : Router.session_state) ->
-      C.wint b ss.Router.ss_peer;
-      C.wint b ss.Router.ss_mrai_until;
-      C.wlist b (witem e) ss.Router.ss_pending;
-      C.wbool b ss.Router.ss_flush_scheduled)
+    (fun b (ss : Outbox.session_state) ->
+      C.wint b ss.Outbox.ss_peer;
+      C.wint b ss.Outbox.ss_mrai_until;
+      C.wlist b (witem e) ss.Outbox.ss_pending;
+      C.wbool b ss.Outbox.ss_flush_scheduled)
     st.Router.st_sessions;
   C.wlist b
-    (fun b (ds : Router.damp_state) ->
-      let k1, k2 = ds.Router.ds_key in
+    (fun b (ds : Damping_table.entry_state) ->
+      let k1, k2 = ds.Damping_table.ds_key in
       C.wint b k1;
       C.wint b k2;
-      C.w64 b (Int64.bits_of_float ds.Router.ds_penalty);
-      C.wint b ds.Router.ds_stamp;
-      C.wopt b (wroute e) ds.Router.ds_held;
-      wipv4 b ds.Router.ds_neighbor;
-      C.wint b ds.Router.ds_wake)
+      C.w64 b (Int64.bits_of_float ds.Damping_table.ds_penalty);
+      C.wint b ds.Damping_table.ds_stamp;
+      C.wopt b (wroute e) ds.Damping_table.ds_held;
+      wipv4 b ds.Damping_table.ds_neighbor;
+      C.wint b ds.Damping_table.ds_wake)
     st.Router.st_damping;
   wcounters b st.Router.st_counters;
   C.wint b st.Router.st_rejected_loops;
@@ -563,7 +563,7 @@ let rstate d : Router.state =
         let ss_mrai_until = C.rint d.rd in
         let ss_pending = C.rlist d.rd (fun _ -> ritem d) in
         let ss_flush_scheduled = C.rbool d.rd in
-        { Router.ss_peer; ss_mrai_until; ss_pending; ss_flush_scheduled })
+        { Outbox.ss_peer; ss_mrai_until; ss_pending; ss_flush_scheduled })
   in
   let st_damping =
     C.rlist d.rd (fun _ ->
@@ -574,7 +574,7 @@ let rstate d : Router.state =
         let ds_held = C.ropt d.rd (fun _ -> rroute d) in
         let ds_neighbor = ripv4 d in
         let ds_wake = C.rint d.rd in
-        { Router.ds_key = (k1, k2); ds_penalty; ds_stamp; ds_held;
+        { Damping_table.ds_key = (k1, k2); ds_penalty; ds_stamp; ds_held;
           ds_neighbor; ds_wake })
   in
   let st_counters = rcounters d in

@@ -1,7 +1,7 @@
 open Netaddr
 module Config = Abrr_core.Config
 module Partition = Abrr_core.Partition
-module Router = Abrr_core.Router
+module Roles = Abrr_core.Roles
 module Graph = Igp.Graph
 module Spf = Igp.Spf
 module As_path = Bgp.As_path
@@ -27,7 +27,7 @@ type stats = {
 
 let max_rounds = 512
 let lb = Config.loopback
-let dedup_ints l = List.sort_uniq Int.compare l
+let dedup_ints = Roles.dedup_ints
 
 (* ------------------------------------------------------------------ *)
 (* Solver context: everything that is per-network, not per-prefix.      *)
@@ -35,7 +35,7 @@ let dedup_ints l = List.sort_uniq Int.compare l
 type ctx = {
   cfg : Config.t;
   med : D.med_mode;
-  roles : Router.roles array;
+  roles : Roles.t array;
   live : bool array;
   dist : int array array;  (* over the live-masked topology *)
   inj : workload;  (* live-filtered *)
@@ -74,7 +74,7 @@ let derive_trr_reflect ctx i src (r : R.t) =
     match (R.originator_id r) with Some o -> o | None -> lb src
   in
   let cluster =
-    match ctx.roles.(i).Router.my_cluster_ids with c :: _ -> c | [] -> lb i
+    match ctx.roles.(i).Roles.my_cluster_ids with c :: _ -> c | [] -> lb i
   in
   R.add_cluster cluster (R.update ~originator_id:(Some originator) ~path_id:0 r)
 
@@ -83,7 +83,7 @@ let derive_arr_reflect ctx i src (r : R.t) =
     match (R.originator_id r) with Some o -> o | None -> lb src
   in
   let r = R.update ~originator_id:(Some originator) r in
-  match ctx.roles.(i).Router.abrr_loop with
+  match ctx.roles.(i).Roles.abrr_loop with
   | Config.Reflected_bit -> R.mark_reflected r
   | Config.Cluster_list -> R.add_cluster (lb i) r
 
@@ -93,18 +93,18 @@ let mesh_ok ctx i (r : R.t) =
   (not
      (List.exists
         (fun c -> R.in_cluster_list c r)
-        ctx.roles.(i).Router.my_cluster_ids))
+        ctx.roles.(i).Roles.my_cluster_ids))
   && (R.originator_id r) <> Some (lb i)
 
 let reflected_ok i (r : R.t) = (R.originator_id r) <> Some (lb i)
 
 let to_arr_ok ctx i (r : R.t) =
-  match ctx.roles.(i).Router.abrr_loop with
+  match ctx.roles.(i).Roles.abrr_loop with
   | Config.Reflected_bit -> not (R.is_reflected r)
   | Config.Cluster_list -> R.cluster_list r = []
 
 let confed_ok ctx i (r : R.t) =
-  match ctx.roles.(i).Router.my_member_asn with
+  match ctx.roles.(i).Roles.my_member_asn with
   | Some asn -> not (As_path.confed_contains asn (R.as_path r))
   | None -> true
 
@@ -136,14 +136,12 @@ let make_pctx ctx prefix =
     match ctx.cfg.Config.scheme with
     | Config.Abrr s ->
       let covering = Partition.aps_of_prefix s.Config.partition prefix in
-      let cover_arrs =
-        dedup_ints (List.concat_map (fun ap -> s.Config.arrs.(ap)) covering)
-      in
+      let cover_arrs = Roles.arrs_of s.Config.arrs s.Config.partition prefix in
       let arr_targets_of =
         List.map
           (fun a ->
             let aps = List.filter (fun ap -> List.mem a s.Config.arrs.(ap)) covering in
-            (a, Router.reflect_targets ctx.cfg s.Config.arrs ~aps))
+            (a, Roles.reflect_targets ctx.cfg s.Config.arrs ~aps))
           cover_arrs
       in
       (cover_arrs, arr_targets_of)
@@ -238,7 +236,7 @@ let delivered_inputs ctx pctx nodes r =
           match nodes.(s).adv_mesh with
           | Some route when mesh_ok ctx r route -> push T_mesh s route
           | _ -> ())
-      roles.Router.mesh_peers
+      roles.Roles.mesh_peers
   | Config.Confed _ ->
     List.iter
       (fun s ->
@@ -246,7 +244,7 @@ let delivered_inputs ctx pctx nodes r =
           match nodes.(s).adv_mesh with
           | Some route when mesh_ok ctx r route -> push T_mesh s route
           | _ -> ())
-      roles.Router.mesh_peers;
+      roles.Roles.mesh_peers;
     List.iter
       (fun s ->
         if ctx.live.(s) then
@@ -254,7 +252,7 @@ let delivered_inputs ctx pctx nodes r =
           | Some (route, src) when src <> r && confed_ok ctx r route ->
             push T_confed s route
           | _ -> ())
-      roles.Router.confed_links
+      roles.Roles.confed_links
   | Config.Rcp _ ->
     List.iter
       (fun z ->
@@ -262,9 +260,9 @@ let delivered_inputs ctx pctx nodes r =
           match nodes.(z).rcp_out.(r) with
           | Some route when reflected_ok r route -> push T_from_rcp z route
           | _ -> ())
-      roles.Router.rcps
+      roles.Roles.rcps
   | Config.Tbrr _ ->
-    if roles.Router.is_trr then begin
+    if roles.Roles.is_trr then begin
       List.iter
         (fun c ->
           if ctx.live.(c) then
@@ -272,13 +270,13 @@ let delivered_inputs ctx pctx nodes r =
               (fun route ->
                 if mesh_ok ctx r route then push T_managed_trr c route)
               nodes.(c).adv_trr)
-        roles.Router.my_trr_clients;
+        roles.Roles.my_trr_clients;
       List.iter
         (fun s ->
           if ctx.live.(s) then begin
             let nd = nodes.(s) in
             let skip =
-              (not roles.Router.tbrr_multipath)
+              (not roles.Roles.tbrr_multipath)
               && nd.out_mesh <> [] && nd.out_mesh_src = r
             in
             if not skip then
@@ -286,15 +284,15 @@ let delivered_inputs ctx pctx nodes r =
                 (fun route -> if mesh_ok ctx r route then push T_mesh s route)
                 nd.out_mesh
           end)
-        roles.Router.trr_mesh
+        roles.Roles.trr_mesh
     end;
-    if roles.Router.my_trrs <> [] then
+    if roles.Roles.my_trrs <> [] then
       List.iter
         (fun tr ->
           if ctx.live.(tr) then begin
             let nd = nodes.(tr) in
             let skip =
-              (not roles.Router.tbrr_multipath)
+              (not roles.Roles.tbrr_multipath)
               && nd.out_clients <> [] && nd.out_clients_src = r
             in
             if not skip then
@@ -303,7 +301,7 @@ let delivered_inputs ctx pctx nodes r =
                   if reflected_ok r route then push T_from_trr tr route)
                 nd.out_clients
           end)
-        roles.Router.my_trrs
+        roles.Roles.my_trrs
   | Config.Abrr _ ->
     List.iter
       (fun a ->
@@ -415,7 +413,7 @@ let eval ctx pctx nodes r =
     | _ -> ());
     (* 2. RCP node: each client's best path from its own IGP vantage. *)
     (match ctx.cfg.Config.scheme with
-    | Config.Rcp _ when roles.Router.is_rcp ->
+    | Config.Rcp _ when roles.Roles.is_rcp ->
       let all =
         List.concat
           (List.init n (fun src ->
@@ -458,7 +456,7 @@ let eval ctx pctx nodes r =
               | _ -> ())
             | None -> ()
           end)
-        roles.Router.rcp_clients
+        roles.Roles.rcp_clients
     | _ -> ());
     (* 3. Decision. *)
     let inputs = delivered_inputs ctx pctx nodes r in
@@ -467,14 +465,14 @@ let eval ctx pctx nodes r =
     (* 4. Client / confed exports. *)
     (match ctx.cfg.Config.scheme with
     | Config.Full_mesh ->
-      if roles.Router.is_client then (
+      if roles.Roles.is_client then (
         match winner with
         | Some (c, _, _) when c.D.learned = D.Ebgp || c.D.learned = D.Local ->
           nd.adv_mesh <- Some (derive_own r c.D.route)
         | _ -> ())
     | Config.Tbrr _ ->
-      if roles.Router.is_client && roles.Router.my_trrs <> [] then
-        if roles.Router.tbrr_multipath then
+      if roles.Roles.is_client && roles.Roles.my_trrs <> [] then
+        if roles.Roles.tbrr_multipath then
           nd.adv_trr <- own_survivors ctx r tagged
         else (
           match winner with
@@ -483,12 +481,12 @@ let eval ctx pctx nodes r =
             nd.adv_trr <- [ derive_own r c.D.route ]
           | _ -> ())
     | Config.Abrr _ ->
-      if roles.Router.is_client then nd.adv_arr <- own_survivors ctx r tagged
+      if roles.Roles.is_client then nd.adv_arr <- own_survivors ctx r tagged
     | Config.Rcp _ ->
-      if roles.Router.is_client then nd.adv_rcp <- own_survivors ctx r tagged
+      if roles.Roles.is_client then nd.adv_rcp <- own_survivors ctx r tagged
     | Config.Confed _ ->
       let my_asn =
-        match roles.Router.my_member_asn with
+        match roles.Roles.my_member_asn with
         | Some a -> a
         | None -> Bgp.Asn.of_int 0
       in
@@ -515,7 +513,7 @@ let eval ctx pctx nodes r =
     | Config.Dual _ -> ());
     (* 5. TRR reflection. *)
     match ctx.cfg.Config.scheme with
-    | Config.Tbrr _ when roles.Router.is_trr ->
+    | Config.Tbrr _ when roles.Roles.is_trr ->
       let trr_tagged =
         List.filter
           (fun (_, _, tag) ->
@@ -527,7 +525,7 @@ let eval ctx pctx nodes r =
         | D.Ibgp -> derive_trr_reflect ctx r src c.D.route
         | D.Ebgp | D.Local | D.Confed_ebgp -> derive_own r c.D.route
       in
-      if roles.Router.tbrr_multipath then begin
+      if roles.Roles.tbrr_multipath then begin
         let pick tg =
           let survivors =
             D.steps_1_to_4 ~med_mode:ctx.med (List.map (fun (c, _, _) -> c) tg)
@@ -555,7 +553,7 @@ let eval ctx pctx nodes r =
         | Some ((_, src, tag) as e) when clientside tag ->
           nd.out_mesh <- [ derive e ];
           nd.out_mesh_src <- src
-        | Some _ when roles.Router.tbrr_best_external -> (
+        | Some _ when roles.Roles.tbrr_best_external -> (
           let ct =
             List.filter (fun (_, _, tag) -> clientside tag) trr_tagged
           in
@@ -602,24 +600,24 @@ let solve_prefix ctx pctx =
 let successors ctx pctx r =
   let roles = ctx.roles.(r) in
   match ctx.cfg.Config.scheme with
-  | Config.Full_mesh -> roles.Router.mesh_peers
-  | Config.Confed _ -> roles.Router.mesh_peers @ roles.Router.confed_links
+  | Config.Full_mesh -> roles.Roles.mesh_peers
+  | Config.Confed _ -> roles.Roles.mesh_peers @ roles.Roles.confed_links
   | Config.Tbrr _ ->
-    (if roles.Router.is_client && roles.Router.my_trrs <> [] then
-       roles.Router.my_trrs
+    (if roles.Roles.is_client && roles.Roles.my_trrs <> [] then
+       roles.Roles.my_trrs
      else [])
     @
-    if roles.Router.is_trr then
-      roles.Router.my_trr_clients @ roles.Router.trr_mesh
+    if roles.Roles.is_trr then
+      roles.Roles.my_trr_clients @ roles.Roles.trr_mesh
     else []
   | Config.Abrr _ ->
-    (if roles.Router.is_client then pctx.cover_arrs else [])
+    (if roles.Roles.is_client then pctx.cover_arrs else [])
     @ (match List.assoc_opt r pctx.arr_targets_of with
       | Some ts -> ts
       | None -> [])
   | Config.Rcp _ ->
-    (if roles.Router.is_client then roles.Router.rcps else [])
-    @ (if roles.Router.is_rcp then roles.Router.rcp_clients else [])
+    (if roles.Roles.is_client then roles.Roles.rcps else [])
+    @ (if roles.Roles.is_rcp then roles.Roles.rcp_clients else [])
   | Config.Dual _ -> []
 
 (* Worklist restart from a dirty seed; [None] when it fails to settle. *)
@@ -797,7 +795,7 @@ let make_ctx (cfg : Config.t) live workload =
   {
     cfg;
     med = cfg.med_mode;
-    roles = Array.init cfg.n_routers (Router.derive_roles cfg);
+    roles = Array.init cfg.n_routers (Roles.derive cfg);
     live;
     dist = Spf.all_pairs (masked_graph cfg live);
     inj;
@@ -861,10 +859,7 @@ let psol t p =
 let verdict t p = (psol t p).p_verdict
 let learnable t p ~router = (psol t p).p_learnable.(router)
 let delivered t p ~router = (psol t p).p_delivered.(router)
-let best_route t p ~router = (psol t p).p_best.(router)
 let exits t p = (psol t p).p_exits
-let reference_exits t p = (psol t p).p_ref_exits
-let reference_classes t p = (psol t p).p_ref_classes
 
 let class_count t =
   List.fold_left
@@ -925,7 +920,7 @@ let redo t ctx plan =
 let rcp_nodes ctx =
   let acc = ref [] in
   Array.iteri
-    (fun r (roles : Router.roles) -> if roles.is_rcp then acc := r :: !acc)
+    (fun r (roles : Roles.t) -> if roles.is_rcp then acc := r :: !acc)
     ctx.roles;
   List.rev !acc
 
@@ -1068,7 +1063,7 @@ let fail_arr t a =
           {
             ctx0 with
             cfg = cfg';
-            roles = Array.init cfg.Config.n_routers (Router.derive_roles cfg');
+            roles = Array.init cfg.Config.n_routers (Roles.derive cfg');
             evals = 0;
             spf = 0;
           }
@@ -1104,7 +1099,7 @@ let repartition t part' =
           {
             ctx0 with
             cfg = cfg';
-            roles = Array.init cfg.Config.n_routers (Router.derive_roles cfg');
+            roles = Array.init cfg.Config.n_routers (Roles.derive cfg');
             evals = 0;
             spf = 0;
           }

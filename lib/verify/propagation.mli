@@ -86,19 +86,9 @@ val delivered : t -> Prefix.t -> router:int -> (int * Bgp.Route.t) list
     {!Abrr_core.Router.received_set} over all senders (path-ids are 0;
     the simulator allocates real ones). *)
 
-val best_route : t -> Prefix.t -> router:int -> Bgp.Route.t option
-
 val exits : t -> Prefix.t -> int option array
 (** Per-router egress router under the scheme ([None]: no route;
     borders using their own eBGP route exit at themselves). *)
-
-val reference_exits : t -> Prefix.t -> int option array
-(** The full-visibility reference ({!Deflection.full_mesh_exits} on the
-    same masked topology). *)
-
-val reference_classes : t -> Prefix.t -> Bgp.Route.t list
-(** The best AS-level routes over all live border adverts — the classes
-    every router learns under full mesh or ABRR (normalized, sorted). *)
 
 val class_count : t -> int
 (** Total learnable classes across routers and prefixes (scale metric). *)

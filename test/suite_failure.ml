@@ -155,7 +155,7 @@ let test_peer_failure_with_flush_armed () =
      for the purged session *)
   let arr = R.dump_state (N.router net 0) in
   check_bool "no ghost session for failed peer" false
-    (List.exists (fun ss -> ss.R.ss_peer = 4) arr.R.st_sessions);
+    (List.exists (fun ss -> ss.Abrr_core.Outbox.ss_peer = 4) arr.R.st_sessions);
   (* the surviving clients still got the flushed better route *)
   check_bool "flush delivered to survivors" true
     (N.best_exit net ~router:5 prefix = Some 3);

@@ -2,6 +2,7 @@ open Helpers
 module C = Abrr_core.Config
 module N = Abrr_core.Network
 module R = Abrr_core.Router
+module Roles = Abrr_core.Roles
 module Part = Abrr_core.Partition
 
 let check_bool = Alcotest.(check bool)
@@ -180,16 +181,16 @@ let targets_match cfg =
   in
   let per_ap =
     List.for_all
-      (fun ap -> R.reflect_targets cfg arrs ~aps:[ ap ] = old_targets cfg arrs [ ap ])
+      (fun ap -> Roles.reflect_targets cfg arrs ~aps:[ ap ] = old_targets cfg arrs [ ap ])
       (List.init (Array.length arrs) Fun.id)
   in
   let per_router =
     List.for_all
       (fun i ->
-        let roles = R.derive_roles cfg i in
-        roles.R.abrr_arrs == arrs
-        && R.reflect_targets cfg roles.R.abrr_arrs ~aps:roles.R.arr_aps
-           = old_targets cfg arrs roles.R.arr_aps)
+        let roles = Roles.derive cfg i in
+        roles.Roles.abrr_arrs == arrs
+        && Roles.reflect_targets cfg roles.abrr_arrs ~aps:roles.arr_aps
+           = old_targets cfg arrs roles.arr_aps)
       (List.init cfg.C.n_routers Fun.id)
   in
   per_ap && per_router

@@ -110,7 +110,7 @@ let agrees_under scenario scheme =
         (fun p ->
           List.for_all
             (fun r ->
-              let roles = Rt.derive_roles cfg r in
+              let roles = Abrr_core.Roles.derive cfg r in
               let delivered = Pr.delivered t p ~router:r in
               (* delivered sets: the model's (sender, route) pairs are
                  exactly the simulator's per-sender Adj-RIB-Ins *)
@@ -136,8 +136,8 @@ let agrees_under scenario scheme =
                  channels are exactly the unmanaged Adj-RIB-Ins plus the
                  router's own eBGP routes *)
               let pure_client =
-                (not roles.Rt.is_trr) && roles.Rt.arr_aps = []
-                && not roles.Rt.is_rcp
+                (not roles.is_trr) && roles.arr_aps = []
+                && not roles.is_rcp
               in
               let learnable_ok =
                 (not pure_client)
