@@ -38,22 +38,31 @@ let seg_equal a b =
 
 let segs_equal = List.equal seg_equal
 
-module Tbl = Weak.Make (struct
-  type nonrec t = t
-
-  let equal a b = a.hash = b.hash && segs_equal a.segs b.segs
-  let hash t = t.hash
-end)
-
 (* One intern table per domain: simulations are single-domain, so no
    locking is needed, and the weak table lets the GC reclaim paths no
    RIB references anymore. Cross-domain comparisons still work through
    the structural fallback in [equal]/[compare]. *)
-let table = Domain.DLS.new_key (fun () -> Tbl.create 1024)
+let table : t Intern.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Intern.create 1024)
 
+let rec lookup tbl h i segs =
+  let i = Intern.candidate tbl h i in
+  if i < 0 then None
+  else
+    match Intern.get tbl i with
+    | Some p as hit when segs_equal p.segs segs -> hit
+    | Some _ | None -> lookup tbl h (Intern.next tbl i) segs
+
+(* A hit returns the node in the table; only a miss builds one. *)
 let intern segs =
-  Tbl.merge (Domain.DLS.get table)
-    { segs; len = segs_length segs; hash = hash_segs segs }
+  let h = hash_segs segs in
+  let tbl = Domain.DLS.get table in
+  match lookup tbl h (Intern.home tbl h) segs with
+  | Some p -> p
+  | None ->
+    let p = { segs; len = segs_length segs; hash = h } in
+    Intern.add tbl h p;
+    p
 
 let empty = intern []
 let of_segments segs = intern segs

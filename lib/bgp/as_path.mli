@@ -13,8 +13,10 @@ type t
 (** Hash-consed: structurally equal paths built within one domain share
     a single node, so {!equal} is usually a pointer comparison and
     {!length} is precomputed. Construction functions intern their
-    result in a per-domain weak table (entries are reclaimed once no
-    route references them). *)
+    result in a per-domain weak {!Intern} table (entries are reclaimed
+    once no route references them): a lookup hashes the segment list
+    and compares it with the segments of each path of that hash, and
+    only a miss builds a path. *)
 
 val empty : t
 (** The empty path (locally originated route). *)

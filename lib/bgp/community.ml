@@ -10,7 +10,6 @@ let to_int t = t
 let asn t = t lsr 16
 let tag t = t land 0xFFFF
 let no_export = of_int32_bits 0xFFFF_FF01
-let no_advertise = of_int32_bits 0xFFFF_FF02
 let compare = Int.compare
 let equal = Int.equal
 let to_string t = Printf.sprintf "%d:%d" (asn t) (tag t)

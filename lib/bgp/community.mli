@@ -12,7 +12,6 @@ val to_int : t -> int
 val asn : t -> int
 val tag : t -> int
 val no_export : t
-val no_advertise : t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

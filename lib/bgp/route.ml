@@ -36,23 +36,28 @@ let hash_opt h = function None -> h * 31 | Some v -> (h * 31) + 1 + v
 let hash_ipv4_list h l =
   List.fold_left (fun h ip -> (h * 31) + Ipv4.hash ip) h l
 
-let compute_ahash a =
-  let h = Origin.rank a.origin in
-  let h = (h * 31) + As_path.hash a.as_path in
-  let h = (h * 31) + Ipv4.hash a.next_hop in
-  let h = hash_opt h a.med in
-  let h = (h * 31) + a.local_pref in
-  let h = hash_opt h (Option.map Ipv4.to_int a.originator_id) in
-  let h = hash_ipv4_list h a.cluster_list in
+let hash_fields origin as_path next_hop med local_pref originator_id
+    cluster_list communities ext_communities =
+  let h = Origin.rank origin in
+  let h = (h * 31) + As_path.hash as_path in
+  let h = (h * 31) + Ipv4.hash next_hop in
+  let h = hash_opt h med in
+  let h = (h * 31) + local_pref in
   let h =
-    List.fold_left (fun h c -> (h * 31) + Community.to_int c) h a.communities
+    match originator_id with
+    | None -> h * 31
+    | Some o -> (h * 31) + 1 + Ipv4.to_int o
+  in
+  let h = hash_ipv4_list h cluster_list in
+  let h =
+    List.fold_left (fun h c -> (h * 31) + Community.to_int c) h communities
   in
   let h =
     List.fold_left
       (fun h (e : Ext_community.t) ->
         (h * 31) + (e.Ext_community.typ lsl 16) + (e.Ext_community.subtyp lsl 8)
         + e.Ext_community.value)
-      h a.ext_communities
+      h ext_communities
   in
   h land max_int
 
@@ -62,7 +67,8 @@ let compute_ahash a =
    differential test pins the two together. *)
 let attr_size payload = (if payload > 0xFF then 4 else 3) + payload
 
-let compute_wire_len a =
+let compute_wire_len as_path med originator_id cluster_list communities
+    ext_communities =
   let as_path_payload =
     List.fold_left
       (fun n (s : As_path.segment) ->
@@ -71,66 +77,102 @@ let compute_wire_len a =
         | As_path.Confed_set l ->
           n + 2 + (4 * List.length l))
       0
-      (As_path.segments a.as_path)
+      (As_path.segments as_path)
   in
   attr_size 1 (* origin *)
   + attr_size as_path_payload
   + attr_size 4 (* next hop *)
-  + (match a.med with None -> 0 | Some _ -> attr_size 4)
+  + (match med with None -> 0 | Some _ -> attr_size 4)
   + attr_size 4 (* local pref *)
-  + (match a.communities with [] -> 0 | cs -> attr_size (4 * List.length cs))
-  + (match a.originator_id with None -> 0 | Some _ -> attr_size 4)
-  + (match a.cluster_list with [] -> 0 | ids -> attr_size (4 * List.length ids))
-  + (match a.ext_communities with
+  + (match communities with [] -> 0 | cs -> attr_size (4 * List.length cs))
+  + (match originator_id with None -> 0 | Some _ -> attr_size 4)
+  + (match cluster_list with [] -> 0 | ids -> attr_size (4 * List.length ids))
+  + (match ext_communities with
     | [] -> 0
     | ecs -> attr_size (8 * List.length ecs))
 
+(* Does block [b] carry exactly these fields?  Every field is compared:
+   the hash collides easily (MED [Some 5] with LOCAL_PREF 100 hashes as
+   MED [Some 4] with 131), and a hit on a block that differs would
+   change the routing outcome. *)
+let fields_equal b origin as_path next_hop med local_pref originator_id
+    cluster_list communities ext_communities =
+  Origin.equal b.origin origin
+  && As_path.equal b.as_path as_path
+  && Ipv4.equal b.next_hop next_hop
+  && Option.equal Int.equal b.med med
+  && Int.equal b.local_pref local_pref
+  && Option.equal Ipv4.equal b.originator_id originator_id
+  && List.equal Ipv4.equal b.cluster_list cluster_list
+  && List.equal Community.equal b.communities communities
+  && List.equal Ext_community.equal b.ext_communities ext_communities
+
 let attrs_structural_equal a b =
-  Origin.equal a.origin b.origin
-  && As_path.equal a.as_path b.as_path
-  && Ipv4.equal a.next_hop b.next_hop
-  && Option.equal Int.equal a.med b.med
-  && Int.equal a.local_pref b.local_pref
-  && Option.equal Ipv4.equal a.originator_id b.originator_id
-  && List.equal Ipv4.equal a.cluster_list b.cluster_list
-  && List.equal Community.equal a.communities b.communities
-  && List.equal Ext_community.equal a.ext_communities b.ext_communities
-
-module Atbl = Weak.Make (struct
-  type t = attrs
-
-  let equal a b = a.ahash = b.ahash && attrs_structural_equal a b
-  let hash a = a.ahash
-end)
+  fields_equal a b.origin b.as_path b.next_hop b.med b.local_pref
+    b.originator_id b.cluster_list b.communities b.ext_communities
 
 (* One intern table per domain (the {!As_path} arrangement): simulations
    are single-domain so no locking is needed, and the weak table lets
    the GC reclaim blocks no RIB references anymore.  Cross-domain
    comparisons fall back to the structural path in {!attrs_equal}. *)
-let table = Domain.DLS.new_key (fun () -> Atbl.create 4096)
+let table : attrs Intern.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Intern.create 1024)
 
-let intern a =
-  Atbl.merge (Domain.DLS.get table)
-    { a with ahash = compute_ahash a; wire_len = compute_wire_len a }
+let rec lookup tbl h i origin as_path next_hop med local_pref originator_id
+    cluster_list communities ext_communities =
+  let i = Intern.candidate tbl h i in
+  if i < 0 then None
+  else
+    match Intern.get tbl i with
+    | Some b as hit
+      when fields_equal b origin as_path next_hop med local_pref
+             originator_id cluster_list communities ext_communities ->
+      hit
+    | Some _ | None ->
+      lookup tbl h (Intern.next tbl i) origin as_path next_hop med local_pref
+        originator_id cluster_list communities ext_communities
+
+(* The interned block with these fields: a hit returns the block in the
+   table, and only a miss builds one. *)
+let intern origin as_path next_hop med local_pref originator_id cluster_list
+    communities ext_communities =
+  let h =
+    hash_fields origin as_path next_hop med local_pref originator_id
+      cluster_list communities ext_communities
+  in
+  let tbl = Domain.DLS.get table in
+  match
+    lookup tbl h (Intern.home tbl h) origin as_path next_hop med local_pref
+      originator_id cluster_list communities ext_communities
+  with
+  | Some b -> b
+  | None ->
+    let b =
+      {
+        origin;
+        as_path;
+        next_hop;
+        med;
+        local_pref;
+        originator_id;
+        cluster_list;
+        communities;
+        ext_communities;
+        ahash = h;
+        wire_len =
+          compute_wire_len as_path med originator_id cluster_list communities
+            ext_communities;
+      }
+    in
+    Intern.add tbl h b;
+    b
 
 let make_attrs ?(origin = Origin.Igp) ?(as_path = As_path.empty) ?(med = None)
     ?(local_pref = default_local_pref) ?(originator_id = None)
     ?(cluster_list = []) ?(communities = []) ?(ext_communities = []) ~next_hop
     () =
-  intern
-    {
-      origin;
-      as_path;
-      next_hop;
-      med;
-      local_pref;
-      originator_id;
-      cluster_list;
-      communities;
-      ext_communities;
-      ahash = 0;
-      wire_len = 0;
-    }
+  intern origin as_path next_hop med local_pref originator_id cluster_list
+    communities ext_communities
 
 (* Never interned and never carried by a route; its [ahash] of -1 is
    outside the range of real hashes, so it equals no real block. *)
@@ -152,7 +194,7 @@ let dummy_attrs =
 let attrs_equal a b = a == b || (a.ahash = b.ahash && attrs_structural_equal a b)
 let attrs_hash a = a.ahash
 let wire_len a = a.wire_len
-let interned_attrs () = Atbl.count (Domain.DLS.get table)
+let interned_attrs () = Intern.count (Domain.DLS.get table)
 
 (* ------------------------------------------------------------------ *)
 (* Heads                                                               *)
@@ -183,38 +225,37 @@ let ext_communities t = t.attrs.ext_communities
 let with_path_id path_id t = if t.path_id = path_id then t else { t with path_id }
 let with_prefix prefix t = { t with prefix }
 
-(* One functional update = one re-intern, however many fields change. *)
+(* One functional update = at most one intern, however many fields
+   change, and none when every field is physically the old one. *)
 let update ?path_id ?origin ?as_path ?next_hop ?med ?local_pref ?originator_id
     ?cluster_list ?ext_communities t =
   let a = t.attrs in
   let field v = function None -> v | Some v' -> v' in
+  let origin = field a.origin origin
+  and as_path = field a.as_path as_path
+  and next_hop = field a.next_hop next_hop
+  and med = field a.med med
+  and local_pref = field a.local_pref local_pref
+  and originator_id = field a.originator_id originator_id
+  and cluster_list = field a.cluster_list cluster_list
+  and ext_communities = field a.ext_communities ext_communities in
   let attrs =
-    intern
-      {
-        a with
-        origin = field a.origin origin;
-        as_path = field a.as_path as_path;
-        next_hop = field a.next_hop next_hop;
-        med = field a.med med;
-        local_pref = field a.local_pref local_pref;
-        originator_id = field a.originator_id originator_id;
-        cluster_list = field a.cluster_list cluster_list;
-        ext_communities = field a.ext_communities ext_communities;
-      }
+    if
+      origin == a.origin && as_path == a.as_path && next_hop == a.next_hop
+      && med == a.med && local_pref == a.local_pref
+      && originator_id == a.originator_id
+      && cluster_list == a.cluster_list
+      && ext_communities == a.ext_communities
+    then a
+    else
+      intern origin as_path next_hop med local_pref originator_id cluster_list
+        a.communities ext_communities
   in
   { t with path_id = field t.path_id path_id; attrs }
 
 let is_reflected t =
   List.exists Ext_community.is_reflected t.attrs.ext_communities
 
-let mark_reflected t =
-  if is_reflected t then t
-  else
-    update
-      ~ext_communities:(Ext_community.reflected :: t.attrs.ext_communities)
-      t
-
-let add_cluster id t = update ~cluster_list:(id :: t.attrs.cluster_list) t
 let rec mem_ipv4 id = function
   | [] -> false
   | x :: xs -> Ipv4.equal id x || mem_ipv4 id xs

@@ -10,7 +10,11 @@
     table therefore costs one head (4 words) plus the table slot,
     never a second copy of the attributes; attribute equality is
     usually a pointer comparison. SCALING.md gives the resulting
-    bytes/route accounting at paper scale. *)
+    bytes/route accounting at paper scale.
+
+    The intern table is {!Intern}, weak and open-addressed. Interning
+    hashes the fields and compares them, all of them, against each
+    block of that hash in the table; only a miss builds the block. *)
 
 open Netaddr
 
@@ -93,9 +97,11 @@ val update :
   ?ext_communities:Ext_community.t list ->
   t ->
   t
-(** Functional update of any subset of attributes with a single
-    re-intern — the replacement for [{ r with ... }] on the old flat
-    record. Omitted fields keep their current value. *)
+(** Functional update of any subset of attributes with at most one
+    intern — the replacement for [{ r with ... }] on the old flat
+    record. Omitted fields keep their current value. When every
+    resulting field is physically the old one, the block is kept as it
+    is, without a lookup. *)
 
 (** {1 Field accessors} *)
 
@@ -114,13 +120,8 @@ val default_local_pref : int
 val with_path_id : int -> t -> t
 val with_prefix : Prefix.t -> t -> t
 
-val mark_reflected : t -> t
-(** Add the ABRR {!Ext_community.reflected} marker (idempotent). *)
-
 val is_reflected : t -> bool
-
-val add_cluster : Ipv4.t -> t -> t
-(** Prepend a cluster ID to the CLUSTER_LIST. *)
+(** Does the route carry the ABRR {!Ext_community.reflected} marker? *)
 
 val in_cluster_list : Ipv4.t -> t -> bool
 

@@ -280,45 +280,13 @@ let load_trr t s p ~with_mesh =
 (* ------------------------------------------------------------------ *)
 (* Route derivation                                                    *)
 
-let strip_reflection (r : R.t) =
-  R.update ~originator_id:None ~cluster_list:[]
-    ~ext_communities:
-      (List.filter
-         (fun e -> not (Bgp.Ext_community.is_reflected e))
-         (R.ext_communities r))
-    r
-
-(* The client function's iBGP advertisement of an other-learned route. *)
-let derive_own t (r : R.t) =
-  let r = strip_reflection r in
-  R.update ~next_hop:t.self ~path_id:0 r
-
-(* A TRR reflecting an iBGP-learned route (RFC 4456 attributes). *)
-let derive_trr_reflect t src (r : R.t) =
-  let originator =
-    match (R.originator_id r) with Some o -> o | None -> Config.loopback src
-  in
-  let cluster =
-    match t.roles.my_cluster_ids with c :: _ -> c | [] -> t.self
-  in
-  R.add_cluster cluster (R.update ~originator_id:(Some originator) ~path_id:0 r)
-
-(* An ARR reflecting a client route (§2.3.2 loop marker). *)
-let derive_arr_reflect t src (r : R.t) =
-  let originator =
-    match (R.originator_id r) with Some o -> o | None -> Config.loopback src
-  in
-  let r = R.update ~originator_id:(Some originator) r in
-  match t.roles.abrr_loop with
-  | Config.Reflected_bit -> R.mark_reflected r
-  | Config.Cluster_list -> R.add_cluster t.self r
-
 (* A TRR's advertisement of slot [i]: iBGP-learned routes are
    reflected, other-learned ones advertised as its own. *)
 let derive_reflected t s i =
   match S.learned s i with
-  | D.Ibgp -> derive_trr_reflect t (S.src s i) (S.route s i)
-  | D.Ebgp | D.Local | D.Confed_ebgp -> derive_own t (S.route s i)
+  | D.Ibgp ->
+    Derive.trr_reflect t.roles ~self:t.self ~src:(S.src s i) (S.route s i)
+  | D.Ebgp | D.Local | D.Confed_ebgp -> Derive.own ~self:t.self (S.route s i)
 
 (* The survivors from the [k]-th on, as a TRR advertises them. *)
 let rec reflected_survivors t s k =
@@ -429,7 +397,10 @@ let rec reflected_set t s ~reachable k =
   else
     let i = S.survivor s k in
     if S.tag s i = reachable then
-      let d = derive_arr_reflect t (S.src s i) (S.route s i) in
+      let d =
+        Derive.arr_reflect t.roles ~self:t.self ~src:(S.src s i)
+          (S.route s i)
+      in
       d :: reflected_set t s ~reachable (k + 1)
     else reflected_set t s ~reachable (k + 1)
 
@@ -520,7 +491,7 @@ let rec own_survivors t s k =
     let i = S.survivor s k in
     match S.learned s i with
     | D.Ebgp | D.Local ->
-      let d = derive_own t (S.route s i) in
+      let d = Derive.own ~self:t.self (S.route s i) in
       d :: own_survivors t s (k + 1)
     | D.Ibgp | D.Confed_ebgp -> own_survivors t s (k + 1)
 
@@ -531,7 +502,7 @@ let own_winner t s =
   if w < 0 then None
   else
     match S.learned s w with
-    | D.Ebgp | D.Local -> Some (derive_own t (S.route s w))
+    | D.Ebgp | D.Local -> Some (Derive.own ~self:t.self (S.route s w))
     | D.Ibgp | D.Confed_ebgp -> None
 
 let arr_targets t partition p f =
@@ -596,8 +567,8 @@ let confed_export t s p =
   let base () =
     let route = S.route s w in
     match S.learned s w with
-    | D.Ebgp | D.Local -> derive_own t route
-    | D.Confed_ebgp | D.Ibgp -> { (strip_reflection route) with R.path_id = 0 }
+    | D.Ebgp | D.Local -> Derive.own ~self:t.self route
+    | D.Confed_ebgp | D.Ibgp -> Derive.stripped route
   in
   let mesh_desired =
     if w >= 0 && S.learned s w <> D.Ibgp then Some (base ()) else None

@@ -8,5 +8,4 @@ let minutes n = sec (60 * n)
 let hours n = minutes (60 * n)
 let days n = hours (24 * n)
 let to_sec t = float_of_int t /. 1e6
-let to_ms t = float_of_int t /. 1e3
 let pp fmt t = Format.fprintf fmt "%.3fs" (to_sec t)

@@ -27,8 +27,5 @@ val days : int -> t
 val to_sec : t -> float
 (** Seconds as a float, e.g. for reporting ([to_sec (ms 12_500) = 12.5]). *)
 
-val to_ms : t -> float
-(** Milliseconds as a float. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable, e.g. "12.500s". *)

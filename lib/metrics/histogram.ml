@@ -14,7 +14,6 @@ let add t x =
   t.counts.(idx) <- t.counts.(idx) + 1;
   t.total <- t.total + 1
 
-let add_int t n = add t (float_of_int n)
 let count t = t.total
 let bin_counts t = Array.copy t.counts
 

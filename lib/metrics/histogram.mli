@@ -8,9 +8,6 @@ val create : lo:float -> hi:float -> bins:int -> t
 
 val add : t -> float -> unit
 
-val add_int : t -> int -> unit
-(** {!add} of [float_of_int]. *)
-
 val count : t -> int
 (** Total samples added. *)
 

@@ -574,10 +574,6 @@ let names =
     "migration";
   ]
 
-let scheme_specific = function
-  | "arr-failover" | "repartition" | "migration" -> true
-  | _ -> false
-
 let run env ~scheme name =
   match name with
   | "hijack" -> hijack env scheme

@@ -46,14 +46,11 @@ val names : string list
 (** Catalog order: ["hijack"; "leak"; "flap-damping"; "session-reset";
     "arr-failover"; "repartition"; "migration"]. *)
 
-val scheme_specific : string -> bool
-(** The ABRR drills (["arr-failover"], ["repartition"], ["migration"])
-    ignore the scheme argument: the first two are ABRR by construction,
-    the migration runs Dual. *)
-
 val run : env -> scheme:string -> string -> Engine.result
 (** Run one scenario by name under a scheme label (["abrr"], ["tbrr"],
-    ["mesh"], ["confed"], ["rcp"] — where {!scheme_specific} permits).
+    ["mesh"], ["confed"], ["rcp"]). The ABRR drills (["arr-failover"],
+    ["repartition"], ["migration"]) ignore the scheme argument: the
+    first two are ABRR by construction, the migration runs Dual.
     @raise Invalid_argument on an unknown scenario or scheme. *)
 
 val run_all : ?only:string list -> env -> scheme:string -> Engine.result list

@@ -48,7 +48,6 @@ let check run label ok fmt =
     fmt
 
 let set_detections run d = run.r_detections <- d
-let add_detections run d = run.r_detections <- run.r_detections + d
 
 let quiesce ?until ?(max_events = 50_000_000) run =
   Invariant.install run.r_net;

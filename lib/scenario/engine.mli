@@ -52,7 +52,6 @@ val check : run -> string -> bool -> ('a, Format.formatter, unit, unit) format4 
     formatted detail string. *)
 
 val set_detections : run -> int -> unit
-val add_detections : run -> int -> unit
 
 val coverage_holes : run -> Netaddr.Prefix.t array -> int
 (** Number of (up router, prefix) pairs with no best route — 0 means

@@ -2,6 +2,7 @@ open Netaddr
 module Config = Abrr_core.Config
 module Partition = Abrr_core.Partition
 module Roles = Abrr_core.Roles
+module Derive = Abrr_core.Derive
 module Graph = Igp.Graph
 module Spf = Igp.Spf
 module As_path = Bgp.As_path
@@ -56,36 +57,16 @@ let icand ctx r ~src route =
     ~igp_cost:(cost_from ctx r route) route
 
 (* ------------------------------------------------------------------ *)
-(* Route derivation — mirrors lib/core/router.ml verbatim.              *)
+(* Route derivation: the simulator's own, through [Derive].            *)
 
-let strip_reflection (r : R.t) =
-  R.update ~originator_id:None ~cluster_list:[]
-    ~ext_communities:
-      (List.filter
-         (fun e -> not (Bgp.Ext_community.is_reflected e))
-         (R.ext_communities r))
-    r
+let class_of = Derive.stripped
+let derive_own i r = Derive.own ~self:(lb i) r
 
-let class_of (route : R.t) = R.with_path_id 0 (strip_reflection route)
-let derive_own i (r : R.t) = R.update ~next_hop:(lb i) ~path_id:0 (strip_reflection r)
+let derive_trr_reflect ctx i src r =
+  Derive.trr_reflect ctx.roles.(i) ~self:(lb i) ~src r
 
-let derive_trr_reflect ctx i src (r : R.t) =
-  let originator =
-    match (R.originator_id r) with Some o -> o | None -> lb src
-  in
-  let cluster =
-    match ctx.roles.(i).Roles.my_cluster_ids with c :: _ -> c | [] -> lb i
-  in
-  R.add_cluster cluster (R.update ~originator_id:(Some originator) ~path_id:0 r)
-
-let derive_arr_reflect ctx i src (r : R.t) =
-  let originator =
-    match (R.originator_id r) with Some o -> o | None -> lb src
-  in
-  let r = R.update ~originator_id:(Some originator) r in
-  match ctx.roles.(i).Roles.abrr_loop with
-  | Config.Reflected_bit -> R.mark_reflected r
-  | Config.Cluster_list -> R.add_cluster (lb i) r
+let derive_arr_reflect ctx i src r =
+  Derive.arr_reflect ctx.roles.(i) ~self:(lb i) ~src r
 
 (* Receive-side loop filters (router.ml filter_incoming). *)
 
@@ -493,8 +474,7 @@ let eval ctx pctx nodes r =
       let derive_base (c : D.candidate) =
         match c.D.learned with
         | D.Ebgp | D.Local -> derive_own r c.D.route
-        | D.Confed_ebgp | D.Ibgp ->
-          { (strip_reflection c.D.route) with R.path_id = 0 }
+        | D.Confed_ebgp | D.Ibgp -> Derive.stripped c.D.route
       in
       (match winner with
       | Some (c, _, _) when c.D.learned <> D.Ibgp ->

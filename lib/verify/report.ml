@@ -31,8 +31,6 @@ let severity_string = function
   | Warn -> "WARN"
   | Fail -> "FAIL"
 
-let pp_severity fmt s = Format.pp_print_string fmt (severity_string s)
-
 let summary t =
   Printf.sprintf "%d checks: %d pass, %d warn, %d FAIL" (List.length t)
     (count Pass t) (count Warn t) (count Fail t)

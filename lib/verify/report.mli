@@ -50,4 +50,3 @@ val to_json : t -> Metrics.Emit.json
     the machine-readable form behind [--json]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_severity : Format.formatter -> severity -> unit

@@ -19,17 +19,16 @@ let test_defaults () =
 let test_reflected_marker () =
   let r = Route.make ~prefix ~next_hop:nh () in
   check_bool "initially unmarked" false (Route.is_reflected r);
-  let r' = Route.mark_reflected r in
+  let other = Ext_community.make ~typ:0 ~subtyp:1 ~value:0 in
+  let r' = Route.update ~ext_communities:[ other; Ext_community.reflected ] r in
   check_bool "marked" true (Route.is_reflected r');
-  let r'' = Route.mark_reflected r' in
-  check_int "idempotent" 1 (List.length (Route.ext_communities r''))
+  check_bool "another extended community is no marker" false
+    (Route.is_reflected (Route.update ~ext_communities:[ other ] r))
 
 let test_cluster_list () =
   let c1 = Ipv4.of_string "192.168.0.1" and c2 = Ipv4.of_string "192.168.0.2" in
   let r = Route.make ~prefix ~next_hop:nh () in
-  let r = Route.add_cluster c2 (Route.add_cluster c1 r) in
-  (* most recent cluster is prepended *)
-  check_bool "order" true (Route.cluster_list r = [ c2; c1 ]);
+  let r = Route.update ~cluster_list:[ c2; c1 ] r in
   check_bool "member" true (Route.in_cluster_list c1 r);
   check_bool "non-member" false
     (Route.in_cluster_list (Ipv4.of_string "192.168.0.9") r)

@@ -182,6 +182,81 @@ let test_known_prefixes =
     QCheck.(quad (int_bound 63) (int_range 1 1000) (int_bound 99) (int_bound 99))
     prop_known_prefixes
 
+(* Each derivation is one [Route.update]. The reference applies the
+   same changes one attribute at a time, as the router did before they
+   were fused; both must give the same route over the same block. *)
+let test_derive_reference () =
+  let module Rt = Bgp.Route in
+  let module E = Bgp.Ext_community in
+  let ip = Netaddr.Ipv4.of_string in
+  let self = C.loopback 0 and src = 3 in
+  let arr_roles = Abrr_core.Roles.derive (Helpers.single_ap_abrr ()) 0 in
+  let roles =
+    [
+      arr_roles;
+      { arr_roles with abrr_loop = C.Cluster_list };
+      { arr_roles with my_cluster_ids = [ ip "192.168.7.7"; ip "192.168.7.8" ] };
+    ]
+  in
+  let strip r =
+    Rt.update ~originator_id:None ~cluster_list:[]
+      ~ext_communities:
+        (List.filter (fun e -> not (E.is_reflected e)) (Rt.ext_communities r))
+      r
+  in
+  let originator r =
+    match Rt.originator_id r with Some o -> o | None -> C.loopback src
+  in
+  let trr (roles : Abrr_core.Roles.t) r =
+    let r = Rt.update ~originator_id:(Some (originator r)) ~path_id:0 r in
+    let cluster = match roles.my_cluster_ids with c :: _ -> c | [] -> self in
+    Rt.update ~cluster_list:(cluster :: Rt.cluster_list r) r
+  in
+  let arr (roles : Abrr_core.Roles.t) r =
+    let r = Rt.update ~originator_id:(Some (originator r)) r in
+    match roles.abrr_loop with
+    | C.Reflected_bit ->
+      if Rt.is_reflected r then r
+      else Rt.update ~ext_communities:(E.reflected :: Rt.ext_communities r) r
+    | C.Cluster_list -> Rt.update ~cluster_list:(self :: Rt.cluster_list r) r
+  in
+  let base =
+    Helpers.route ~med:5 ~path_id:7 ~prefix:(Helpers.pfx "20.0.0.0/16") 3
+  in
+  let other = E.make ~typ:0 ~subtyp:1 ~value:0 in
+  let routes =
+    [
+      base;
+      Rt.update ~originator_id:(Some (ip "10.0.0.9")) base;
+      Rt.update ~ext_communities:[ other ] base;
+      Rt.update
+        ~originator_id:(Some (ip "10.0.0.9"))
+        ~ext_communities:[ other; E.reflected ]
+        ~cluster_list:[ ip "192.168.0.1" ] base;
+    ]
+  in
+  let same what (derived : Rt.t) (reference : Rt.t) =
+    Alcotest.(check bool) what true
+      (Rt.equal derived reference && Rt.attrs derived == Rt.attrs reference)
+  in
+  List.iteri
+    (fun k r ->
+      let what = Printf.sprintf "route %d: %s" k in
+      same (what "stripped") (Abrr_core.Derive.stripped r)
+        (Rt.with_path_id 0 (strip r));
+      same (what "own") (Abrr_core.Derive.own ~self r)
+        (Rt.update ~next_hop:self ~path_id:0 (strip r));
+      List.iter
+        (fun roles ->
+          same (what "trr_reflect")
+            (Abrr_core.Derive.trr_reflect roles ~self ~src r)
+            (trr roles r);
+          same (what "arr_reflect")
+            (Abrr_core.Derive.arr_reflect roles ~self ~src r)
+            (arr roles r))
+        roles)
+    routes
+
 let suite =
   ( "router",
     [
@@ -195,4 +270,6 @@ let suite =
         (pinned_quiescent Tbrr_best_external "73ef1fd410d2f74ff8fe6d740a21a0a8");
       Alcotest.test_case "snapshot pinned: damping" `Quick (pinned_damped "2b2ba1d19ae4d73d58427f54437671b8");
       QCheck_alcotest.to_alcotest test_known_prefixes;
+      Alcotest.test_case "derivations = one attribute at a time" `Quick
+        test_derive_reference;
     ] )

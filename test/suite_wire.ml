@@ -295,8 +295,7 @@ let prop_bitflip_no_crash =
 (* [Route.wire_len], cached when a block is interned, is exactly what
    the encoder spends on the block: a one-route UPDATE is the header,
    the two length fields, the attributes and the NLRI. Blocks re-interned
-   by [update], [mark_reflected] and [add_cluster] carry their own
-   length, and a >63-ASN path crosses to the extended-length header. *)
+   by [update] carry their own length, and a >63-ASN path crosses to the extended-length header. *)
 let test_wire_len_matches_encode () =
   let base = route ~med:(Some 5) ~comms:[ Community.make 65_000 1 ] "20.0.0.0/16" in
   let long_path = As_path.of_asns (List.init 70 (fun i -> Asn.of_int (i + 1))) in
@@ -304,13 +303,14 @@ let test_wire_len_matches_encode () =
     [
       ("base", base);
       ("update", Route.update ~med:None ~local_pref:200 base);
-      ("mark_reflected", Route.mark_reflected base);
-      ("add_cluster", Route.add_cluster (Ipv4.of_string "10.9.9.9") base);
+      ("reflected", Route.update ~ext_communities:[ Ext_community.reflected ] base);
+      ("one cluster", Route.update ~cluster_list:[ Ipv4.of_string "10.9.9.9" ] base);
       ( "reflected, two clusters",
-        Route.add_cluster (Ipv4.of_string "10.9.9.8")
-          (Route.add_cluster (Ipv4.of_string "10.9.9.9")
-             (Route.mark_reflected
-                (Route.update ~originator_id:(Some (Ipv4.of_string "10.0.0.3")) base))) );
+        Route.update
+          ~originator_id:(Some (Ipv4.of_string "10.0.0.3"))
+          ~ext_communities:[ Ext_community.reflected ]
+          ~cluster_list:[ Ipv4.of_string "10.9.9.8"; Ipv4.of_string "10.9.9.9" ]
+          base );
       ("70-ASN path", Route.update ~as_path:long_path base);
     ]
   in
