@@ -23,11 +23,10 @@ let rec nil = { pfx = Prefix.default; routes = []; l = nil; r = nil }
 type t = {
   mutable root : node;
   mutable entries : int;
-  mutable prefs : int;
   mutable changed : bool;  (* scratch: result cell for upsert/drop *)
 }
 
-let create () = { root = nil; entries = 0; prefs = 0; changed = false }
+let create () = { root = nil; entries = 0; changed = false }
 let newnode pfx routes = { pfx; routes; l = nil; r = nil }
 
 (* Direction of [q] below [pfx]: false = left (bit 0), true = right. *)
@@ -67,7 +66,6 @@ let rec find_node n pfx =
   else nil
 
 let get t prefix = (find_node t.root prefix).routes
-let mem t prefix = (find_node t.root prefix).routes <> []
 
 (* Splice a fresh node for [pfx] into a tree rooted at [n] when [pfx]
    is not on [n]'s spine: either above [n] or joined beside it. *)
@@ -83,13 +81,9 @@ let rec set_node t n pfx routes =
     | [] -> nil
     | _ ->
       t.entries <- t.entries + List.length routes;
-      t.prefs <- t.prefs + 1;
       newnode pfx routes
   else if Prefix.equal pfx n.pfx then (
-    let oldn = List.length n.routes and newn = List.length routes in
-    t.entries <- t.entries - oldn + newn;
-    if oldn = 0 && newn > 0 then t.prefs <- t.prefs + 1
-    else if oldn > 0 && newn = 0 then t.prefs <- t.prefs - 1;
+    t.entries <- t.entries - List.length n.routes + List.length routes;
     n.routes <- routes;
     if routes = [] then compress n else n)
   else if Prefix.subsumes n.pfx pfx && Prefix.len n.pfx < 32 then (
@@ -99,7 +93,6 @@ let rec set_node t n pfx routes =
   else if routes = [] then n
   else (
     t.entries <- t.entries + List.length routes;
-    t.prefs <- t.prefs + 1;
     splice (newnode pfx routes) n)
 
 let set t prefix routes = t.root <- set_node t t.root prefix routes
@@ -124,7 +117,6 @@ let rec upsert_node t n (route : Route.t) =
   if n == nil then (
     t.changed <- true;
     t.entries <- t.entries + 1;
-    t.prefs <- t.prefs + 1;
     newnode pfx [ route ])
   else if Prefix.equal pfx n.pfx then (
     (match upsert_list route n.routes with
@@ -134,7 +126,6 @@ let rec upsert_node t n (route : Route.t) =
       n.routes <- rs
     | `Added rs ->
       t.changed <- true;
-      if n.routes = [] then t.prefs <- t.prefs + 1;
       t.entries <- t.entries + 1;
       n.routes <- rs);
     n)
@@ -145,7 +136,6 @@ let rec upsert_node t n (route : Route.t) =
   else (
     t.changed <- true;
     t.entries <- t.entries + 1;
-    t.prefs <- t.prefs + 1;
     splice (newnode pfx [ route ]) n)
 
 let upsert t route =
@@ -169,10 +159,7 @@ let rec drop_node t n pfx path_id =
       t.changed <- true;
       t.entries <- t.entries - 1;
       n.routes <- rest;
-      if rest = [] then (
-        t.prefs <- t.prefs - 1;
-        compress n)
-      else n)
+      if rest = [] then compress n else n)
   else if Prefix.subsumes n.pfx pfx && Prefix.len n.pfx < 32 then (
     if dir n.pfx pfx then n.r <- drop_node t n.r pfx path_id
     else n.l <- drop_node t n.l pfx path_id;
@@ -184,20 +171,11 @@ let drop t prefix ~path_id =
   t.root <- drop_node t t.root prefix path_id;
   t.changed
 
-let clear_prefix t prefix =
-  match List.length (get t prefix) with
-  | 0 -> 0
-  | n ->
-    set t prefix [];
-    n
-
 let clear t =
   t.root <- nil;
-  t.entries <- 0;
-  t.prefs <- 0
+  t.entries <- 0
 
 let entry_count t = t.entries
-let prefix_count t = t.prefs
 
 let rec fold_node f n acc =
   if n == nil then acc
@@ -207,7 +185,6 @@ let rec fold_node f n acc =
 
 let fold f t acc = fold_node f t.root acc
 let iter f t = fold (fun p rs () -> f p rs) t ()
-let prefixes t = List.rev (fold (fun p _ acc -> p :: acc) t [])
 
 let rec lm_node n a best =
   if n == nil then best
@@ -218,32 +195,3 @@ let rec lm_node n a best =
     else lm_node (if Ipv4.bit a (Prefix.len n.pfx) then n.r else n.l) a best
 
 let longest_match t addr = lm_node t.root addr None
-
-(* ------------------------------------------------------------------ *)
-(* Per-prefix dirty tracking for batched incremental processing.       *)
-
-module Dirty = struct
-  type 'a t = (int, Prefix.t * 'a) Hashtbl.t
-
-  let create () : 'a t = Hashtbl.create 32
-
-  let mark t p fresh =
-    let k = Prefix.to_key p in
-    match Hashtbl.find_opt t k with
-    | Some (_, v) -> v
-    | None ->
-      let v = fresh () in
-      Hashtbl.add t k (p, v);
-      v
-
-  let find t p = Option.map snd (Hashtbl.find_opt t (Prefix.to_key p))
-  let is_empty t = Hashtbl.length t = 0
-  let count t = Hashtbl.length t
-
-  let drain t =
-    let xs = Hashtbl.fold (fun _ pv acc -> pv :: acc) t [] in
-    Hashtbl.reset t;
-    match xs with
-    | [] | [ _ ] -> xs  (* most batches: [List.sort] would build its closures *)
-    | _ -> List.sort (fun (a, _) (b, _) -> Prefix.compare a b) xs
-end

@@ -8,7 +8,7 @@
     of how sparse the address space is, and longest-prefix match comes
     directly off the structure — {!longest_match} is what lets the
     router serve data-plane lookups straight from its Loc-RIB with no
-    separate FIB copy. Iteration ({!fold}, {!iter}, {!prefixes}) is in
+    separate FIB copy. Iteration ({!fold}, {!iter}) is in
     ascending {!Netaddr.Prefix.compare} order, so downstream consumers
     are deterministic by construction.
 
@@ -36,18 +36,10 @@ val upsert : t -> Route.t -> bool
 val drop : t -> Prefix.t -> path_id:int -> bool
 (** Remove one route; [true] if it was present. Single pass. *)
 
-val clear_prefix : t -> Prefix.t -> int
-(** Remove all routes for the prefix; returns how many were removed. *)
-
 val clear : t -> unit
 
 val entry_count : t -> int
 (** Total stored routes (paper's RIB size). O(1). *)
-
-val prefix_count : t -> int
-(** Number of distinct prefixes with at least one route. O(1). *)
-
-val mem : t -> Prefix.t -> bool
 
 val fold : (Prefix.t -> Route.t list -> 'a -> 'a) -> t -> 'a -> 'a
 (** Ascending prefix order (address, then shorter-first). *)
@@ -55,35 +47,6 @@ val fold : (Prefix.t -> Route.t list -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Prefix.t -> Route.t list -> unit) -> t -> unit
 (** Ascending prefix order. *)
 
-val prefixes : t -> Prefix.t list
-(** Ascending prefix order. *)
-
 val longest_match : t -> Ipv4.t -> (Prefix.t * Route.t list) option
 (** Most specific stored prefix containing the address, with its
     routes — the data-plane lookup. O(matching prefix length). *)
-
-(** Per-prefix dirty tracking for batched incremental processing: a
-    processing batch accumulates one ['a] churn payload per distinct
-    dirty prefix, then {!Dirty.drain}s the set in deterministic prefix
-    order and decides each prefix exactly once. The set is keyed on
-    {!Netaddr.Prefix.to_key}, so re-marking a prefix within a batch
-    returns the payload already accumulated for it. *)
-module Dirty : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val mark : 'a t -> Prefix.t -> (unit -> 'a) -> 'a
-  (** [mark t p fresh]: the payload already tracked for [p], or [fresh ()]
-      newly tracked for it. *)
-
-  val find : 'a t -> Prefix.t -> 'a option
-  val is_empty : 'a t -> bool
-
-  val count : 'a t -> int
-  (** Distinct dirty prefixes currently tracked. *)
-
-  val drain : 'a t -> (Prefix.t * 'a) list
-  (** All tracked (prefix, payload) pairs in ascending prefix order,
-      leaving the set empty. *)
-end

@@ -227,18 +227,9 @@ let with_prefix prefix t = { t with prefix }
 
 (* One functional update = at most one intern, however many fields
    change, and none when every field is physically the old one. *)
-let update ?path_id ?origin ?as_path ?next_hop ?med ?local_pref ?originator_id
-    ?cluster_list ?ext_communities t =
+let derive ~path_id ~origin ~as_path ~next_hop ~med ~local_pref ~originator_id
+    ~cluster_list ~ext_communities t =
   let a = t.attrs in
-  let field v = function None -> v | Some v' -> v' in
-  let origin = field a.origin origin
-  and as_path = field a.as_path as_path
-  and next_hop = field a.next_hop next_hop
-  and med = field a.med med
-  and local_pref = field a.local_pref local_pref
-  and originator_id = field a.originator_id originator_id
-  and cluster_list = field a.cluster_list cluster_list
-  and ext_communities = field a.ext_communities ext_communities in
   let attrs =
     if
       origin == a.origin && as_path == a.as_path && next_hop == a.next_hop
@@ -251,7 +242,18 @@ let update ?path_id ?origin ?as_path ?next_hop ?med ?local_pref ?originator_id
       intern origin as_path next_hop med local_pref originator_id cluster_list
         a.communities ext_communities
   in
-  { t with path_id = field t.path_id path_id; attrs }
+  { t with path_id; attrs }
+
+let update ?path_id ?origin ?as_path ?next_hop ?med ?local_pref ?originator_id
+    ?cluster_list ?ext_communities t =
+  let a = t.attrs in
+  let field v = function None -> v | Some v' -> v' in
+  derive ~path_id:(field t.path_id path_id) ~origin:(field a.origin origin)
+    ~as_path:(field a.as_path as_path) ~next_hop:(field a.next_hop next_hop)
+    ~med:(field a.med med) ~local_pref:(field a.local_pref local_pref)
+    ~originator_id:(field a.originator_id originator_id)
+    ~cluster_list:(field a.cluster_list cluster_list)
+    ~ext_communities:(field a.ext_communities ext_communities) t
 
 let is_reflected t =
   List.exists Ext_community.is_reflected t.attrs.ext_communities

@@ -103,6 +103,22 @@ val update :
     resulting field is physically the old one, the block is kept as it
     is, without a lookup. *)
 
+val derive :
+  path_id:int ->
+  origin:Origin.t ->
+  as_path:As_path.t ->
+  next_hop:Ipv4.t ->
+  med:int option ->
+  local_pref:int ->
+  originator_id:Ipv4.t option ->
+  cluster_list:Ipv4.t list ->
+  ext_communities:Ext_community.t list ->
+  t ->
+  t
+(** {!update} with every field given: the entry of the router's
+    derivations, which would otherwise pay an option block per field
+    passed. Communities are kept. *)
+
 (** {1 Field accessors} *)
 
 val origin : t -> Origin.t

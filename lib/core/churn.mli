@@ -10,13 +10,30 @@
 
 open Netaddr
 
-type t
+type t = private {
+  mutable full : bool;  (** a structural event: recompute *)
+  mutable planes : int;  (** the planes the events can challenge *)
+  mutable routes : Bgp.Route.t list;  (** routes that entered or left a table *)
+}
 (** One dirty prefix's churn record. *)
 
-type batch = t Bgp.Rib.Dirty.t
-(** One record per dirty prefix, drained in prefix order. *)
+type batch
+(** The dirty prefixes of one batch, each with its record. *)
 
-val create_batch : unit -> batch
+val batch : unit -> batch
+(** The domain's dirty set, empty. Every entry point that marks drains
+    before it returns, so one set serves every batch the domain runs;
+    what a batch aborted by an exception left in it is dropped here. Its
+    arrays and records are kept and reused: a warm set marks and drains
+    without allocating. *)
+
+val is_empty : batch -> bool
+
+val drain : batch -> 'a -> ('a -> Prefix.t -> t -> unit) -> unit
+(** [drain b x f] calls [f x p c] for every dirty prefix [p] with its
+    record [c], in ascending {!Netaddr.Prefix.compare} order, and leaves
+    the set empty, even when [f] raises. Every record is reset when the
+    drain ends, so [f] must not keep one, and must not mark [b]. *)
 
 (** {1 Planes}: bit flags for the cached incumbents an event can
     challenge: the Loc-RIB (and every export derived from the client

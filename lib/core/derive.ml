@@ -7,13 +7,20 @@ let without_reflected ecs =
     List.filter (fun e -> not (Bgp.Ext_community.is_reflected e)) ecs
   else ecs
 
+(* [r] with new reflection attributes: [R.derive], with the fields no
+   derivation changes read off [r]. *)
+let reflected (r : R.t) ~path_id ~originator_id ~cluster_list ~ext_communities =
+  R.derive ~path_id ~origin:(R.origin r) ~as_path:(R.as_path r) ~next_hop:(R.next_hop r)
+    ~med:(R.med r) ~local_pref:(R.local_pref r) ~originator_id ~cluster_list
+    ~ext_communities r
+
 let stripped (r : R.t) =
-  R.update ~path_id:0 ~originator_id:None ~cluster_list:[]
+  reflected r ~path_id:0 ~originator_id:None ~cluster_list:[]
     ~ext_communities:(without_reflected (R.ext_communities r))
-    r
 
 let own ~self (r : R.t) =
-  R.update ~path_id:0 ~next_hop:self ~originator_id:None ~cluster_list:[]
+  R.derive ~path_id:0 ~origin:(R.origin r) ~as_path:(R.as_path r) ~next_hop:self
+    ~med:(R.med r) ~local_pref:(R.local_pref r) ~originator_id:None ~cluster_list:[]
     ~ext_communities:(without_reflected (R.ext_communities r))
     r
 
@@ -25,18 +32,17 @@ let originator ~src (r : R.t) =
 
 let trr_reflect (roles : Roles.t) ~self ~src (r : R.t) =
   let cluster = match roles.my_cluster_ids with c :: _ -> c | [] -> self in
-  R.update ~path_id:0 ~originator_id:(originator ~src r)
-    ~cluster_list:(cluster :: R.cluster_list r)
-    r
+  reflected r ~path_id:0 ~originator_id:(originator ~src r)
+    ~cluster_list:(cluster :: R.cluster_list r) ~ext_communities:(R.ext_communities r)
 
 let arr_reflect (roles : Roles.t) ~self ~src (r : R.t) =
-  let originator_id = originator ~src r in
+  let originator_id = originator ~src r and path_id = r.R.path_id in
   match roles.abrr_loop with
   | Config.Reflected_bit ->
     let ecs = R.ext_communities r in
-    R.update ~originator_id
+    reflected r ~path_id ~originator_id ~cluster_list:(R.cluster_list r)
       ~ext_communities:
         (if R.is_reflected r then ecs else Bgp.Ext_community.reflected :: ecs)
-      r
   | Config.Cluster_list ->
-    R.update ~originator_id ~cluster_list:(self :: R.cluster_list r) r
+    reflected r ~path_id ~originator_id ~cluster_list:(self :: R.cluster_list r)
+      ~ext_communities:(R.ext_communities r)

@@ -1,9 +1,9 @@
 (** The routes a router advertises, derived from the routes it
     selected. The simulator ({!Router}) and the static propagation
     model ([Verify.Propagation]) both call these, so the two derive
-    identical attribute sets. Each derivation is one {!Bgp.Route.update}
-    carrying every field it changes: at most one intern, and none when
-    the route already carries the derived attributes. *)
+    identical attribute sets. Each derivation is one {!Bgp.Route.derive}
+    given every field: at most one intern, none when the route already
+    carries the derived attributes, and no option block per field. *)
 
 open Netaddr
 

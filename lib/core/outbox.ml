@@ -7,7 +7,9 @@ open Eventsim
    onto its list, newest first; a destination's first item also pushes
    it on the [touched] stack. [owner] is the [uid] of the router filling
    it: entries an exception left behind are dropped when another router
-   claims the buffer, never sent under that router's id. Like
+   claims the buffer, never sent under that router's id. The [sort_*]
+   arrays order one destination's items at a time, and [last] is the
+   list the previous destination of this flush was handed. Like
    [Decision.Scratch] and [Wire.Sizer] it lives in domain-local
    storage. *)
 type buffer = {
@@ -15,26 +17,29 @@ type buffer = {
   mutable lists : Proto.item list array;  (* by destination, newest first *)
   mutable touched : int array;  (* as long as [lists] *)
   mutable n_touched : int;
+  mutable sort_items : Proto.item array;  (* enqueue order; free slots hold [spare] *)
+  mutable sort_keys : int array;  (* [Proto.item_key], sorted *)
+  mutable sort_pos : int array;  (* enqueue positions, permuted with the keys *)
+  mutable last : Proto.item list;
 }
 
 let key =
-  Domain.DLS.new_key (fun () -> { owner = -1; lists = [||]; touched = [||]; n_touched = 0 })
+  Domain.DLS.new_key (fun () ->
+      { owner = -1; lists = [||]; touched = [||]; n_touched = 0; sort_items = [||];
+        sort_keys = [||]; sort_pos = [||]; last = [] })
 
 let clear_buffer b =
   for k = 0 to b.n_touched - 1 do
     b.lists.(b.touched.(k)) <- []
   done;
   b.n_touched <- 0;
+  b.last <- [];
   b.owner <- -1
 
 let grow b dst =
   let n = max (dst + 1) (2 * Array.length b.lists) in
-  let lists = Array.make n [] in
-  Array.blit b.lists 0 lists 0 (Array.length b.lists);
-  let touched = Array.make n 0 in
-  Array.blit b.touched 0 touched 0 b.n_touched;
-  b.lists <- lists;
-  b.touched <- touched
+  b.lists <- Key_sort.extend b.lists n [];
+  b.touched <- Key_sort.extend b.touched n 0
 
 (* Insertion sort: reflect targets are enqueued in ascending id order,
    so the stack is nearly sorted already. *)
@@ -100,15 +105,58 @@ let session o dst =
     Hashtbl.add o.sessions dst s;
     s
 
-let sort_items = function
-  | ([] | [ _ ]) as items -> items  (* [List.sort] would build its closures *)
+let spare : Proto.item = (Proto.Mesh, Proto.delta Prefix.default [])
+
+(* Fill the sort arrays from a newest-first list: position [i] holds the
+   [i]th item enqueued. *)
+let rec fill b i = function
+  | [] -> ()
+  | item :: items ->
+    b.sort_items.(i) <- item;
+    b.sort_keys.(i) <- Proto.item_key item;
+    b.sort_pos.(i) <- i;
+    fill b (i - 1) items
+
+(* Does [l] hold exactly the sorted items, element by element? *)
+let rec same_items b l j n =
+  match l with
+  | [] -> j = n
+  | item :: l -> j < n && item == b.sort_items.(b.sort_pos.(j)) && same_items b l (j + 1) n
+
+(* [n] items, newest first, sorted by channel and prefix, equal keys in
+   enqueue order. The list [b.last] is reused when it holds the same
+   items, as every client of an ARR's fan-out gets. *)
+let sorted b n items =
+  if n > Array.length b.sort_keys then begin
+    let cap = max n (2 * Array.length b.sort_keys) in
+    b.sort_items <- Key_sort.extend b.sort_items cap spare;
+    b.sort_keys <- Key_sort.extend b.sort_keys cap 0;
+    b.sort_pos <- Key_sort.extend b.sort_pos cap 0
+  end;
+  fill b (n - 1) items;
+  Key_sort.sort b.sort_keys b.sort_pos n;
+  let out =
+    if same_items b b.last 0 n then b.last
+    else begin
+      let l = ref [] in
+      for j = n - 1 downto 0 do
+        l := b.sort_items.(b.sort_pos.(j)) :: !l
+      done;
+      !l
+    end
+  in
+  Array.fill b.sort_items 0 n spare;
+  b.last <- out;
+  out
+
+(* A session's pending items (one per key) in send order. *)
+let sort_pending = function
+  | ([] | [ _ ]) as items -> items
   | items ->
-    List.sort
-      (fun ((c1, d1) : Proto.item) (c2, d2) ->
-        match Int.compare (Proto.channel_tag c1) (Proto.channel_tag c2) with
-        | 0 -> Prefix.compare d1.Proto.prefix d2.Proto.prefix
-        | c -> c)
-      items
+    let b = Domain.DLS.get key in
+    let sorted = sorted b (List.length items) items in
+    b.last <- [];
+    sorted
 
 (* Count and size the items in one pass: the sizer sees exactly the
    deltas of [Proto.wire_size (List.map snd items)]. *)
@@ -121,8 +169,8 @@ let rec count_and_size (c : Counters.t) sizer = function
     Proto.size_delta sizer d;
     count_and_size c sizer items
 
+(* [items] are in send order. *)
 let transmit_now o dst (s : session) items =
-  let items = sort_items items in
   let sizer = Bgp.Wire.Sizer.create ~add_paths:(Config.add_paths o.config) in
   count_and_size o.counters sizer items;
   Bgp.Wire.Sizer.finish sizer;
@@ -175,17 +223,20 @@ let flush_peer o ~peer =
     s.flush_scheduled <- false;
     let items = Hashtbl.fold (fun _ item acc -> item :: acc) s.pending [] in
     Hashtbl.reset s.pending;
-    if items <> [] then transmit_now o peer s items
+    if items <> [] then transmit_now o peer s (sort_pending items)
 
 (* Hand each destination its items: destinations in ascending id
-   order, each one's items in enqueue order ([transmit_now] then sorts
-   them with [sort_items]). *)
+   order, each one's items sorted, except that a router sends itself
+   its items in enqueue order. *)
 let send_touched o b =
   for k = 0 to b.n_touched - 1 do
     let dst = b.touched.(k) in
     let items = b.lists.(dst) in
     b.lists.(dst) <- [];
-    send o dst (match items with [ _ ] -> items | _ -> List.rev items)
+    match items with
+    | [ _ ] -> send o dst items
+    | _ when dst = o.id -> send o dst (List.rev items)
+    | _ -> send o dst (sorted b (List.length items) items)
   done
 
 let flush o =
@@ -218,7 +269,7 @@ let dump o =
   Hashtbl.fold
     (fun peer (s : session) acc ->
       let pending = Hashtbl.fold (fun _ it acc -> it :: acc) s.pending [] in
-      { ss_peer = peer; ss_mrai_until = s.mrai_until; ss_pending = sort_items pending;
+      { ss_peer = peer; ss_mrai_until = s.mrai_until; ss_pending = sort_pending pending;
         ss_flush_scheduled = s.flush_scheduled }
       :: acc)
     o.sessions []

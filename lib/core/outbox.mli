@@ -22,9 +22,12 @@ val enqueue : t -> int -> Proto.item -> unit
 
 val flush : t -> unit
 (** Send what the router enqueued: destinations in ascending id order,
-    each one's items sorted by channel and prefix. While a destination's
+    each peer's items sorted by channel and prefix (items with the same
+    key in enqueue order). A self-send is not sorted: it carries the
+    items in enqueue order, with zero bytes. Consecutive peers given the
+    same items, element for element, share one list. While a peer's
     MRAI timer runs, its items merge into the session's pending set and
-    a flush timer is armed. A self-send carries zero bytes. *)
+    a flush timer is armed. *)
 
 val flush_peer : t -> peer:int -> unit
 (** The MRAI timer toward [peer] fired: transmit the session's pending

@@ -63,8 +63,6 @@ let drop_prefix t prefix =
     Hashtbl.remove t key;
     List.map (fun (r : Bgp.Route.t) -> r.Bgp.Route.path_id) e.routes
 
-let prefix_count t = Hashtbl.length t
-
 let clear t = Hashtbl.reset t
 
 type dump = (int * Bgp.Route.t list * int) list

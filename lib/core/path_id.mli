@@ -24,8 +24,6 @@ val current : t -> Prefix.t -> Bgp.Route.t list
 val drop_prefix : t -> Prefix.t -> int list
 (** Forget a prefix entirely; returns the withdrawn ids. *)
 
-val prefix_count : t -> int
-
 val clear : t -> unit
 (** Forget all assignments (cold restart). *)
 

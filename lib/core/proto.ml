@@ -75,25 +75,52 @@ let channel_of_tag = function
   | 7 -> From_rcp
   | n -> invalid_arg (Printf.sprintf "Proto.channel_of_tag: %d" n)
 
+(* Items ordered by channel tag, then prefix: the order [Outbox] sends
+   a destination's items in. [Prefix.to_key] ascends with
+   [Prefix.compare], and a tag takes 3 bits above the 38 of the key. *)
+let item_key ((ch, d) : item) = (channel_tag ch lsl 38) lor Prefix.to_key d.prefix
+
+(* [0]: the keys ascend strictly; [1]: they ascend with repeats; [2]:
+   they do not ascend. *)
+let rec key_order order prev = function
+  | [] -> order
+  | x :: xs ->
+    let k = item_key x in
+    if k > prev then key_order order k xs
+    else if k = prev then key_order 1 k xs
+    else 2
+
+(* On ascending keys duplicates are adjacent: keep the last of each run. *)
+let[@tail_mod_cons] rec last_of_runs = function
+  | ([] | [ _ ]) as items -> items
+  | x :: (y :: _ as rest) ->
+    if item_key x = item_key y then last_of_runs rest else x :: last_of_runs rest
+
 (* Same-prefix churn within one delivery collapses to its final delta:
    the receiver replaces the stored route set per (channel, prefix), so
    only the last item per key can influence state. Keys first seen later
    keep their later position; relative order of surviving items is
-   preserved. *)
+   preserved. A non-self delivery arrives sorted by key, so the usual
+   case is a walk that returns the list itself; only an unsorted one
+   (a self-send can be) takes the table. *)
 let coalesce items =
   match items with
   | [] | [ _ ] -> items
-  | _ ->
-    let seen = Hashtbl.create 16 in
-    let keep =
-      List.filter
-        (fun (((ch, d) : item)) ->
-          let key = (channel_tag ch, Prefix.to_key d.prefix) in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
-          end)
-        (List.rev items)
-    in
-    List.rev keep
+  | x :: xs -> (
+    match key_order 0 (item_key x) xs with
+    | 0 -> items
+    | 1 -> last_of_runs items
+    | _ ->
+      let seen = Hashtbl.create 16 in
+      let keep =
+        List.filter
+          (fun it ->
+            let key = item_key it in
+            if Hashtbl.mem seen key then false
+            else begin
+              Hashtbl.add seen key ();
+              true
+            end)
+          (List.rev items)
+      in
+      List.rev keep)

@@ -54,6 +54,12 @@ val channel_of_tag : int -> channel
 (** Inverse of {!channel_tag} — the checkpoint codec stores channels by
     tag. @raise Invalid_argument on an unknown tag. *)
 
+val item_key : item -> int
+(** An int that orders items by channel tag, then by
+    {!Netaddr.Prefix.compare} of the prefix: the order in which
+    {!Outbox} sends a destination's items. Equal exactly when the
+    (channel, prefix) keys are. *)
+
 val coalesce : item list -> item list
 (** Collapse same-prefix churn within one delivery: of several items
     sharing a (channel, prefix) key, only the last survives. Sound
@@ -61,4 +67,5 @@ val coalesce : item list -> item list
     replacement for its key ([delta.routes]; [withdrawn_ids] ride along
     for MRAI merging but are not consulted on apply), so the last item
     alone determines the stored state. Relative order of surviving items
-    is preserved. *)
+    is preserved. A list whose keys ascend strictly (the usual non-self
+    delivery) comes back physically, with nothing allocated. *)

@@ -78,7 +78,6 @@ type t = {
   mutable process_scheduled : bool;
   out : Outbox.t;
   damping : Damping_table.t;
-  dirty : Churn.batch;  (* [process_now]'s batch, empty between batches *)
   counters : Counters.t;
   mutable rejected_loops : int;
   mutable up : bool;
@@ -100,7 +99,6 @@ let create env =
       Outbox.create ~id:env.id ~config:env.config ~counters ~now:env.now
         ~schedule_flush:env.schedule_flush ~transmit:env.transmit;
     damping = Damping_table.create ();
-    dirty = Churn.create_batch ();
     counters;
     rejected_loops = 0;
     up = true;
@@ -113,9 +111,9 @@ let iter_tables t f =
 
 (* The prefixes [iter] visits, ascending, each once. *)
 let sorted_unique iter =
-  let d = Rib.Dirty.create () in
-  iter (fun p -> Rib.Dirty.mark d p ignore);
-  List.map fst (Rib.Dirty.drain d)
+  let ps = ref [] in
+  iter (fun p -> ps := p :: !ps);
+  List.sort_uniq Prefix.compare !ps
 
 let entries t cls =
   let n = ref 0 in
@@ -833,16 +831,13 @@ let decide t ~incremental p c =
     t.counters.decisions_skipped <- t.counters.decisions_skipped + 1;
     if not incremental then recompute t p
 
-let rec decide_all t ~incremental = function
-  | [] -> ()
-  | (p, c) :: rest ->
-    decide t ~incremental p c;
-    decide_all t ~incremental rest
+let decide_incremental t p c = decide t ~incremental:true p c
+let decide_naive t p c = decide t ~incremental:false p c
 
 let run_batch t dirty =
-  decide_all t
-    ~incremental:(t.env.config.decision = Config.Incremental)
-    (Rib.Dirty.drain dirty)
+  Churn.drain dirty t
+    (if t.env.config.decision = Config.Incremental then decide_incremental
+     else decide_naive)
 
 (* ------------------------------------------------------------------ *)
 (* eBGP and local inputs                                               *)
@@ -954,9 +949,10 @@ let process_now t =
   t.process_scheduled <- false;
   if not t.up then Queue.clear t.inbox
   else begin
-    drain_inbox t t.dirty;
-    damping_pass t t.dirty;
-    run_batch t t.dirty;
+    let dirty = Churn.batch () in
+    drain_inbox t dirty;
+    damping_pass t dirty;
+    run_batch t dirty;
     Outbox.flush t.out
   end
 
@@ -1011,7 +1007,7 @@ let flush_peer t ~peer = if t.up then Outbox.flush_peer t.out ~peer
    it. *)
 let purge_peer t ~peer =
   if t.up then begin
-    let dirty = Churn.create_batch () in
+    let dirty = Churn.batch () in
     (* Wholesale table drops invalidate plane incumbents structurally:
        every affected prefix recomputes in full. *)
     List.iteri
@@ -1020,7 +1016,7 @@ let purge_peer t ~peer =
           List.iter (Churn.mark_full dirty) (Adj_in.drop_source t.planes.(i) peer))
       plane_classes;
     Outbox.drop_session t.out peer;
-    if not (Rib.Dirty.is_empty dirty) then begin
+    if not (Churn.is_empty dirty) then begin
       run_batch t dirty;
       Outbox.flush t.out
     end
@@ -1094,7 +1090,7 @@ let apply_repartition t =
   t.roles <- Roles.derive t.env.config t.env.id;
   let new_roles = t.roles in
   if t.up then begin
-    let dirty = Churn.create_batch () in
+    let dirty = Churn.batch () in
     (* ARR side: retire prefixes no longer in our APs (only [out_arr]
        and [managed_arr] can hold one that an old AP served). *)
     let retired =

@@ -150,6 +150,60 @@ let prop_coalesce_one_item_per_key =
       let idx = List.map last_index keys in
       List.sort compare idx = idx)
 
+(* Reference: [coalesce] as a hash table over the reversed list, the
+   algorithm for any order. *)
+let reference_coalesce items =
+  match items with
+  | [] | [ _ ] -> items
+  | _ ->
+    let seen = Hashtbl.create 16 in
+    let keep =
+      List.filter
+        (fun it ->
+          if Hashtbl.mem seen (key it) then false
+          else begin
+            Hashtbl.add seen (key it) ();
+            true
+          end)
+        (List.rev items)
+    in
+    List.rev keep
+
+let by_key a b = compare (key a) (key b)
+
+(* The three shapes a delivery takes: keys strictly ascending (a sorted
+   non-self batch), ascending with repeats, and in any order (a
+   self-send). The generator reuses each prefix across channels. *)
+let prop_coalesce_matches_reference shape name reorder =
+  QCheck.Test.make ~name:("coalesce = Hashtbl reference, " ^ name) ~count:300 arb_items
+    (fun items ->
+      let items = reorder items in
+      let out = Proto.coalesce items in
+      List.equal ( == ) out (reference_coalesce items)
+      && (shape <> `Strict || out == items))
+
+let prop_coalesce_strict =
+  prop_coalesce_matches_reference `Strict "strictly ascending" (List.sort_uniq by_key)
+
+let prop_coalesce_runs =
+  prop_coalesce_matches_reference `Runs "ascending with repeats" (List.stable_sort by_key)
+
+let prop_coalesce_unsorted = prop_coalesce_matches_reference `Any "any order" Fun.id
+
+(* A sorted delivery comes back as it is, with nothing allocated. *)
+let test_coalesce_sorted_allocates_nothing () =
+  let items =
+    List.init 64 (fun i ->
+        ( (if i < 32 then Proto.Mesh else Proto.From_arr),
+          Proto.delta (Prefix.make (Ipv4.of_int ((i mod 32) lsl 16)) 16) [ mk i ] ))
+  in
+  ignore (Proto.coalesce items);
+  let before = Gc.minor_words () in
+  let out = Proto.coalesce items in
+  let words = Gc.minor_words () -. before in
+  check_bool "the list itself" true (out == items);
+  if words > 0. then Alcotest.failf "coalesce allocated %.0f words" words
+
 (* --- wire sizing against the encoder ------------------------------- *)
 
 (* A pool of attribute blocks: the first few are "hot" (half of all
@@ -390,6 +444,11 @@ let suite =
       QCheck_alcotest.to_alcotest prop_coalesce_preserves_apply;
       QCheck_alcotest.to_alcotest prop_coalesce_idempotent;
       QCheck_alcotest.to_alcotest prop_coalesce_one_item_per_key;
+      QCheck_alcotest.to_alcotest prop_coalesce_strict;
+      QCheck_alcotest.to_alcotest prop_coalesce_runs;
+      QCheck_alcotest.to_alcotest prop_coalesce_unsorted;
+      Alcotest.test_case "coalesce: sorted delivery allocates nothing" `Quick
+        test_coalesce_sorted_allocates_nothing;
       QCheck_alcotest.to_alcotest prop_wire_size_matches_encode;
       Alcotest.test_case "wire size: two domains = serial" `Quick
         test_wire_size_two_domains;

@@ -8,13 +8,16 @@ let p2 = Prefix.of_string "21.0.0.0/16"
 let nh k = Ipv4.of_int k
 let mk prefix id = Route.make ~path_id:id ~prefix ~next_hop:(nh (1000 + id)) ()
 
+(* The prefixes holding routes, in [Rib.fold] order. *)
+let stored rib = List.rev (Rib.fold (fun p _ acc -> p :: acc) rib [])
+
 let test_upsert_counts () =
   let rib = Rib.create () in
   check_bool "new" true (Rib.upsert rib (mk p1 1));
   check_bool "second path" true (Rib.upsert rib (mk p1 2));
   check_bool "other prefix" true (Rib.upsert rib (mk p2 1));
   check_int "entries" 3 (Rib.entry_count rib);
-  check_int "prefixes" 2 (Rib.prefix_count rib);
+  check_int "prefixes" 2 (List.length (stored rib));
   (* replacing with an identical route reports no change *)
   check_bool "idempotent" false (Rib.upsert rib (mk p1 1));
   check_int "entries stable" 3 (Rib.entry_count rib);
@@ -54,14 +57,17 @@ let test_set () =
   check_int "replaced" 1 (Rib.entry_count rib);
   Rib.set rib p1 [];
   check_int "cleared" 0 (Rib.entry_count rib);
-  check_bool "mem" false (Rib.mem rib p1)
+  check_bool "gone" true (Rib.get rib p1 = [] && stored rib = [])
 
 let test_clear_prefix () =
   let rib = Rib.create () in
   Rib.set rib p1 [ mk p1 1; mk p1 2 ];
   Rib.set rib p2 [ mk p2 1 ];
-  check_int "removed" 2 (Rib.clear_prefix rib p1);
+  check_int "held" 2 (List.length (Rib.get rib p1));
+  Rib.set rib p1 [];
+  check_bool "removed" true (Rib.get rib p1 = []);
   check_int "left" 1 (Rib.entry_count rib);
+  check_bool "other prefix kept" true (List.equal Prefix.equal (stored rib) [ p2 ]);
   Rib.clear rib;
   check_int "clear all" 0 (Rib.entry_count rib)
 
@@ -71,7 +77,7 @@ let test_fold () =
   Rib.set rib p2 [ mk p2 1; mk p2 2 ];
   let total = Rib.fold (fun _ rs acc -> acc + List.length rs) rib 0 in
   check_int "fold" 3 total;
-  check_int "prefixes" 2 (List.length (Rib.prefixes rib))
+  check_bool "prefixes ascending" true (List.equal Prefix.equal (stored rib) [ p1; p2 ])
 
 let prop_entry_count_invariant =
   QCheck.Test.make ~name:"entry_count tracks contents" ~count:200
@@ -228,7 +234,7 @@ let prop_trie_matches_list_model =
       let counts_ok =
         Rib.entry_count rib
         = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 expected
-        && Rib.prefix_count rib = List.length expected
+        && List.length (stored rib) = List.length expected
       in
       let gets_ok =
         Array.for_all
@@ -240,7 +246,7 @@ let prop_trie_matches_list_model =
             in
             List.length m = List.length (Rib.get rib p)
             && List.for_all2 Route.equal m (Rib.get rib p)
-            && Rib.mem rib p = (m <> []))
+            && (Rib.get rib p <> []) = (m <> []))
           parity_pool
       in
       let lpm_ok =
@@ -257,43 +263,6 @@ let prop_trie_matches_list_model =
       same_contents && counts_ok && gets_ok && lpm_ok
       || QCheck.Test.fail_report "trie diverged from list model")
 
-(* ---- Dirty: the per-prefix dirty set behind the router's batched
-   decision pass (Router.run_batch). *)
-
-let test_dirty_mark_and_find () =
-  let d = Rib.Dirty.create () in
-  check_bool "fresh set is empty" true (Rib.Dirty.is_empty d);
-  let v1 = Rib.Dirty.mark d p1 (fun () -> ref 1) in
-  (* re-marking the same prefix must return the tracked payload, not a
-     fresh one: same-prefix churn within a batch coalesces *)
-  let v2 = Rib.Dirty.mark d p1 (fun () -> ref 99) in
-  check_bool "payload shared" true (v1 == v2);
-  check_int "one dirty prefix" 1 (Rib.Dirty.count d);
-  ignore (Rib.Dirty.mark d p2 (fun () -> ref 2));
-  check_int "two dirty prefixes" 2 (Rib.Dirty.count d);
-  check_bool "find tracked" true
-    (match Rib.Dirty.find d p1 with Some r -> !r = 1 | None -> false);
-  check_bool "find untracked" true
-    (Rib.Dirty.find d (Prefix.of_string "99.0.0.0/8") = None)
-
-let test_dirty_drain_clears () =
-  let d = Rib.Dirty.create () in
-  ignore (Rib.Dirty.mark d p2 (fun () -> 2));
-  ignore (Rib.Dirty.mark d p1 (fun () -> 1));
-  let drained = Rib.Dirty.drain d in
-  (* ascending prefix order regardless of mark order *)
-  check_bool "sorted by prefix" true
-    (match drained with
-    | [ (a, 1); (b, 2) ] -> Prefix.equal a p1 && Prefix.equal b p2
-    | _ -> false);
-  (* the dirty set is cleared after the batch: drain leaves it empty
-     and a second drain yields nothing *)
-  check_bool "cleared after drain" true (Rib.Dirty.is_empty d);
-  check_int "second drain empty" 0 (List.length (Rib.Dirty.drain d));
-  ignore (Rib.Dirty.mark d p1 (fun () -> 7));
-  check_bool "reusable after drain" true
-    (match Rib.Dirty.drain d with [ (_, 7) ] -> true | _ -> false)
-
 let suite =
   ( "rib",
     [
@@ -306,7 +275,4 @@ let suite =
       QCheck_alcotest.to_alcotest prop_entry_count_invariant;
       Alcotest.test_case "longest match" `Quick test_longest_match;
       QCheck_alcotest.to_alcotest prop_trie_matches_list_model;
-      Alcotest.test_case "dirty: mark/find coalesce" `Quick test_dirty_mark_and_find;
-      Alcotest.test_case "dirty: drain sorts and clears" `Quick
-        test_dirty_drain_clears;
     ] )
