@@ -226,7 +226,8 @@ let with_path_id path_id t = if t.path_id = path_id then t else { t with path_id
 let with_prefix prefix t = { t with prefix }
 
 (* One functional update = at most one intern, however many fields
-   change, and none when every field is physically the old one. *)
+   change, and none when every field is physically the old one; [t]
+   itself when its path id is kept too. *)
 let derive ~path_id ~origin ~as_path ~next_hop ~med ~local_pref ~originator_id
     ~cluster_list ~ext_communities t =
   let a = t.attrs in
@@ -242,7 +243,7 @@ let derive ~path_id ~origin ~as_path ~next_hop ~med ~local_pref ~originator_id
       intern origin as_path next_hop med local_pref originator_id cluster_list
         a.communities ext_communities
   in
-  { t with path_id; attrs }
+  if path_id = t.path_id && attrs == a then t else { t with path_id; attrs }
 
 let update ?path_id ?origin ?as_path ?next_hop ?med ?local_pref ?originator_id
     ?cluster_list ?ext_communities t =

@@ -117,7 +117,8 @@ val derive :
   t
 (** {!update} with every field given: the entry of the router's
     derivations, which would otherwise pay an option block per field
-    passed. Communities are kept. *)
+    passed. Communities are kept. A derivation that changes nothing
+    returns [t] itself and allocates nothing. *)
 
 (** {1 Field accessors} *)
 

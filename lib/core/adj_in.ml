@@ -167,22 +167,56 @@ let clear t =
   t.root <- nil;
   t.entries <- 0
 
-let rec dump_node by_src n =
+(* The source-major walk, a counting sort in two descents: one counts
+   each source's slots in a domain-local array indexed by source (over
+   [lo, hi]), one puts each slot at its source's next free position, in
+   prefix order. *)
+type counts = { mutable by_src : int array; mutable lo : int; mutable hi : int }
+
+let counts_key = Domain.DLS.new_key (fun () -> { by_src = [||]; lo = 0; hi = -1 })
+
+(* Counts each slot, and puts it at its position when [keys] has room. *)
+let rec walk c keys sets n =
   if n != nil then begin
-    dump_node by_src n.r;
-    dump_node by_src n.l;
-    if width n > 0 then begin
-      let p = Prefix.of_key n.key in
-      for i = 0 to width n - 1 do
-        let src = n.srcs.(i) in
-        let rest = Option.value (Hashtbl.find_opt by_src src) ~default:[] in
-        Hashtbl.replace by_src src ((p, n.sets.(i)) :: rest)
-      done
-    end
+    for i = 0 to width n - 1 do
+      let s = n.srcs.(i) in
+      if s >= Array.length c.by_src then c.by_src <- Key_sort.extend c.by_src (2 * s + 64) 0;
+      if s < c.lo then c.lo <- s;
+      if s > c.hi then c.hi <- s;
+      let j = c.by_src.(s) in
+      if j < Array.length keys then begin
+        keys.(j) <- n.key;
+        sets.(j) <- n.sets.(i)
+      end;
+      c.by_src.(s) <- j + 1
+    done;
+    walk c keys sets n.l;
+    walk c keys sets n.r
   end
 
-let dump t =
-  let by_src = Hashtbl.create 16 in
-  dump_node by_src t.root;
-  Hashtbl.fold (fun src entries acc -> (src, entries) :: acc) by_src []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let iter_by_source t ~sources ~source ~entry =
+  let c = Domain.DLS.get counts_key in
+  (* Zero what the last walk left, even one a callback cut short. *)
+  if c.hi >= c.lo then Array.fill c.by_src c.lo (c.hi - c.lo + 1) 0;
+  c.lo <- max_int;
+  c.hi <- -1;
+  walk c [||] [||] t.root;
+  let k = ref 0 and n = ref 0 in
+  for s = c.lo to c.hi do
+    let m = c.by_src.(s) in
+    if m > 0 then incr k;
+    c.by_src.(s) <- !n;
+    n := !n + m
+  done;
+  let keys = Array.make !n 0 and sets = Array.make !n [] in
+  walk c keys sets t.root;
+  sources !k;
+  let start = ref 0 in
+  for s = c.lo to c.hi do
+    let stop = c.by_src.(s) in
+    if stop > !start then source s (stop - !start);
+    for j = !start to stop - 1 do
+      entry keys.(j) sets.(j)
+    done;
+    start := stop
+  done

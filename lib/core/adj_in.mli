@@ -52,6 +52,14 @@ val entry_count : t -> int
 
 val clear : t -> unit
 
-val dump : t -> (int * (Prefix.t * Bgp.Route.t list) list) list
-(** Sources ascending, each with its (prefix, routes) entries in
-    ascending prefix order. *)
+val iter_by_source :
+  t ->
+  sources:(int -> unit) ->
+  source:(int -> int -> unit) ->
+  entry:(int -> Bgp.Route.t list -> unit) ->
+  unit
+(** The plane source-major, as the snapshot writes it: [sources n] with
+    the number of sources, then for each source in ascending order
+    [source src k] with its prefix count, followed by [k] calls of
+    [entry key routes], keys ({!Netaddr.Prefix.to_key}) ascending: a
+    counting sort by source over two descents, no list built. *)

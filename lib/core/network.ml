@@ -289,50 +289,16 @@ let repartition t ~partition ~arrs =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support                                                  *)
 
-type sim_dump = {
-  d_clock : Time.t;
-  d_next_seq : int;
-  d_processed : int;
-  d_rng : int64;
-  d_events : payload Sim.event list;
-  d_best_changes : int;
-  d_sink : Sim.Trace.dump option;
-}
-
-type dump = { d_sim : sim_dump; d_routers : Router.state array }
-
-let dump_sim t =
-  {
-    d_clock = Sim.now t.sim;
-    d_next_seq = Sim.next_seq t.sim;
-    d_processed = Sim.events_processed t.sim;
-    d_rng = Prng.state (Sim.rng t.sim);
-    d_events = Sim.pending_events t.sim;
-    d_best_changes = t.best_changes;
-    d_sink = Option.map Sim.Trace.dump (Sim.sink t.sim);
-  }
-
-let dump t = { d_sim = dump_sim t; d_routers = Array.map Router.dump_state t.routers }
-
-let restore_sim t d =
-  t.best_changes <- d.d_best_changes;
+let restore_sim t ~clock ~next_seq ~processed ~rng ~best_changes ~sink events =
+  t.best_changes <- best_changes;
   (* SPF distances come from the caller-rebuilt config rather than the
      checkpoint; a run that edits the IGP graph mid-flight must re-apply
      those edits before resuming. [create] took the graph's table
      already, so a new one is taken only if the graph changed since. *)
   if Igp.Graph.generation t.config.Config.igp <> t.dist_gen then
     recompute_dist t;
-  Sim.restore t.sim ~clock:d.d_clock ~next_seq:d.d_next_seq
-    ~processed:d.d_processed ~rng_state:d.d_rng d.d_events;
-  match d.d_sink with
-  | Some s -> Sim.set_sink t.sim (Sim.Trace.of_dump s)
-  | None -> Sim.clear_sink t.sim
-
-let load t d =
-  if Array.length d.d_routers <> Array.length t.routers then
-    invalid_arg "Network.load: router count mismatch";
-  Array.iteri (fun i st -> Router.load_state t.routers.(i) st) d.d_routers;
-  restore_sim t d.d_sim
+  Sim.restore t.sim ~clock ~next_seq ~processed ~rng_state:rng events;
+  match sink with Some s -> Sim.set_sink t.sim s | None -> Sim.clear_sink t.sim
 
 (* ------------------------------------------------------------------ *)
 (* Sharded execution                                                   *)

@@ -68,8 +68,10 @@ let clear t = Hashtbl.reset t
 type dump = (int * Bgp.Route.t list * int) list
 
 let dump t =
-  Hashtbl.fold (fun key e acc -> (key, e.routes, e.next) :: acc) t []
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  if Hashtbl.length t = 0 then []
+  else
+    Hashtbl.fold (fun key e acc -> (key, e.routes, e.next) :: acc) t []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
 let load t d =
   Hashtbl.reset t;

@@ -1198,70 +1198,18 @@ let advertised_route t p =
 let known_prefixes t = sorted_unique (iter_tables t)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint support                                                  *)
+(* Checkpoint support: the live tables, read and restored in place     *)
 
-type rib_dump = (Prefix.t * R.t list) list
+let ribs t = t.ribs
+let planes t = t.planes
+let path_ids t = t.ids
+let ebgp_neighbors t = t.ebgp_neighbors
+let inbox t = t.inbox
+let outbox t = t.out
+let damping t = t.damping
+let process_scheduled t = t.process_scheduled
 
-type state = {
-  st_ribs : rib_dump array;
-  st_peer_tables : (int * rib_dump) list array;
-  st_path_ids : Path_id.dump array;
-  st_ebgp_neighbors : ((int * int) * Ipv4.t) list;
-  st_inbox : input list;
-  st_process_scheduled : bool;
-  st_sessions : Outbox.session_state list;
-  st_damping : Damping_table.entry_state list;
-  st_counters : Counters.t;
-  st_rejected_loops : int;
-  st_up : bool;
-}
-
-(* [Rib.fold] runs in ascending prefix order already. *)
-let dump_rib rib = List.rev (Rib.fold (fun p rs acc -> (p, rs) :: acc) rib [])
-
-let dump_state t =
-  {
-    st_ribs = Array.map dump_rib t.ribs;
-    st_peer_tables = Array.map Adj_in.dump t.planes;
-    st_path_ids = Array.map Path_id.dump t.ids;
-    st_ebgp_neighbors =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ebgp_neighbors []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    st_inbox = List.of_seq (Queue.to_seq t.inbox);
-    st_process_scheduled = t.process_scheduled;
-    st_sessions = Outbox.dump t.out;
-    st_damping = Damping_table.dump t.damping;
-    st_counters = Counters.copy t.counters;
-    st_rejected_loops = t.rejected_loops;
-    st_up = t.up;
-  }
-
-let load_state t st =
-  if
-    Array.length st.st_ribs <> Array.length t.ribs
-    || Array.length st.st_peer_tables <> Array.length t.planes
-    || Array.length st.st_path_ids <> Array.length t.ids
-  then invalid_arg "Router.load_state: slot count mismatch";
-  wipe t;
-  Array.iteri
-    (fun i d -> List.iter (fun (p, rs) -> Rib.set t.ribs.(i) p rs) d)
-    st.st_ribs;
-  Array.iteri
-    (fun i d ->
-      List.iter
-        (fun (src, rd) ->
-          List.iter (fun (p, rs) -> ignore (Adj_in.exchange t.planes.(i) p src rs)) rd)
-        d)
-    st.st_peer_tables;
-  Array.iteri (fun i d -> Path_id.load t.ids.(i) d) st.st_path_ids;
-  List.iter
-    (fun (k, v) -> Hashtbl.replace t.ebgp_neighbors k v)
-    st.st_ebgp_neighbors;
-  List.iter (fun input -> Queue.add input t.inbox) st.st_inbox;
-  t.process_scheduled <- st.st_process_scheduled;
-  Outbox.load t.out st.st_sessions;
-  Damping_table.load t.damping st.st_damping;
-  Counters.reset t.counters;
-  Counters.add t.counters st.st_counters;
-  t.rejected_loops <- st.st_rejected_loops;
-  t.up <- st.st_up
+let restore_flags t ~process_scheduled ~rejected_loops ~up =
+  t.process_scheduled <- process_scheduled;
+  t.rejected_loops <- rejected_loops;
+  t.up <- up

@@ -162,14 +162,13 @@ val lookup : t -> Ipv4.t -> (Prefix.t * Bgp.Route.t) option
 
 (** {1 Checkpoint support (lib/snapshot)}
 
-    A router's complete BGP state as plain data. [dump_state] is
-    canonical: every table is emitted sorted by key, so two routers in
-    the same logical state dump structurally equal values (and hence
-    identical snapshot bytes — the divergence bisector relies on this).
-    [load_state] wipes the router (cold start) and refills it; the FIB
-    trie is rebuilt from the restored Loc-RIB. Scheduled work is {e not}
-    in here — the pending [Process]/[Mrai_flush] events live in the
-    simulator queue, which the network dump captures alongside. *)
+    The snapshot codec reads a router's live tables through these and
+    restores them in place: {!wipe}, then every table refilled and
+    {!restore_flags}. The slot arrays are in the table registry's fixed
+    order, which is the snapshot's (changing it is a format change).
+    Scheduled work is {e not} here: the pending [Process]/[Mrai_flush]
+    events live in the simulator queue. Nor is pending output: every
+    entry point that queues output flushes it before returning. *)
 
 (** Queued inputs awaiting the next processing batch — first-order so a
     mid-batch inbox round-trips through the codec. *)
@@ -181,32 +180,27 @@ type input =
   | In_local_withdraw of { prefix : Prefix.t; path_id : int }
   | In_redecide_all
 
-type rib_dump = (Prefix.t * Bgp.Route.t list) list
-(** Per-prefix route sets, sorted by prefix; route-list order is the
-    RIB's stored (path-id insertion) order and is preserved exactly. *)
+val ribs : t -> Bgp.Rib.t array
+(** Inputs, Loc-RIB, advertisements and reflector Adj-RIB-Outs. *)
 
-type state = {
-  st_ribs : rib_dump array;  (** fixed slot order: router.ml's table registry *)
-  st_peer_tables : (int * rib_dump) list array;
-      (** per-source Adj-RIB-Ins and the RCP per-client Adj-RIB-Out,
-          sources ascending, none with an empty dump *)
-  st_path_ids : Path_id.dump array;  (** add-paths id allocators *)
-  st_ebgp_neighbors : ((int * int) * Ipv4.t) list;
-  st_inbox : input list;  (** FIFO order *)
-  st_process_scheduled : bool;
-  st_sessions : Outbox.session_state list;
-  st_damping : Damping_table.entry_state list;  (** sorted by [ds_key] *)
-  st_counters : Counters.t;
-  st_rejected_loops : int;
-  st_up : bool;
-}
+val planes : t -> Adj_in.t array
+(** The Adj-RIB-Ins and the RCP per-client Adj-RIB-Out. *)
 
-val dump_state : t -> state
-(** No output is pending at an event boundary: every entry point that
-    queues output flushes it before returning, so the state has no
-    outgoing slot. *)
+val path_ids : t -> Path_id.t array
+(** The add-paths id allocators. *)
 
-val load_state : t -> state -> unit
-(** @raise Invalid_argument when the dump's slot-array lengths do not
-    match this build (format drift — the codec's version field should
-    have caught it). *)
+val ebgp_neighbors : t -> (int * int, Ipv4.t) Hashtbl.t
+(** The eBGP neighbour of each (prefix key, path id) session slot. *)
+
+val inbox : t -> input Queue.t
+(** FIFO. Adding to it schedules nothing. *)
+
+val outbox : t -> Outbox.t
+val damping : t -> Damping_table.t
+val process_scheduled : t -> bool
+
+val wipe : t -> unit
+(** Empty every table, as a cold start does; counters and flags stay. *)
+
+val restore_flags :
+  t -> process_scheduled:bool -> rejected_loops:int -> up:bool -> unit

@@ -65,35 +65,18 @@ module Trace = struct
     s.seen <- 0;
     s.recorded <- 0
 
-  type dump = {
-    d_capacity : int;
-    d_sample_every : int;
-    d_entries : entry list;  (* oldest first *)
-    d_until_sample : int;
-    d_seen : int;
-    d_recorded : int;
-  }
+  let until_sample s = s.until_sample
 
-  let dump s =
-    {
-      d_capacity = s.cap;
-      d_sample_every = s.every;
-      d_entries = entries s;
-      d_until_sample = s.until_sample;
-      d_seen = s.seen;
-      d_recorded = s.recorded;
-    }
-
-  let of_dump d =
-    let s = make ~capacity:d.d_capacity ~sample_every:d.d_sample_every () in
-    let n = List.length d.d_entries in
-    if n > s.cap then invalid_arg "Trace.of_dump: more entries than capacity";
-    List.iteri (fun i e -> s.buf.(i) <- e) d.d_entries;
+  let restore ~capacity ~sample_every ~until_sample ~seen ~recorded entries =
+    let s = make ~capacity ~sample_every () in
+    let n = List.length entries in
+    if n > s.cap then invalid_arg "Trace.restore: more entries than capacity";
+    List.iteri (fun i e -> s.buf.(i) <- e) entries;
     s.filled <- n;
     s.head <- n mod s.cap;
-    s.until_sample <- d.d_until_sample;
-    s.seen <- d.d_seen;
-    s.recorded <- d.d_recorded;
+    s.until_sample <- until_sample;
+    s.seen <- seen;
+    s.recorded <- recorded;
     s
 
   (* One dispatched event as the run loop sees it: count it as seen,

@@ -223,24 +223,18 @@ module Trace : sig
   val clear : sink -> unit
   (** Drop retained entries and reset the counters. *)
 
-  (** Sink state as plain data, for the checkpoint codec: the BENCH
+  val until_sample : sink -> int
+  (** Events left before the next one is recorded. *)
+
+  val restore :
+    capacity:int -> sample_every:int -> until_sample:int -> seen:int ->
+    recorded:int -> entry list -> sink
+  (** A sink observationally identical to the one these accessors and
+      {!entries} read: the checkpoint codec's restore (the BENCH
       queue-depth summary derives from sink contents, so byte-identical
-      resumed records need the ring to survive a restore. *)
-  type dump = {
-    d_capacity : int;
-    d_sample_every : int;
-    d_entries : entry list;  (** oldest first *)
-    d_until_sample : int;
-    d_seen : int;
-    d_recorded : int;
-  }
-
-  val dump : sink -> dump
-
-  val of_dump : dump -> sink
-  (** Rebuild a sink observationally identical to the dumped one.
-      @raise Invalid_argument if the dump holds more entries than its
-      capacity. *)
+      resumed records need the ring to survive it).
+      @raise Invalid_argument if there are more entries than [capacity],
+      or as {!make}. *)
 
   val observe : sink -> entry -> unit
   (** Feed the sink one dispatched event: count it as seen, record it if

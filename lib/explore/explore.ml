@@ -74,110 +74,57 @@ let scenario_of_gadget ?(check_exits = true) (g : Abrr_core.Gadgets.t) =
 (* ------------------------------------------------------------------ *)
 (* Canonical state digests                                             *)
 
-(* Exact modulo provably dead values: see the .mli soundness notes.
-   [mrai_off] additionally lets quiesced session scaffolding vanish —
-   with MRAI disabled, [send] never consults [mrai_until], so an empty
-   session is behaviorally identical to an absent one (and the ghost-
-   entry class of divergence disappears from the digest). *)
-let norm_router mrai_off (st : Router.state) =
-  (* Inbox order across sources is dead state: [process_now] drains the
-     whole inbox into per-source tables before recomputing any decision,
-     and inputs from different sources write disjoint entries (eBGP /
-     local inputs write yet other RIBs), so only same-class relative
-     order can matter. Stable-sorting by class merges batch-composition
-     permutations that provably converge to the same processed state. *)
-  let inbox_class = function
-    | Router.In_items { src; _ } -> (0, src)
-    | Router.In_ebgp _ | Router.In_ebgp_withdraw _ | Router.In_local _
-    | Router.In_local_withdraw _ | Router.In_redecide_all ->
-      (1, 0)
-  in
-  let inbox =
-    List.stable_sort
-      (fun a b -> Stdlib.compare (inbox_class a) (inbox_class b))
-      st.Router.st_inbox
-  in
-  let sessions =
-    List.filter_map
-      (fun (ss : Outbox.session_state) ->
-        let ss =
-          if mrai_off then { ss with Outbox.ss_mrai_until = Time.zero } else ss
-        in
-        if mrai_off && ss.Outbox.ss_pending = [] && not ss.Outbox.ss_flush_scheduled
-        then None
-        else Some ss)
-      st.Router.st_sessions
-  in
-  {
-    st with
-    Router.st_inbox = inbox;
-    st_sessions = sessions;
-    st_counters = Abrr_core.Counters.create ();
-    st_rejected_loops = 0;
-  }
+(* The digests are MD5s of normalised snapshot encodings
+   ([Snapshot.view]), exact modulo provably dead values (the .mli
+   soundness notes): event seqs and times, the sim scalars, counters and
+   [rejected_loops] are dropped; the inbox is stable-sorted by class
+   ([process_now] drains it whole into per-source tables, so only
+   same-class order can matter); with MRAI off ([quiet]), [send] never
+   reads [mrai_until], so an empty session is left out. The terminal
+   view also drops path-id assignment and RIB insertion order: safe at
+   quiescence, where no dangling id reference can tell states apart. *)
+let inbox_class = function
+  | Router.In_items { src; _ } -> (0, src)
+  | Router.In_ebgp _ | Router.In_ebgp_withdraw _ | Router.In_local _
+  | Router.In_local_withdraw _ | Router.In_redecide_all ->
+    (1, 0)
 
 let norm_event mode clock (ev : N.payload Sim.event) =
-  (match ev.Sim.payload with
-  | N.Thunk _ ->
-    invalid_arg "Explore: pending Thunk event cannot be digested (use at_op)"
-  | _ -> ());
   let time =
     match mode with
     | Async -> Time.zero
     | Timed -> max Time.zero (ev.Sim.time - clock)
   in
-  (* seq dropped: events are renumbered by canonical position *)
-  (time, ev.Sim.kind, ev.Sim.actor, ev.Sim.detail, ev.Sim.payload)
+  { ev with Sim.time; seq = 0 }
 
-let norm_dump mode net =
-  let d = N.dump net in
-  let cfg = N.config net in
-  let mrai_off = cfg.Abrr_core.Config.mrai = Time.zero in
-  let events =
-    List.map (norm_event mode d.N.d_sim.N.d_clock) d.N.d_sim.N.d_events
-    |> List.sort Stdlib.compare
-  in
-  (events, Array.map (norm_router mrai_off) d.N.d_routers)
+let quiet_session (ss : Outbox.session_state) =
+  if ss.Outbox.ss_pending = [] && not ss.Outbox.ss_flush_scheduled then None
+  else Some { ss with Outbox.ss_mrai_until = Time.zero }
 
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+let scrub routes =
+  List.sort Bgp.Route.compare (List.map (Bgp.Route.with_path_id 0) routes)
 
-let state_digest ~mode net = digest_of (norm_dump mode net)
+(* The snapshot codec cannot fail on a network without [Thunk] events. *)
+let ok = function Ok x -> x | Error msg -> invalid_arg ("Explore: " ^ msg)
 
-(* Terminal comparison abstracts path-id assignment (allocation order is
-   schedule history, not routing outcome) and RIB insertion order. Safe
-   only at quiescence: with no pending withdrawals or in-flight
-   messages, no dangling id reference can distinguish the states. *)
-let scrub_rib_dump (rd : Router.rib_dump) =
-  List.map
-    (fun (p, rs) ->
-      ( p,
-        List.sort Bgp.Route.compare (List.map (Bgp.Route.with_path_id 0) rs) ))
-    rd
+let digest ~mode ~terminal net =
+  let quiet = terminal || (N.config net).Abrr_core.Config.mrai = Time.zero in
+  let clock = Sim.now (N.sim net) in
+  ok
+    (Snapshot.digest_with
+       {
+         Snapshot.exact = false;
+         path_ids = not terminal;
+         events = (fun evs -> List.sort Stdlib.compare (List.map (norm_event mode clock) evs));
+         inbox =
+           List.stable_sort (fun a b -> Stdlib.compare (inbox_class a) (inbox_class b));
+         sessions = (if quiet then List.filter_map quiet_session else Fun.id);
+         routes = (if terminal then scrub else Fun.id);
+       }
+       net)
 
-let terminal_digest net =
-  let events, routers = norm_dump Async net in
-  let routers =
-    Array.map
-      (fun (st : Router.state) ->
-        {
-          st with
-          Router.st_ribs = Array.map scrub_rib_dump st.Router.st_ribs;
-          st_peer_tables =
-            Array.map
-              (List.map (fun (src, rd) -> (src, scrub_rib_dump rd)))
-              st.Router.st_peer_tables;
-          st_path_ids = [||];
-          st_sessions =
-            List.filter_map
-              (fun (ss : Outbox.session_state) ->
-                if ss.Outbox.ss_pending = [] && not ss.Outbox.ss_flush_scheduled
-                then None
-                else Some { ss with Outbox.ss_mrai_until = Time.zero })
-              st.Router.st_sessions;
-        })
-      routers
-  in
-  digest_of (events, routers)
+let state_digest ~mode net = digest ~mode ~terminal:false net
+let terminal_digest net = digest ~mode:Async ~terminal:true net
 
 (* ------------------------------------------------------------------ *)
 (* Schedule execution                                                  *)
@@ -432,13 +379,25 @@ let explore ?(mode = Async) ?(por = true) ?(invariants = true)
         stats.truncated <- stats.truncated + 1
       else if evs <> [] || faults <> [] then begin
         Hashtbl.replace path path_key depth;
-        let saved = N.dump net in
+        (* Each child but the first restores this state; a single choice
+           saves nothing. After the last child the caller restores its own. *)
+        let saved =
+          match (evs, faults) with
+          | [ _ ], [] | [], [ _ ] -> None
+          | _ -> Some (ok (Snapshot.encode net))
+        in
+        let first = ref true in
+        let from_here () =
+          if !first then first := false
+          else Option.iter (fun s -> ok (Snapshot.decode net s)) saved
+        in
         let slept = ref sleep in
         List.iter
           (fun (ev : _ Sim.event) ->
             if por && List.exists (fun p -> p = ev.Sim.payload) !slept then
               stats.pruned_sleep <- stats.pruned_sleep + 1
             else begin
+              from_here ();
               schedule := Fire ev.Sim.seq :: !schedule;
               ignore (Sim.fire sim ~seq:ev.Sim.seq);
               stats.transitions <- stats.transitions + 1;
@@ -447,18 +406,17 @@ let explore ?(mode = Async) ?(por = true) ?(invariants = true)
                 else []
               in
               dfs (depth + 1) faults_used child_sleep;
-              N.load net saved;
               schedule := List.tl !schedule;
               slept := ev.Sim.payload :: !slept
             end)
           evs;
         List.iter
           (fun f ->
+            from_here ();
             schedule := Inject f :: !schedule;
             apply net (Inject f);
             stats.transitions <- stats.transitions + 1;
             dfs (depth + 1) (faults_used + 1) [];
-            N.load net saved;
             schedule := List.tl !schedule)
           faults;
         Hashtbl.remove path path_key

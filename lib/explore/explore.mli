@@ -5,8 +5,8 @@
     schedule-dependent, so this module treats the set of pending events
     as a {e nondeterministic choice point} and searches over schedules:
     depth-first, firing one ready event at a time through the
-    {!Eventsim.Sim.fire} scheduler hook, checkpointing with
-    {!Abrr_core.Network.dump}/[load], and pruning states already seen
+    {!Eventsim.Sim.fire} scheduler hook, restoring states through
+    {!Snapshot.encode}/[decode], and pruning states already seen
     under a canonical state digest. Within its budgets it turns the
     paper's §2.3 claims into exhaustively checked facts: ABRR and
     full-mesh gadgets quiesce under {e every} schedule, violate no
@@ -183,8 +183,10 @@ val random_run :
 (** {1 State digests} *)
 
 val state_digest : mode:mode -> Abrr_core.Network.t -> string
-(** Canonical schedule-search digest of the current state (hex MD5).
-    See the soundness notes above for what is abstracted.
+(** Canonical schedule-search digest of the current state: the hex MD5
+    of a normalised snapshot encoding ({!Snapshot.digest_with}), read
+    off the live tables. See the soundness notes above for what is
+    abstracted.
     @raise Invalid_argument on a pending [Thunk]. *)
 
 val terminal_digest : Abrr_core.Network.t -> string

@@ -174,17 +174,14 @@ let[@tail_mod_cons] rec rlist_items r f n =
     let x = f r in
     x :: rlist_items r f (n - 1)
 
-let rlist r f =
+(* Sanity-bound the count before allocating: each element consumes at
+   least one byte, so a count beyond the remaining input is garbage. *)
+let rcount r =
   let n = r32 r in
-  (* Sanity-bound the count before allocating: each element consumes at
-     least one byte, so a count beyond the remaining input is garbage. *)
   need r n;
-  rlist_items r f n
+  n
 
-let rarray r f =
-  let n = r32 r in
-  need r n;
-  Array.init n (fun _ -> f r)
+let rlist r f = rlist_items r f (rcount r)
 
 let ropt r f =
   match r8 r with

@@ -82,8 +82,11 @@ val rint : reader -> int
 val rbool : reader -> bool
 val rstr : reader -> string
 val rlist : reader -> (reader -> 'a) -> 'a list
-val rarray : reader -> (reader -> 'a) -> 'a array
 val ropt : reader -> (reader -> 'a) -> 'a option
+
+val rcount : reader -> int
+(** A u32 element count, bounded like {!rlist}'s: a loader that stores
+    each element as it is read loops over it. *)
 
 (** {1 Integrity} *)
 

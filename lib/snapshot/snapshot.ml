@@ -95,8 +95,11 @@ type 'a ids = {
   mutable slots : int array;
 }
 
-let ids_create ~hash ~equal dummy =
-  { hash; equal; keys = Array.make 1024 dummy; count = 0; slots = Array.make 2048 0 }
+(* Small at first: a gadget network's snapshot numbers a few routes, and
+   the schedule explorer encodes one per state. [keys] doubles by
+   appending itself, as [Array.make] of a large array with a young
+   filler would force a minor collection. *)
+let ids_create ~hash ~equal = { hash; equal; keys = [||]; count = 0; slots = Array.make 32 0 }
 
 let rec probe t x mask i =
   let s = Array.unsafe_get t.slots i in
@@ -119,11 +122,8 @@ let id_of t x =
   if s > 0 then s - 1
   else begin
     let id = t.count in
-    if id = Array.length t.keys then begin
-      let keys = Array.make (2 * id) t.keys.(0) in
-      Array.blit t.keys 0 keys 0 id;
-      t.keys <- keys
-    end;
+    if id = Array.length t.keys then
+      t.keys <- (if id = 0 then Array.make 16 x else Array.append t.keys t.keys);
     t.keys.(id) <- x;
     t.count <- id + 1;
     if 2 * t.count <= Array.length t.slots then t.slots.(i) <- id + 1 else grow t;
@@ -139,9 +139,8 @@ let route_ids () =
       a.R.path_id = b.R.path_id
       && Netaddr.Prefix.equal a.R.prefix b.R.prefix
       && R.attrs_equal a.R.attrs b.R.attrs)
-    (R.of_attrs ~prefix:Netaddr.Prefix.default R.dummy_attrs)
 
-let block_ids () = ids_create ~hash:R.attrs_hash ~equal:R.attrs_equal R.dummy_attrs
+let block_ids () = ids_create ~hash:R.attrs_hash ~equal:R.attrs_equal
 
 let wroute (e : R.t ids) b r = C.w32 b (id_of e r)
 
@@ -171,10 +170,7 @@ let[@tail_mod_cons] rec rroute_items d n =
     let r = rroute d in
     r :: rroute_items d (n - 1)
 
-let rroutes d =
-  let n = C.r32 d.rd in
-  C.need d.rd n;
-  rroute_items d n
+let rroutes d = rroute_items d (C.rcount d.rd)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol pieces                                                     *)
@@ -407,53 +403,10 @@ let revent d : Network.payload Sim.event =
 (* ------------------------------------------------------------------ *)
 (* Router state                                                        *)
 
-let rec wrib_entries e b = function
-  | [] -> ()
-  | (p, routes) :: rest ->
-    wprefix b p;
-    wroutes e b routes;
-    wrib_entries e b rest
+(* [Counters.to_fields] lists every counter in the format's order. *)
+let wcounters b c = List.iter (fun (_, v) -> C.wint b v) (Counters.to_fields c)
 
-let wrib_dump e b (rd : Router.rib_dump) =
-  C.w32 b (List.length rd);
-  wrib_entries e b rd
-
-let[@tail_mod_cons] rec rrib_entries d n =
-  if n = 0 then []
-  else
-    let p = rprefix d in
-    let routes = rroutes d in
-    (p, routes) :: rrib_entries d (n - 1)
-
-let rrib_dump d : Router.rib_dump =
-  let n = C.r32 d.rd in
-  C.need d.rd n;
-  rrib_entries d n
-
-let wcounters b (c : Counters.t) =
-  C.wint b c.Counters.updates_received;
-  C.wint b c.Counters.updates_generated;
-  C.wint b c.Counters.updates_transmitted;
-  C.wint b c.Counters.updates_suppressed;
-  C.wint b c.Counters.messages_transmitted;
-  C.wint b c.Counters.bytes_transmitted;
-  C.wint b c.Counters.bytes_received;
-  C.wint b c.Counters.withdrawals_received;
-  C.wint b c.Counters.withdrawals_transmitted;
-  C.wint b c.Counters.decisions_run;
-  C.wint b c.Counters.decisions_full;
-  C.wint b c.Counters.decisions_delta;
-  C.wint b c.Counters.decisions_skipped;
-  C.wint b c.Counters.rib_touches;
-  C.wint b c.Counters.routes_damped;
-  C.wint b c.Counters.hijacks_injected;
-  C.wint b c.Counters.takeovers;
-  C.wint b c.Counters.prefixes_moved_on_repartition;
-  C.wint b c.Counters.last_change;
-  C.wint b c.Counters.mem_peak_kb
-
-let rcounters d =
-  let c = Counters.create () in
+let rcounters d (c : Counters.t) =
   c.Counters.updates_received <- C.rint d.rd;
   c.Counters.updates_generated <- C.rint d.rd;
   c.Counters.updates_transmitted <- C.rint d.rd;
@@ -473,36 +426,79 @@ let rcounters d =
   c.Counters.takeovers <- C.rint d.rd;
   c.Counters.prefixes_moved_on_repartition <- C.rint d.rd;
   c.Counters.last_change <- C.rint d.rd;
-  c.Counters.mem_peak_kb <- C.rint d.rd;
-  c
+  c.Counters.mem_peak_kb <- C.rint d.rd
 
-let wstate e b (st : Router.state) =
-  C.warray b (wrib_dump e) st.Router.st_ribs;
+(* What the encoder writes: the state as it is, or a view that the
+   schedule explorer's digests normalise (snapshot.mli). *)
+type view = {
+  exact : bool;
+  path_ids : bool;
+  events : Network.payload Sim.event list -> Network.payload Sim.event list;
+  inbox : Router.input list -> Router.input list;
+  sessions : Outbox.session_state list -> Outbox.session_state list;
+  routes : R.t list -> R.t list;
+}
+
+let exact =
+  { exact = true; path_ids = true; events = Fun.id; inbox = Fun.id; sessions = Fun.id;
+    routes = Fun.id }
+
+(* A router from its live tables, in the registry's slot order: RIBs
+   by prefix after their prefix count, planes source-major, the
+   allocators, the eBGP neighbours by key, the inbox in FIFO order, the
+   sessions and damping entries. An empty slot costs one count. *)
+let wrib v e b rib =
+  if Bgp.Rib.entry_count rib = 0 then C.w32 b 0
+  else begin
+    C.w32 b (Bgp.Rib.fold (fun _ _ n -> n + 1) rib 0);
+    Bgp.Rib.iter
+      (fun p routes ->
+        wprefix b p;
+        wroutes e b (v.routes routes))
+      rib
+  end
+
+let wplane v e b plane =
+  if Adj_in.entry_count plane = 0 then C.w32 b 0
+  else
+    Adj_in.iter_by_source plane ~sources:(C.w32 b)
+      ~source:(fun src k ->
+        C.wint b src;
+        C.w32 b k)
+      ~entry:(fun key routes ->
+        C.wint b key;
+        wroutes e b (v.routes routes))
+
+(* Sorted in place: a border router holds one entry per eBGP route. *)
+let wneighbors b tbl =
+  let entries = Array.of_list (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  Array.sort
+    (fun ((p, i), _) ((q, j), _) -> if p <> q then Int.compare p q else Int.compare i j)
+    entries;
   C.warray b
-    (fun b tbl ->
-      C.wlist b
-        (fun b (src, rd) ->
-          C.wint b src;
-          wrib_dump e b rd)
-        tbl)
-    st.Router.st_peer_tables;
-  C.warray b
-    (fun b pid ->
-      C.wlist b
-        (fun b (key, routes, next) ->
-          C.wint b key;
-          wroutes e b routes;
-          C.wint b next)
-        pid)
-    st.Router.st_path_ids;
-  C.wlist b
     (fun b ((k1, k2), addr) ->
       C.wint b k1;
       C.wint b k2;
       wipv4 b addr)
-    st.Router.st_ebgp_neighbors;
-  C.wlist b (winput e) st.Router.st_inbox;
-  C.wbool b st.Router.st_process_scheduled;
+    entries
+
+let wrouter v e b r =
+  C.warray b (wrib v e) (Router.ribs r);
+  C.warray b (wplane v e) (Router.planes r);
+  if v.path_ids then
+    C.warray b
+      (fun b pid ->
+        C.wlist b
+          (fun b (key, routes, next) ->
+            C.wint b key;
+            wroutes e b routes;
+            C.wint b next)
+          (Path_id.dump pid))
+      (Router.path_ids r)
+  else C.w32 b 0;
+  wneighbors b (Router.ebgp_neighbors r);
+  C.wlist b (winput e) (v.inbox (List.of_seq (Queue.to_seq (Router.inbox r))));
+  C.wbool b (Router.process_scheduled r);
   (* Format 5's outgoing-queue slot, a list count that is always 0: a
      router's output is flushed before its event ends. *)
   C.w32 b 0;
@@ -512,7 +508,7 @@ let wstate e b (st : Router.state) =
       C.wint b ss.Outbox.ss_mrai_until;
       C.wlist b (witem e) ss.Outbox.ss_pending;
       C.wbool b ss.Outbox.ss_flush_scheduled)
-    st.Router.st_sessions;
+    (v.sessions (Outbox.dump (Router.outbox r)));
   C.wlist b
     (fun b (ds : Damping_table.entry_state) ->
       let k1, k2 = ds.Damping_table.ds_key in
@@ -523,83 +519,86 @@ let wstate e b (st : Router.state) =
       C.wopt b (wroute e) ds.Damping_table.ds_held;
       wipv4 b ds.Damping_table.ds_neighbor;
       C.wint b ds.Damping_table.ds_wake)
-    st.Router.st_damping;
-  wcounters b st.Router.st_counters;
-  C.wint b st.Router.st_rejected_loops;
-  C.wbool b st.Router.st_up
+    (Damping_table.dump (Router.damping r));
+  if v.exact then begin
+    wcounters b (Router.counters r);
+    C.wint b (Router.rejected_loops r)
+  end;
+  C.wbool b (Router.is_up r)
 
-let rstate d : Router.state =
-  let st_ribs = C.rarray d.rd (fun _ -> rrib_dump d) in
-  let st_peer_tables =
-    C.rarray d.rd (fun _ ->
-        C.rlist d.rd (fun _ ->
-            let src = rrouter d in
-            let rd' = rrib_dump d in
-            (src, rd')))
-  in
-  let st_path_ids =
-    C.rarray d.rd (fun _ ->
-        C.rlist d.rd (fun _ ->
-            let key = C.rint d.rd in
-            let routes = rroutes d in
-            let next = C.rint d.rd in
-            (key, routes, next)))
-  in
-  let st_ebgp_neighbors =
-    C.rlist d.rd (fun _ ->
-        let k1 = rkey d.rd in
-        let k2 = C.rint d.rd in
-        let addr = ripv4 d in
-        ((k1, k2), addr))
-  in
-  let st_inbox = C.rlist d.rd (fun _ -> rinput d) in
-  let st_process_scheduled = C.rbool d.rd in
+(* Each of this build's [slots], once the snapshot holds as many. *)
+let rslots d what slots f =
+  let k = C.r32 d.rd in
+  if k <> Array.length slots then
+    C.bad "restore rejected: %d %s slots, this build has %d" k what (Array.length slots);
+  Array.iter f slots
+
+(* Counted (prefix, routes) entries, each stored as it is read. *)
+let rsets d store =
+  for _ = 1 to C.rcount d.rd do
+    let p = rprefix d in
+    store p (rroutes d)
+  done
+
+(* The inverse of [wrouter], loading each table in place as it is read. *)
+let rrouter_into d r =
+  Router.wipe r;
+  rslots d "RIB" (Router.ribs r) (fun rib -> rsets d (Bgp.Rib.set rib));
+  rslots d "plane" (Router.planes r) (fun plane ->
+      for _ = 1 to C.rcount d.rd do
+        let src = rrouter d in
+        rsets d (fun p routes -> ignore (Adj_in.exchange plane p src routes))
+      done);
+  rslots d "path-id" (Router.path_ids r) (fun pid ->
+      Path_id.load pid
+        (C.rlist d.rd (fun _ ->
+             let key = C.rint d.rd in
+             let routes = rroutes d in
+             let next = C.rint d.rd in
+             (key, routes, next))));
+  let neighbors = Router.ebgp_neighbors r in
+  for _ = 1 to C.rcount d.rd do
+    let k1 = rkey d.rd in
+    let k2 = C.rint d.rd in
+    Hashtbl.replace neighbors (k1, k2) (ripv4 d)
+  done;
+  let inbox = Router.inbox r in
+  for _ = 1 to C.rcount d.rd do
+    Queue.add (rinput d) inbox
+  done;
+  let process_scheduled = C.rbool d.rd in
   (match C.r32 d.rd with
   | 0 -> ()
   | n -> C.bad "router outgoing queue holds %d entries; it is always empty" n);
-  let st_sessions =
-    C.rlist d.rd (fun _ ->
-        let ss_peer = rrouter d in
-        let ss_mrai_until = C.rint d.rd in
-        let ss_pending = C.rlist d.rd (fun _ -> ritem d) in
-        let ss_flush_scheduled = C.rbool d.rd in
-        { Outbox.ss_peer; ss_mrai_until; ss_pending; ss_flush_scheduled })
-  in
-  let st_damping =
-    C.rlist d.rd (fun _ ->
-        let k1 = rkey d.rd in
-        let k2 = C.rint d.rd in
-        let ds_penalty = Int64.float_of_bits (C.r64 d.rd) in
-        let ds_stamp = C.rint d.rd in
-        let ds_held = C.ropt d.rd (fun _ -> rroute d) in
-        let ds_neighbor = ripv4 d in
-        let ds_wake = C.rint d.rd in
-        { Damping_table.ds_key = (k1, k2); ds_penalty; ds_stamp; ds_held;
-          ds_neighbor; ds_wake })
-  in
-  let st_counters = rcounters d in
-  let st_rejected_loops = C.rint d.rd in
-  let st_up = C.rbool d.rd in
-  {
-    Router.st_ribs;
-    st_peer_tables;
-    st_path_ids;
-    st_ebgp_neighbors;
-    st_inbox;
-    st_process_scheduled;
-    st_sessions;
-    st_damping;
-    st_counters;
-    st_rejected_loops;
-    st_up;
-  }
+  Outbox.load (Router.outbox r)
+    (C.rlist d.rd (fun _ ->
+         let ss_peer = rrouter d in
+         let ss_mrai_until = C.rint d.rd in
+         let ss_pending = C.rlist d.rd (fun _ -> ritem d) in
+         let ss_flush_scheduled = C.rbool d.rd in
+         { Outbox.ss_peer; ss_mrai_until; ss_pending; ss_flush_scheduled }));
+  Damping_table.load (Router.damping r)
+    (C.rlist d.rd (fun _ ->
+         let k1 = rkey d.rd in
+         let k2 = C.rint d.rd in
+         let ds_penalty = Int64.float_of_bits (C.r64 d.rd) in
+         let ds_stamp = C.rint d.rd in
+         let ds_held = C.ropt d.rd (fun _ -> rroute d) in
+         let ds_neighbor = ripv4 d in
+         let ds_wake = C.rint d.rd in
+         { Damping_table.ds_key = (k1, k2); ds_penalty; ds_stamp; ds_held;
+           ds_neighbor; ds_wake }));
+  rcounters d (Router.counters r);
+  let rejected_loops = C.rint d.rd in
+  let up = C.rbool d.rd in
+  Router.restore_flags r ~process_scheduled ~rejected_loops ~up
 
 (* ------------------------------------------------------------------ *)
 (* Trace sink                                                          *)
 
-let wsink b (s : Sim.Trace.dump) =
-  C.wint b s.Sim.Trace.d_capacity;
-  C.wint b s.Sim.Trace.d_sample_every;
+let wsink b s =
+  C.wint b (Sim.Trace.capacity s);
+  C.wint b (Sim.Trace.sample_every s);
   C.wlist b
     (fun b (en : Sim.Trace.entry) ->
       C.wint b en.Sim.Trace.time;
@@ -607,15 +606,15 @@ let wsink b (s : Sim.Trace.dump) =
       C.wint b en.Sim.Trace.actor;
       C.wint b en.Sim.Trace.depth;
       C.wint b en.Sim.Trace.detail)
-    s.Sim.Trace.d_entries;
-  C.wint b s.Sim.Trace.d_until_sample;
-  C.wint b s.Sim.Trace.d_seen;
-  C.wint b s.Sim.Trace.d_recorded
+    (Sim.Trace.entries s);
+  C.wint b (Sim.Trace.until_sample s);
+  C.wint b (Sim.Trace.seen s);
+  C.wint b (Sim.Trace.recorded s)
 
-let rsink d : Sim.Trace.dump =
-  let d_capacity = C.rint d.rd in
-  let d_sample_every = C.rint d.rd in
-  let d_entries =
+let rsink d =
+  let capacity = C.rint d.rd in
+  let sample_every = C.rint d.rd in
+  let entries =
     C.rlist d.rd (fun _ ->
         let time = C.rint d.rd in
         let kind = C.rint d.rd in
@@ -624,17 +623,12 @@ let rsink d : Sim.Trace.dump =
         let detail = C.rint d.rd in
         { Sim.Trace.time; kind; actor; depth; detail })
   in
-  let d_until_sample = C.rint d.rd in
-  let d_seen = C.rint d.rd in
-  let d_recorded = C.rint d.rd in
-  if d_capacity < 1 || d_sample_every < 1 then
-    C.bad "sink dump: capacity %d / sample_every %d out of range" d_capacity
-      d_sample_every;
-  if List.length d_entries > d_capacity then
-    C.bad "sink dump: %d entries exceed capacity %d" (List.length d_entries)
-      d_capacity;
-  { Sim.Trace.d_capacity; d_sample_every; d_entries; d_until_sample; d_seen;
-    d_recorded }
+  let until_sample = C.rint d.rd in
+  let seen = C.rint d.rd in
+  let recorded = C.rint d.rd in
+  match Sim.Trace.restore ~capacity ~sample_every ~until_sample ~seen ~recorded entries with
+  | s -> s
+  | exception Invalid_argument msg -> C.bad "trace sink: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -672,14 +666,18 @@ let restore_acceptance net vals =
 
 (* {2 Encoding: two passes}
 
-   Pass 1 walks the network one router at a time ([Router.dump_state]
-   of one router is garbage before the next is taken) and writes the
-   body into fixed-size chunks, numbering routes as the body first uses
-   them. Blocks are then numbered in route-id order. Pass 2 writes the
-   header, the attribute table, the route table and the body chunks to
-   a sink whose size is known in advance. *)
+   Pass 1 walks the live tables one router at a time and writes the body
+   into fixed-size chunks, numbering routes as the body first uses them.
+   Blocks are then numbered in route-id order. Pass 2 writes the header,
+   the attribute table, the route table and the body chunks to a sink
+   whose size is known in advance. *)
 
 let chunk_size = 65536
+
+(* Per domain, the first body chunk, reused by every encode: a small
+   network's snapshot allocates little beyond its bytes. A failed encode
+   leaves nothing to undo. *)
+let first_chunk = Domain.DLS.new_key (fun () -> Bytes.create chunk_size)
 
 type pass1 = {
   routes : R.t ids;
@@ -691,27 +689,29 @@ type pass1 = {
 
 let header_size fp = String.length magic + 2 + 4 + String.length fp
 
-let pass1 net ~fp =
+let pass1 v net ~fp =
   let routes = route_ids () in
   let chunks = ref [] in
   let b =
-    C.out (Bytes.create chunk_size) ~spill:(fun o ->
+    C.out (Domain.DLS.get first_chunk) ~spill:(fun o ->
         chunks := (C.buffer o, C.length o) :: !chunks;
         C.set_buffer o (Bytes.create chunk_size))
   in
-  let d = Network.dump_sim net in
-  C.wint b d.Network.d_clock;
-  C.wint b d.Network.d_next_seq;
-  C.wint b d.Network.d_processed;
-  C.w64 b d.Network.d_rng;
-  C.wlist b (wevent routes) d.Network.d_events;
-  C.wint b d.Network.d_best_changes;
+  let sim = Network.sim net in
+  if v.exact then begin
+    C.wint b (Sim.now sim);
+    C.wint b (Sim.next_seq sim);
+    C.wint b (Sim.events_processed sim);
+    C.w64 b (Eventsim.Prng.state (Sim.rng sim))
+  end;
+  C.wlist b (wevent routes) (v.events (Sim.pending_events sim));
+  if v.exact then C.wint b (Network.best_changes net);
   let n = Network.router_count net in
   C.w32 b n;
   for i = 0 to n - 1 do
-    wstate routes b (Router.dump_state (Network.router net i))
+    wrouter v routes b (Network.router net i)
   done;
-  C.wopt b wsink d.Network.d_sink;
+  if v.exact then C.wopt b wsink (Sim.sink sim);
   C.wlist b C.w8 (acceptance_values net);
   let chunks = List.rev ((C.buffer b, C.length b) :: !chunks) in
   let blocks = block_ids () in
@@ -757,16 +757,18 @@ let put_crc b pos crc =
   Bytes.set_uint16_be b pos (crc lsr 16);
   Bytes.set_uint16_be b (pos + 2) (crc land 0xFFFF)
 
+(* The encoding in a buffer of its exact size, CRC slot unfilled. *)
+let render v net ~fp =
+  let p = pass1 v net ~fp in
+  let b = Bytes.create p.size in
+  pass2 (C.out b ~spill:(fun _ -> invalid_arg "Snapshot.encode: size miscounted")) ~fp p;
+  b
+
 let encode net =
   try
-    let fp = fingerprint (Network.config net) in
-    let p = pass1 net ~fp in
-    let b = Bytes.create p.size in
-    let o =
-      C.out b ~spill:(fun _ -> invalid_arg "Snapshot.encode: size miscounted")
-    in
-    pass2 o ~fp p;
-    put_crc b (p.size - 4) (C.crc32 ~len:(p.size - 4) (Bytes.unsafe_to_string b));
+    let b = render exact net ~fp:(fingerprint (Network.config net)) in
+    let n = Bytes.length b in
+    put_crc b (n - 4) (C.crc32 ~len:(n - 4) (Bytes.unsafe_to_string b));
     Ok (Bytes.unsafe_to_string b)
   with C.Bad msg -> Error msg
 
@@ -820,12 +822,12 @@ let decode net s =
           R.of_attrs ~path_id ~prefix attrs_tbl.(ai))
     in
     let d = { rd; route_tbl; n_routers = Network.router_count net } in
-    let d_clock = C.rint rd in
-    let d_next_seq = C.rint rd in
-    let d_processed = C.rint rd in
-    let d_rng = C.r64 rd in
-    let d_events = C.rlist rd (fun _ -> revent d) in
-    let d_best_changes = C.rint rd in
+    let clock = C.rint rd in
+    let next_seq = C.rint rd in
+    let processed = C.rint rd in
+    let rng = C.r64 rd in
+    let events = C.rlist rd (fun _ -> revent d) in
+    let best_changes = C.rint rd in
     (* Routers load as they are read: from here on a failure leaves the
        network partly restored, and the caller discards it. *)
     let n_routers = C.r32 rd in
@@ -833,22 +835,14 @@ let decode net s =
       C.bad "snapshot holds %d routers, the network %d" n_routers
         (Network.router_count net);
     for i = 0 to n_routers - 1 do
-      match Router.load_state (Network.router net i) (rstate d) with
-      | () -> ()
-      | exception Invalid_argument msg -> C.bad "restore rejected: %s" msg
+      rrouter_into d (Network.router net i)
     done;
-    let d_sink = C.ropt rd (fun _ -> rsink d) in
+    let sink = C.ropt rd (fun _ -> rsink d) in
     let acceptance = C.rlist rd C.r8 in
     if C.pos rd <> n - 4 then
       C.bad "%d trailing bytes after snapshot body" (n - 4 - C.pos rd);
     restore_acceptance net acceptance;
-    (match
-       Network.restore_sim net
-         { Network.d_clock; d_next_seq; d_processed; d_rng; d_events;
-           d_best_changes; d_sink }
-     with
-    | () -> ()
-    | exception Invalid_argument msg -> C.bad "restore rejected: %s" msg);
+    Network.restore_sim net ~clock ~next_seq ~processed ~rng ~best_changes ~sink events;
     Ok ()
   with C.Bad msg -> Error msg
 
@@ -857,7 +851,7 @@ let save net ~path =
   let tmp = path ^ ".tmp" in
   match
     let fp = fingerprint (Network.config net) in
-    let p = pass1 net ~fp in
+    let p = pass1 exact net ~fp in
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
@@ -899,6 +893,13 @@ let digest net =
   match encode net with
   | Ok s -> Ok (Digest.to_hex (Digest.string s))
   | Error _ as e -> e
+
+(* Views compare states of one network: no fingerprint, and no CRC. *)
+let digest_with v net =
+  try
+    let b = render v net ~fp:"" in
+    Ok (Digest.to_hex (Digest.subbytes b 0 (Bytes.length b - 4)))
+  with C.Bad msg -> Error msg
 
 let sanitize label =
   String.map

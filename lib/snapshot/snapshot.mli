@@ -26,12 +26,12 @@
     attribute id [i] points at the same interned block.
 
     Cost follows the bytes. The encoder makes two passes: the first
-    dumps one router at a time into fixed-size body chunks, numbering
+    walks each router's live tables into fixed-size body chunks, numbering
     routes by first use and then blocks by route id; the second writes
     the header, both tables and the chunks to a sink of known size,
     with a running CRC. The decoder checks the CRC of the whole input
     before trusting any length, parses attribute blocks in place and
-    loads each router as soon as it is read.
+    loads each router's tables in place as they are read.
 
     The encoding is {e canonical}: hash tables are dumped sorted by key
     and the route table is in first-use order of the (sorted) body, so
@@ -87,6 +87,31 @@ val digest : Abrr_core.Network.t -> (string, string) result
 (** Hex MD5 of the canonical {!encode} bytes — a cheap state
     fingerprint for divergence detection. Equal digests at event [k]
     mean the two runs are in identical states at [k]. *)
+
+(** {1 Normalised digests}
+
+    The schedule explorer ({!Explore}) compares states up to values it
+    proves dead, by digesting a {e view} of the encoding: each list hook
+    maps a list just before it is written ([routes]: each RIB and plane
+    route set). Outside [exact], the simulator's scalars, the trace
+    sink, the counters and the rejected-loop count are left out; without
+    [path_ids], so are the add-paths allocators. *)
+
+type view = {
+  exact : bool;
+  path_ids : bool;
+  events :
+    Abrr_core.Network.payload Eventsim.Sim.event list ->
+    Abrr_core.Network.payload Eventsim.Sim.event list;
+  inbox : Abrr_core.Router.input list -> Abrr_core.Router.input list;
+  sessions :
+    Abrr_core.Outbox.session_state list -> Abrr_core.Outbox.session_state list;
+  routes : Bgp.Route.t list -> Bgp.Route.t list;
+}
+
+val digest_with : view -> Abrr_core.Network.t -> (string, string) result
+(** Hex MD5 of the view's encoding, without the config fingerprint and
+    the CRC: it compares states of one network. *)
 
 (** {1 Segment files}
 

@@ -57,6 +57,29 @@ let model_set model src p routes =
 
 let same_routes = List.equal Route.equal
 
+(* [A.iter_by_source] as a list, with the counts it announces checked
+   against what it hands over. *)
+let walk t =
+  let announced = ref (-1) and srcs = ref [] and pending = ref 0 in
+  let close () =
+    if !pending <> 0 then QCheck.Test.fail_reportf "source announced %d more entries" !pending
+  in
+  A.iter_by_source t
+    ~sources:(fun n -> announced := n)
+    ~source:(fun src k ->
+      close ();
+      pending := k;
+      srcs := (src, ref []) :: !srcs)
+    ~entry:(fun key routes ->
+      decr pending;
+      match !srcs with
+      | (_, entries) :: _ -> entries := (Prefix.of_key key, routes) :: !entries
+      | [] -> QCheck.Test.fail_report "entry before any source");
+  close ();
+  if !announced <> List.length !srcs then
+    QCheck.Test.fail_reportf "announced %d sources, walked %d" !announced (List.length !srcs);
+  List.rev_map (fun (src, entries) -> (src, List.rev !entries)) !srcs
+
 let check_state t model =
   let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
   Array.iter
@@ -104,8 +127,8 @@ let check_state t model =
   let same_entries =
     List.equal (fun (p, x) (q, y) -> Prefix.equal p q && same_routes x y)
   in
-  if not (List.equal (fun (a, x) (b, y) -> a = b && same_entries x y) (A.dump t) expected_dump)
-  then fail "dump"
+  if not (List.equal (fun (a, x) (b, y) -> a = b && same_entries x y) (walk t) expected_dump)
+  then fail "source-major walk"
 
 let step t model k op =
   match op with

@@ -234,12 +234,12 @@ let prop_network_reads_generation =
       let step edit =
         let m0 = Igp.Spf.all_pairs g in
         let stale = N.create cfg and refreshed = N.create cfg and loaded = N.create cfg in
-        let dump = N.dump loaded in
+        let snap = Result.get_ok (Snapshot.encode loaded) in
         edit ();
         let m1 = Igp.Spf.all_pairs g in
         N.refresh_igp refreshed;
-        N.load loaded dump;
-        reads stale m0 && reads refreshed m1 && reads loaded m1 && reads (N.create cfg) m1
+        Snapshot.decode loaded snap = Ok ()
+        && reads stale m0 && reads refreshed m1 && reads loaded m1 && reads (N.create cfg) m1
       in
       step (fun () -> Igp.Graph.add_arc g u v 0)
       && step (fun () -> Igp.Graph.remove_edge g x y))

@@ -297,8 +297,8 @@ let test_create_reuses_igp_table () =
   if first < table then Alcotest.failf "first create: %.0f words, no table built" first;
   if second >= table then Alcotest.failf "second create allocated %.0f words" second
 
-(* [load] keeps the distances [create] computed, unless the IGP graph was
-   edited in between. *)
+(* A restore keeps the distances [create] computed, unless the IGP graph
+   was edited in between. *)
 let test_load_recomputes_edited_igp () =
   let g = Igp.Graph.create ~n:3 in
   Igp.Graph.add_edge g 0 1 10;
@@ -308,13 +308,13 @@ let test_load_recomputes_edited_igp () =
   let net = N.create cfg in
   inject net ~router:0 (route ~prefix 0);
   quiesce net;
-  let dump = N.dump net in
+  let snap = Result.get_ok (Snapshot.encode net) in
   let same = N.create cfg in
-  N.load same dump;
+  check_bool "restored" true (Snapshot.decode same snap = Ok ());
   check_int "unedited: create's distances" 20 (N.igp_distance same 0 2);
   let edited = N.create cfg in
   Igp.Graph.remove_edge g 1 2;
-  N.load edited dump;
+  check_bool "restored after the edit" true (Snapshot.decode edited snap = Ok ());
   check_int "edited after create: recomputed" 50 (N.igp_distance edited 0 2);
   check_int "rerouted around the cut link" 60 (N.igp_distance edited 1 2)
 

@@ -124,25 +124,26 @@ let pinned_damped expected () =
     (some_router net (fun r ->
          List.exists
            (fun (d : Abrr_core.Damping_table.entry_state) -> d.ds_held <> None)
-           (R.dump_state r).R.st_damping));
+           (Abrr_core.Damping_table.dump (R.damping r))));
   Alcotest.(check string) "damped snapshot MD5" expected (encode_md5 net)
 
 (* ------------------------------------------------------------------ *)
 (* [known_prefixes] = the sorted, deduplicated prefixes of every table
-   [dump_state] writes: at quiescence, after a peer purge, after a cold
-   restart, and after an IGP cut that leaves routes whose next hop is
-   unreachable in Adj-RIB-Ins only, with no Loc-RIB entry. *)
+   the snapshot writes, read through the same walks: at quiescence,
+   after a peer purge, after a cold restart, and after an IGP cut that
+   leaves routes whose next hop is unreachable in Adj-RIB-Ins only, with
+   no Loc-RIB entry. *)
 
 let dumped_prefixes r =
-  let st = R.dump_state r in
-  let of_dump d = List.map fst d in
-  let ribs = List.concat_map of_dump (Array.to_list st.R.st_ribs) in
-  let peers =
-    List.concat_map
-      (fun tbl -> List.concat_map (fun (_, d) -> of_dump d) tbl)
-      (Array.to_list st.R.st_peer_tables)
-  in
-  List.sort_uniq Netaddr.Prefix.compare (ribs @ peers)
+  let ps = ref [] in
+  Array.iter (Bgp.Rib.iter (fun p _ -> ps := p :: !ps)) (R.ribs r);
+  Array.iter
+    (fun plane ->
+      Abrr_core.Adj_in.iter_by_source plane ~sources:ignore
+        ~source:(fun _ _ -> ())
+        ~entry:(fun key _ -> ps := Netaddr.Prefix.of_key key :: !ps))
+    (R.planes r);
+  List.sort_uniq Netaddr.Prefix.compare !ps
 
 let check_known net what =
   for i = 0 to N.router_count net - 1 do
@@ -257,6 +258,18 @@ let test_derive_reference () =
         roles)
     routes
 
+(* A derivation that changes nothing is free: stripping a route that
+   carries no reflection attribute and has path id 0 gives it back. *)
+let test_noop_derivation () =
+  let r = Helpers.route ~med:5 ~prefix:(Helpers.pfx "20.0.0.0/16") 3 in
+  let r = Abrr_core.Derive.stripped r in
+  ignore (Abrr_core.Derive.stripped r);
+  let before = Gc.minor_words () in
+  let again = Abrr_core.Derive.stripped r in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "the route itself" true (again == r);
+  if words > 0. then Alcotest.failf "a no-op derivation allocated %.0f words" words
+
 let suite =
   ( "router",
     [
@@ -272,4 +285,6 @@ let suite =
       QCheck_alcotest.to_alcotest test_known_prefixes;
       Alcotest.test_case "derivations = one attribute at a time" `Quick
         test_derive_reference;
+      Alcotest.test_case "no-op derivation returns the route" `Quick
+        test_noop_derivation;
     ] )

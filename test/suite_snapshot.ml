@@ -145,32 +145,18 @@ let withdrawn_net () =
   run_to_quiescence net;
   net
 
-let empty_entries (st : R.state) =
-  Array.to_list st.R.st_peer_tables
-  |> List.concat_map (List.filter (fun (_, rd) -> rd = []))
-  |> List.length
-
 let test_no_empty_sources () =
   let net = withdrawn_net () in
   for i = 0 to N.router_count net - 1 do
-    check_int (Printf.sprintf "router %d empty entries" i) 0
-      (empty_entries (R.dump_state (N.router net i)))
+    let empty = ref 0 in
+    Array.iter
+      (fun plane ->
+        Abrr_core.Adj_in.iter_by_source plane ~sources:ignore
+          ~source:(fun _ k -> if k = 0 then incr empty)
+          ~entry:(fun _ _ -> ()))
+      (R.planes (N.router net i));
+    check_int (Printf.sprintf "router %d empty entries" i) 0 !empty
   done
-
-(* A format-5 dump may still hold such an entry: it loads, and the
-   router dumps without it. *)
-let test_empty_source_loads () =
-  let net = withdrawn_net () in
-  Helpers.inject net ~router:3 (Helpers.route ~prefix:prefixes.(1) 3);
-  run_to_quiescence net;
-  let router = N.router net 5 in
-  let st = R.dump_state router in
-  let slot = st.R.st_peer_tables.(8) in
-  let padded = Array.copy st.R.st_peer_tables in
-  padded.(8) <- List.sort compare ((4, []) :: slot);
-  check_bool "dump has from_arr entries" true (slot <> []);
-  R.load_state router { st with R.st_peer_tables = padded };
-  check_bool "dump without the empty entry" true (R.dump_state router = st)
 
 (* ------------------------------------------------------------------ *)
 (* Property: for any (seed, scheme, pause point), checkpoint + restore
@@ -203,6 +189,54 @@ let prop_resume =
       triple (int_bound 999) (int_bound (List.length schemes - 1))
         (int_bound 400))
     resume_equals_uninterrupted
+
+(* The schedule explorer's backtracking: encode at event k, fire j
+   more ready events in an arbitrary order (the trace holds a crash and
+   a cold restart, and one scheme runs MRAI), then decode into the same
+   network. It is back in the encoded state, and a run to quiescence
+   from there ends where an uninterrupted run does. *)
+let restore_in_place (seed, scheme_i, (k, j)) =
+  let cfg () = scheme_cfg scheme_i in
+  let ops = mk_ops ~n:6 ~seed ~count:24 in
+  let plain = prepare (cfg ()) ops in
+  run_to_quiescence plain;
+  let net = prepare (cfg ()) ops in
+  ignore (N.run ~max_events:(k + 1) net);
+  let at_k = ok_digest net in
+  let bytes = match S.encode net with Ok b -> b | Error e -> Alcotest.fail e in
+  ignore (Explore.random_run ~max_steps:(j + 1) ~seed net);
+  (match S.decode net bytes with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "decode failed: %s" e);
+  ok_digest net = at_k
+  &&
+  (run_to_quiescence net;
+   ok_digest net = ok_digest plain
+   && Sim.events_processed (N.sim net) = Sim.events_processed (N.sim plain)
+   && Abrr_core.Counters.to_fields (N.total_counters net)
+      = Abrr_core.Counters.to_fields (N.total_counters plain))
+
+let prop_restore_in_place =
+  QCheck.Test.make ~name:"decode into the same network = state at encode"
+    ~count:20
+    QCheck.(
+      triple (int_bound 999) (int_bound (List.length schemes - 1))
+        (pair (int_bound 400) (int_bound 400)))
+    restore_in_place
+
+(* An encode allocates little beyond its bytes: the first body chunk is
+   reused, and the id tables start small. A fresh 64 KB chunk alone is
+   8 192 words. Large blocks go straight to the major heap, so this
+   counts every allocation, not only minor words. *)
+let test_encode_fixed_cost () =
+  let net = Abrr_core.Gadgets.(build (med_oscillation (G_abrr 1))) in
+  run_to_quiescence net;
+  ignore (S.encode net);
+  let before = Gc.allocated_bytes () in
+  let bytes = S.encode net in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check_bool "encodes" true (Result.is_ok bytes);
+  if words >= 8192. then Alcotest.failf "encode allocated %.0f words" words
 
 (* ------------------------------------------------------------------ *)
 (* Thunk rejection *)
@@ -253,6 +287,103 @@ let patch s i c =
   let b = Bytes.of_string s in
   Bytes.set b i c;
   Bytes.to_string b
+
+(* Where router [router]'s plane [plane] starts in a snapshot of a
+   quiesced network without damping: no event is pending, and every
+   inbox and pending list is empty. Everything before it is skipped by
+   its format-5 lengths. *)
+let plane_offset s ~router ~plane =
+  let p = ref (String.length "ABRRSNAP" + 2) in
+  let skip n = p := !p + n in
+  let count () =
+    let n = Int32.to_int (String.get_int32_be s !p) land 0xFFFF_FFFF in
+    skip 4;
+    n
+  in
+  let empty what = if count () <> 0 then Alcotest.failf "%s not empty" what in
+  let routes () = skip (4 * count ()) in
+  let rib () =
+    for _ = 1 to count () do
+      skip 8;
+      routes ()
+    done
+  in
+  skip (count ());
+  for _ = 1 to count () do
+    skip (count ())
+  done;
+  skip (20 * count ());
+  skip 32;
+  empty "event queue";
+  skip 8;
+  ignore (count ());
+  let found = ref None and r = ref 0 in
+  while !found = None do
+    for _ = 1 to count () do
+      rib ()
+    done;
+    for i = 0 to count () - 1 do
+      if !r = router && i = plane then found := Some !p;
+      for _ = 1 to count () do
+        skip 8;
+        rib ()
+      done
+    done;
+    for _ = 1 to count () do
+      for _ = 1 to count () do
+        skip 8;
+        routes ();
+        skip 8
+      done
+    done;
+    skip (24 * count ());
+    empty "inbox";
+    skip 1;
+    empty "outgoing queue";
+    for _ = 1 to count () do
+      skip 16;
+      empty "pending list";
+      skip 1
+    done;
+    empty "damping table";
+    skip (20 * 8 + 8 + 1);
+    incr r
+  done;
+  Option.get !found
+
+(* A format-5 snapshot may still list a source without routes: it loads,
+   and the restored network encodes without it. *)
+let test_empty_source_loads () =
+  let net = withdrawn_net () in
+  Helpers.inject net ~router:3 (Helpers.route ~prefix:prefixes.(1) 3);
+  run_to_quiescence net;
+  let good = Result.get_ok (S.encode net) in
+  let o = plane_offset good ~router:5 ~plane:8 in
+  let sources = Int32.to_int (String.get_int32_be good o) in
+  check_bool "plane has from_arr entries" true (sources > 0);
+  (* Source 4 goes before the first higher source, as the encoder would
+     order it. *)
+  let at = ref (o + 4) in
+  for _ = 1 to sources do
+    if Int64.to_int (String.get_int64_be good !at) < 4 then begin
+      let entries = Int32.to_int (String.get_int32_be good (!at + 8)) in
+      at := !at + 12;
+      for _ = 1 to entries do
+        at := !at + 8 + 4 + (4 * Int32.to_int (String.get_int32_be good (!at + 8)))
+      done
+    end
+  done;
+  let b = Buffer.create (String.length good + 12) in
+  Buffer.add_string b (String.sub good 0 o);
+  Buffer.add_int32_be b (Int32.of_int (sources + 1));
+  Buffer.add_string b (String.sub good (o + 4) (!at - o - 4));
+  Buffer.add_int64_be b 4L;
+  Buffer.add_int32_be b 0l;
+  Buffer.add_string b (String.sub good !at (String.length good - !at));
+  let padded = reseal (Buffer.contents b) in
+  let fresh = N.create (Helpers.single_ap_abrr ()) in
+  check_bool "padded snapshot loads" true (S.decode fresh padded = Ok ());
+  check_bool "encodes without the empty entry" true (S.encode fresh = Ok good)
 
 let test_corrupt_rejected () =
   let cfg = Helpers.full_mesh_config 4 in
@@ -710,6 +841,8 @@ let suite =
       Alcotest.test_case "empty per-source entry loads" `Quick
         test_empty_source_loads;
       QCheck_alcotest.to_alcotest prop_resume;
+      QCheck_alcotest.to_alcotest prop_restore_in_place;
+      Alcotest.test_case "encode: small fixed cost" `Quick test_encode_fixed_cost;
       Alcotest.test_case "thunk rejected" `Quick test_thunk_rejected;
       Alcotest.test_case "corruption rejected" `Quick test_corrupt_rejected;
       Alcotest.test_case "corruption never raises" `Quick test_corrupt_never_raises;
